@@ -110,7 +110,9 @@ class NvSupervisor:
             self._sessions[key] = session
         else:
             # Another cached session may have overwritten these bytes
-            # in the attacker's address space: re-map before use.
+            # in the attacker's address space: re-map before use.  An
+            # unchanged snippet costs a byte compare and keeps its
+            # decodes; only rewritten bytes invalidate.
             session.code.program.load_into(self.nv.attacker.memory)
         return session
 

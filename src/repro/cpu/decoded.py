@@ -21,9 +21,11 @@ Cache key and invalidation
 Windows are keyed by entry PC and stamped with the memory's
 ``code_generation`` counter.  The counter bumps when
 
-* a write lands on a page that holds cached decodes
-  (``VirtualMemory.write_bytes`` — self-modifying code), or
-* a page is mapped or unmapped (``PageTable.epoch`` — page swaps).
+* a write changes bytes on or next to a page that holds cached
+  decodes (``VirtualMemory.write_bytes`` — self-modifying code; a
+  write of identical bytes changes nothing), or
+* a page is mapped fresh, re-mapped with other permissions, or
+  unmapped (``PageTable.epoch`` — page swaps).
 
 ``set_perms`` deliberately does *not* bump it: decoded bytes are
 content, not permissions, and the controlled-channel attacker flips

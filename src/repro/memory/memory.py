@@ -26,15 +26,20 @@ AccessFilter = Callable[[int, int, str, Optional[object]], None]
 _U64 = struct.Struct("<Q")
 _U64_MASK = (1 << 64) - 1
 
+#: how far before a byte a decode covering it can start (instructions
+#: are at most 10 bytes long).
+_DECODE_REACH = 9
+
 
 class DecodeCache(dict):
     """The icache dict, plus a registry of pages holding cached decodes.
 
     ``code_pages`` lets :meth:`VirtualMemory.write_bytes` decide in O(1)
     whether a write can possibly invalidate cached code — data stores
-    skip the invalidation sweep entirely, and only genuinely
-    code-modifying writes bump the code generation counter that keys
-    the decoded-window cache (:mod:`repro.cpu.decoded`).
+    skip the invalidation sweep entirely.  Writes near cached code are
+    then byte-diffed, so only writes that really change code bump the
+    code generation counter that keys the decoded-window cache
+    (:mod:`repro.cpu.decoded`).
     """
 
     __slots__ = ("code_pages",)
@@ -75,8 +80,8 @@ class VirtualMemory:
         #: ``code_generation`` and the owning BTB's generation, so no
         #: eager invalidation happens here.
         self.superblock_cache: Dict[int, object] = {}
-        #: bumped whenever a write lands on a page holding cached
-        #: decodes (one half of :attr:`code_generation`).
+        #: bumped whenever a write changes bytes on a page holding
+        #: cached decodes (one half of :attr:`code_generation`).
         self._write_epoch = 0
         self.access_filter: Optional[AccessFilter] = None
         #: Current execution context (e.g. an Enclave object) used by
@@ -87,12 +92,14 @@ class VirtualMemory:
     def code_generation(self) -> int:
         """Monotonic counter identifying the current code contents.
 
-        Changes when executable bytes may have changed: writes
-        overlapping pages with cached decodes, and page map/unmap
-        (page swaps).  Permission changes do *not* affect it — decoded
-        bytes are content, and permissions are enforced at execution
-        time (``set_perms`` is the controlled-channel attacker's
-        per-single-step tool; bumping here would thrash the cache).
+        Changes when executable bytes may have changed: writes that
+        change bytes on pages with cached decodes, and page map/unmap
+        (page swaps) — except re-mapping a mapped page with the same
+        permissions, which leaves its bytes alone.  ``set_perms`` does
+        *not* affect it — decoded bytes are content, and permissions
+        are enforced at execution time (``set_perms`` is the
+        controlled-channel attacker's per-single-step tool; bumping
+        here would thrash the cache).
         """
         return self._write_epoch + self.page_table.epoch
 
@@ -137,6 +144,11 @@ class VirtualMemory:
         if size <= 0:
             return b""
         self._check(address, size, access, check)
+        return bytes(self._raw_read(address, size))
+
+    def _raw_read(self, address: int, size: int) -> bytearray:
+        """The backing bytes of ``[address, address+size)``, zeros for
+        unmaterialized pages; no filter or permission checks."""
         out = bytearray()
         remaining = size
         cursor = address
@@ -151,7 +163,7 @@ class VirtualMemory:
                 out += page[offset:offset + chunk]
             cursor += chunk
             remaining -= chunk
-        return bytes(out)
+        return out
 
     def write_bytes(self, address: int, data: bytes, *,
                     check: bool = True) -> None:
@@ -160,17 +172,11 @@ class VirtualMemory:
         self._check(address, len(data), "write", check)
         icache = self.icache
         if icache.code_pages:
-            first = (address - 9) >> PAGE_SHIFT
+            first = (address - _DECODE_REACH) >> PAGE_SHIFT
             last = (address + len(data) - 1) >> PAGE_SHIFT
             if any(vpn in icache.code_pages
                    for vpn in range(first, last + 1)):
-                # The write may hit cached code: invalidate any decode
-                # overlapping the written range (instructions are at
-                # most 10 bytes long) and retire the code generation so
-                # decoded windows re-verify (self-modifying code).
-                self._write_epoch += 1
-                for stale in range(address - 9, address + len(data)):
-                    icache.pop(stale, None)
+                self._invalidate_changed(address, data)
         cursor = address
         view = memoryview(data)
         while view:
@@ -180,6 +186,27 @@ class VirtualMemory:
             self._backing(vpn)[offset:offset + chunk] = view[:chunk]
             cursor += chunk
             view = view[chunk:]
+
+    def _invalidate_changed(self, address: int, data: bytes) -> None:
+        """Invalidate the decodes a write near cached code would stale.
+
+        The write is diffed against the current bytes.  An identical
+        rewrite (a probe snippet re-mapped over itself) invalidates
+        nothing.  Otherwise the code generation retires once, so
+        decoded windows re-verify (self-modifying code), and every
+        decode that can overlap a changed byte is dropped.
+        """
+        old = self._raw_read(address, len(data))
+        if old == data:
+            return
+        delta = (int.from_bytes(old, "little")
+                 ^ int.from_bytes(data, "little"))
+        first_changed = address + ((delta & -delta).bit_length() - 1) // 8
+        last_changed = address + (delta.bit_length() - 1) // 8
+        self._write_epoch += 1
+        icache = self.icache
+        for stale in range(first_changed - _DECODE_REACH, last_changed + 1):
+            icache.pop(stale, None)
 
     # ------------------------------------------------------------------
     # typed access
@@ -214,7 +241,8 @@ class VirtualMemory:
             # single-page offset): anything near cached code takes the
             # generic path with its invalidation sweep.
             if (vpn not in code_pages
-                    and (address - 9) >> PAGE_SHIFT not in code_pages):
+                    and (address - _DECODE_REACH) >> PAGE_SHIFT
+                    not in code_pages):
                 if check:
                     self.page_table.check(vpn << PAGE_SHIFT, "write")
                 page = self.pages.get(vpn)

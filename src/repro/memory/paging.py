@@ -46,19 +46,24 @@ class PageTable:
 
     def __init__(self) -> None:
         self._entries: Dict[int, PageEntry] = {}
-        #: bumped on map/unmap: remapping changes what bytes live at an
-        #: address, so cached decodes keyed on the code generation
-        #: (:mod:`repro.cpu.decoded`) must re-verify.  ``set_perms``
-        #: deliberately leaves it alone — permissions are enforced at
-        #: execution time, and the controlled-channel attacker flips
-        #: them on every single step.
+        #: bumped when a page is mapped fresh, re-mapped with other
+        #: permissions, or unmapped: that can change what bytes live at
+        #: an address, so cached decodes keyed on the code generation
+        #: (:mod:`repro.cpu.decoded`) must re-verify.  Re-mapping a
+        #: mapped page with the same permissions leaves it alone (the
+        #: backing bytes are untouched), and so does ``set_perms`` —
+        #: permissions are enforced at execution time, and the
+        #: controlled-channel attacker flips them on every single step.
         self.epoch = 0
 
     def map_page(self, vpn: int, perms: str = "rw") -> PageEntry:
+        """Install a fresh entry (accessed/dirty clear) for ``vpn``."""
         readable, writable, executable = _parse_perms(perms)
         entry = PageEntry(readable, writable, executable)
+        previous = self._entries.get(vpn)
         self._entries[vpn] = entry
-        self.epoch += 1
+        if previous is None or previous.perms() != entry.perms():
+            self.epoch += 1
         return entry
 
     def unmap_page(self, vpn: int) -> None:

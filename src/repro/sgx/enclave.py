@@ -18,11 +18,11 @@ Captures the SGX properties the paper's threat model (§6.2) relies on:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..errors import EnclaveAccessError, SgxError
 from ..isa.assembler import AssembledProgram
-from ..memory.address import PAGE_SIZE, page_number, ranges_overlap
+from ..memory.address import PAGE_SHIFT, PAGE_SIZE, page_number
 from ..system.process import Process
 from .pcl import SealedImage
 
@@ -38,6 +38,9 @@ class Enclave:
         self.entry = image.entry
         #: EPC ranges as (start, end) half-open intervals
         self.epc_ranges: List[Tuple[int, int]] = []
+        #: page numbers covered by ``epc_ranges`` (the ranges are
+        #: page-aligned, so page membership is the overlap test)
+        self._epc_pages: Set[int] = set()
         self.data_base: Optional[int] = None
         self.data_size = data_size
         self.host: Optional[Process] = None
@@ -83,15 +86,17 @@ class Enclave:
         start = page_number(base) * PAGE_SIZE
         end = (page_number(base + size - 1) + 1) * PAGE_SIZE
         self.epc_ranges.append((start, end))
+        self._epc_pages.update(range(start >> PAGE_SHIFT, end >> PAGE_SHIFT))
 
     # ------------------------------------------------------------------
     # EPC access control
     # ------------------------------------------------------------------
     def contains(self, address: int, size: int = 1) -> bool:
-        return any(
-            ranges_overlap(address, address + size, start, end)
-            for start, end in self.epc_ranges
-        )
+        first = address >> PAGE_SHIFT
+        last = (address + size - 1) >> PAGE_SHIFT
+        if first == last:
+            return first in self._epc_pages
+        return any(vpn in self._epc_pages for vpn in range(first, last + 1))
 
     def _access_filter(self, address: int, size: int, access: str,
                        context: Optional[object]) -> None:

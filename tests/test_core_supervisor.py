@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import telemetry
 from repro.core import NvSupervisor
-from repro.cpu import Core, generation
+from repro.core.pw import PwRange
+from repro.cpu import Core, generation, set_fast_path
 from repro.lang import CompileOptions
 from repro.system import Kernel
 from repro.victims import build_gcd_victim
@@ -72,3 +74,57 @@ def test_discovery_only(gcd_victim):
                                                config)
     assert len(records) == len(expected)
     assert all(record.pc is None for record in records)
+
+
+# ----------------------------------------------------------------------
+# fast path on/off equivalence, and cheap re-maps of cached sessions
+# ----------------------------------------------------------------------
+def _simulated(counters):
+    """The counters that count simulated events, not cache work."""
+    return {name: value for name, value in counters.items()
+            if name.startswith(("cpu.btb.", "core.probe."))
+            or name == "cpu.core.runs"}
+
+
+def _extract(gcd_victim, fast):
+    previous = set_fast_path(fast)
+    try:
+        with telemetry.session() as sink:
+            core = Core(generation("coffeelake"))
+            supervisor = NvSupervisor(Kernel(core))
+            trace = supervisor.extract_trace(gcd_victim, {"ta": 6, "tb": 2})
+        # process ids (the default BTB domains) come from a global
+        # counter: compare domains by rank, not by value
+        entries = core.btb.valid_entries()
+        rank = {domain: index for index, domain
+                in enumerate(sorted({e.domain for e in entries}))}
+        btb = sorted((e.tag, e.set_index, e.offset, e.target, e.kind.value,
+                      rank[e.domain]) for e in entries)
+        lbr = [(r.from_pc, r.to_pc, r.elapsed_cycles, r.mispredicted)
+               for r in core.lbr.records()]
+        observed = (trace.steps, trace.runs, trace.probes, btb, lbr,
+                    _simulated(sink.snapshot()))
+        return observed, supervisor
+    finally:
+        set_fast_path(previous)
+
+
+def test_extraction_identical_with_fast_path_off_and_on(gcd_victim):
+    slow, _ = _extract(gcd_victim, fast=False)
+    fast, supervisor = _extract(gcd_victim, fast=True)
+    assert fast == slow
+    counters = fast[5]
+    assert fast[2] > 0 and counters.get("core.probe.attempts", 0) > 0
+    assert counters.get("cpu.btb.lookups", 0) > 0
+    assert counters.get("cpu.core.runs", 0) > 0
+
+    # Re-mapping a cached session whose bytes are already in place is
+    # a byte compare: priming it again decodes nothing.
+    key = next(iter(supervisor._sessions))
+    queries = [PwRange(start, end) for start, end in key]
+    supervisor._session_for(queries).prime()      # bytes + decodes warm
+    with telemetry.session() as sink:
+        supervisor._session_for(queries).prime()
+    counters = sink.snapshot()
+    assert counters.get("core.probe.attempts") == 1
+    assert counters.get("cpu.decode.misses", 0) == 0

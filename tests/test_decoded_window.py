@@ -1,11 +1,11 @@
 """Decoded-window cache: invalidation, permission asymmetry, deadlines.
 
 Covers the contract in DESIGN.md §9: windows are keyed by entry PC and
-``code_generation`` (write epoch + paging epoch), so writes to
-executable pages and remaps invalidate both decode caches in both
-engines — while ``set_perms`` deliberately does *not*, preserving the
-oracle/core permission asymmetry the controlled-channel attacker
-depends on.
+``code_generation`` (write epoch + paging epoch), so writes that change
+code bytes and remaps invalidate both decode caches in both engines —
+while identical rewrites, same-permission re-maps and ``set_perms``
+deliberately do *not*, the last preserving the oracle/core permission
+asymmetry the controlled-channel attacker depends on.
 """
 
 import pytest
@@ -127,6 +127,70 @@ class TestRemapInvalidation:
         state = fresh_state(memory)
         assert interpret(state).reason is InterpStop.HALT
         assert state.regs["rax"] == 2
+
+
+# ----------------------------------------------------------------------
+# byte-diffed invalidation: only changed bytes retire decodes
+# ----------------------------------------------------------------------
+def test_identical_reload_keeps_decode_state():
+    set_fast_path(True)
+    memory = VirtualMemory()
+    program = constant_program(1)
+    program.load_into(memory)
+    run_core(memory)
+    generation = memory.code_generation
+    decodes = dict(memory.icache)
+    windows = dict(memory.window_cache)
+    assert BASE in decodes and BASE in windows
+    program.load_into(memory)              # re-map + rewrite, same bytes
+    assert memory.code_generation == generation
+    assert all(memory.icache.get(pc) is value
+               for pc, value in decodes.items())
+    assert get_window(memory, BASE) is windows[BASE]
+
+
+def test_one_byte_change_pops_only_overlapping_decodes():
+    asm = Assembler(base=BASE)
+    asm.emit("movi", "rax", 1)             # +0..+6: ends before the change
+    asm.emit("movabs", "rbx", 0x1122)      # +7..+16: starts 9 bytes before
+    asm.emit("hlt")                        # +17: after the change
+    program = asm.assemble()
+    memory = VirtualMemory()
+    program.load_into(memory, perms="rwx")
+    run_core(memory)
+    assert {BASE, BASE + 7, BASE + 17} <= set(memory.icache)
+    generation = memory.code_generation
+    # rewrite the whole snippet with only its byte +16 changed
+    blob = bytearray(memory.read_bytes(BASE, 18, check=False))
+    blob[16] ^= 0xFF
+    memory.write_bytes(BASE, bytes(blob), check=False)
+    assert memory.code_generation == generation + 1
+    assert BASE + 7 not in memory.icache
+    assert BASE in memory.icache
+    assert BASE + 17 in memory.icache
+
+
+def test_same_perms_remap_keeps_epoch_but_resets_accessed_dirty():
+    memory = VirtualMemory()
+    memory.map_range(0x0090_0000, PAGE_SIZE, "rw")
+    memory.write_u64(0x0090_0000, 0xDEAD)
+    entry = memory.page_entry(0x0090_0000)
+    assert entry.accessed and entry.dirty
+    epoch = memory.page_table.epoch
+    memory.map_range(0x0090_0000, PAGE_SIZE, "rw")
+    assert memory.page_table.epoch == epoch
+    entry = memory.page_entry(0x0090_0000)
+    assert not entry.accessed and not entry.dirty
+    assert memory.read_u64(0x0090_0000) == 0xDEAD
+
+
+def test_new_page_and_changed_perms_maps_bump_epoch():
+    memory = VirtualMemory()
+    epoch = memory.page_table.epoch
+    memory.map_range(0x0090_0000, PAGE_SIZE, "rw")
+    assert memory.page_table.epoch == epoch + 1
+    memory.map_range(0x0090_0000, PAGE_SIZE, "rx")
+    assert memory.page_table.epoch == epoch + 2
 
 
 # ----------------------------------------------------------------------

@@ -171,38 +171,64 @@ def test_superblock_object_shape():
 # ----------------------------------------------------------------------
 # edge 1: self-modifying store inside a chained window
 # ----------------------------------------------------------------------
-def test_self_modifying_store_in_chain_bails():
-    """A chained window's store rewrites a later window's bytes: the
-    executor must bail at the generation flip and commit the partial
-    pass exactly like the window path."""
+def store_loop(*, rewrite):
+    """A hot loop whose body stores ``rsi`` over 8 bytes at ``[rbx]``;
+    with ``rewrite`` it first bumps ``rsi``, so pointing ``rbx`` at the
+    ``addi8`` immediate rewrites that byte on every iteration."""
     asm = Assembler(base=BASE)
     asm.emit("movi", "rcx", 40)
     asm.emit("movi", "rax", 0)
-    # rbx points at the target instruction's immediate byte
     asm.align(32)
     asm.label("loop")
-    asm.emit("addi8", "rax", 1)
+    asm.emit("addi8", "rax", 1)         # immediate at loop + 2
+    if rewrite:
+        asm.emit("inc", "rsi")
     asm.emit("dec", "rcx")
     asm.emit("store", "rbx", "rsi", 0)   # [rbx] <- rsi (8-byte store)
     asm.emit("test", "rcx", "rcx")
     asm.emit("jne8", "loop")
     asm.emit("hlt")
-    program = asm.assemble()
+    return asm.assemble()
 
+
+def store_over(target):
+    """``setup`` hook: store the 8 bytes already at ``target``."""
     def setup(memory, state):
-        # every iteration stores the *same* byte the instruction
-        # already holds on a code page: the write epoch still bumps,
-        # which is exactly the invalidation trigger under test, while
-        # the architectural result stays obviously convergent.
-        target = BASE + 32          # the loop's own first byte
         state.regs["rbx"] = target
         state.regs["rsi"] = int.from_bytes(
             memory.read_bytes(target, 8, check=False), "little")
+    return setup
 
-    counters = assert_fast_matches_slow(program, setup=setup)
+
+def test_self_modifying_store_in_chain_bails():
+    """A chained window's store rewrites a later window's bytes: the
+    executor must bail at the generation flip and commit the partial
+    pass exactly like the window path."""
+    # every iteration stores the current bytes with the addi8
+    # immediate bumped by one: a real code change each time (the other
+    # seven bytes are rewritten unchanged)
+    counters = assert_fast_matches_slow(
+        store_loop(rewrite=True), setup=store_over(BASE + 32 + 2))
     assert counters.get("cpu.superblock.builds", 0) >= 1
     assert counters.get("cpu.superblock.bailouts", 0) >= 1
     assert counters.get("cpu.superblock.invalidations", 0) >= 1
+
+
+def test_same_byte_store_in_chain_does_not_invalidate():
+    """Storing the bytes a code page already holds changes no code: the
+    chain neither bails nor invalidates for it, so its superblock
+    counters match the same loop storing to a data page."""
+    def superblock_counters(target):
+        counters = assert_fast_matches_slow(
+            store_loop(rewrite=False), setup=store_over(target))
+        return {name: value for name, value in counters.items()
+                if name.startswith("cpu.superblock.")}
+
+    code_store = superblock_counters(BASE + 32)     # the loop's own bytes
+    data_store = superblock_counters(0x7FFF_0000 - 64)  # the stack page
+    assert code_store == data_store
+    assert code_store.get("cpu.superblock.hits", 0) >= 1
+    assert "cpu.superblock.invalidations" not in code_store
 
 
 # ----------------------------------------------------------------------

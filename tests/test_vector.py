@@ -159,11 +159,12 @@ BASE = 0x0040_0000
 
 
 def self_modifying_lane(index, seed):
-    """A lane whose program stores over its own code page: the write
-    epoch moves mid-run and the group must detect the divergence."""
+    """A lane whose program stores over its own code page: the bytes
+    really change (the page holds zeros there), so the write epoch
+    moves mid-run and the group must detect the divergence."""
     asm = Assembler(base=BASE)
     asm.emit("movi", "rbx", BASE + 64)
-    asm.emit("movi", "rsi", 0)
+    asm.emit("movi", "rsi", 0x5A00 + seed + 1)
     asm.emit("store", "rbx", "rsi", 0)   # write a code-holding page
     asm.emit("movi", "rax", seed)
     asm.emit("hlt")

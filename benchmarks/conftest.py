@@ -31,7 +31,7 @@ def corpus_size(default: int = 2000) -> int:
 
 
 def _export_json(path: str) -> None:
-    from repro.runner import atomic_write_json
+    from repro.storage import atomic_write_json
     payload = {
         "reports": [
             {

@@ -11,7 +11,7 @@ from .differential import (DifferentialReport, DynamicObservation,
 from .lint import (LintReport, VictimLintResult, lint_corpus,
                    lint_victim, render_report, run_lint, victim_regions)
 from .report import (ascii_table, campaign_block, degradation_block,
-                     pct, series_block, service_block, spark)
+                     pct, series_block, spark)
 from .stats import (
     accuracy,
     confidence_interval_95,
@@ -62,7 +62,6 @@ __all__ = [
     "render_report",
     "run_lint",
     "series_block",
-    "service_block",
     "spark",
     "stdev",
     "summarize",

@@ -68,63 +68,38 @@ def degradation_block(label: str, xs: Sequence[object],
     return "\n".join(lines)
 
 
-def campaign_block(campaign_id: str,
-                   jobs: Sequence[Tuple[str, str, int, float, str]],
-                   *, interrupted: bool = False) -> str:
+def campaign_block(campaign_id: str, status: str,
+                   jobs: Sequence[Tuple[str, str, str, int, float, str]],
+                   *, digest: str,
+                   lost: Sequence[Tuple[str, Sequence[str]]] = ()
+                   ) -> str:
     """Render a campaign manifest summary.
 
-    ``jobs`` rows are ``(job_id, status, attempts, duration_s,
-    digest_or_error)`` — the renderer stays decoupled from
-    :mod:`repro.runner` by taking plain tuples.
+    ``jobs`` rows are ``(job_id, shard, status, attempts, duration_s,
+    digest_or_error)`` and ``lost`` rows ``(shard, job_ids)`` — the
+    renderer stays decoupled from :mod:`repro.runner` by taking plain
+    tuples.
     """
     table = ascii_table(
-        ("job", "status", "attempts", "duration", "result"),
-        [(job_id, status, attempts,
+        ("job", "shard", "status", "attempts", "duration", "result"),
+        [(job_id, shard or "-", status_, attempts,
           f"{duration:.2f}s" if duration else "-",
           result or "-")
-         for job_id, status, attempts, duration, result in jobs])
+         for job_id, shard, status_, attempts, duration, result
+         in jobs])
     counts: dict = {}
-    for _, status, *_rest in jobs:
-        counts[status] = counts.get(status, 0) + 1
-    tally = ", ".join(f"{count} {status}"
-                      for status, count in sorted(counts.items()))
-    lines = [f"campaign {campaign_id}: {tally}"]
-    if interrupted:
-        lines.append("campaign INTERRUPTED — resume with "
-                     f"`repro campaign --resume {campaign_id}`")
-    lines.append(table)
-    return "\n".join(lines)
-
-
-def service_block(campaign_id: str, status: str,
-                  shards: Sequence[Tuple[str, str, int, int, int,
-                                         str]],
-                  jobs: Sequence[Tuple[str, int]],
-                  lost: Sequence[Tuple[str, Sequence[str]]] = (),
-                  digest: str = "") -> str:
-    """Render a sharded service campaign summary.
-
-    ``shards`` rows are ``(shard_id, status, jobs, strikes, restarts,
-    origin)`` and ``jobs`` rows ``(status, count)`` — plain tuples
-    keep the renderer decoupled from :mod:`repro.service`, like
-    :func:`campaign_block` is from the runner.
-    """
+    for _, _, status_, *_rest in jobs:
+        counts[status_] = counts.get(status_, 0) + 1
     tally = ", ".join(f"{count} {status_}"
-                      for status_, count in sorted(jobs))
-    lines = [f"campaign {campaign_id}: {status} ({tally})"]
-    if digest:
-        lines.append(f"aggregate digest: {digest}")
-    lines.append(ascii_table(
-        ("shard", "status", "jobs", "strikes", "restarts", "origin"),
-        [(shard_id, status_, count, strikes, restarts, origin or "-")
-         for shard_id, status_, count, strikes, restarts, origin
-         in shards]))
-    for shard_id, job_ids in lost:
-        lines.append(f"LOST from {shard_id}: "
-                     + ", ".join(sorted(job_ids)))
+                      for status_, count in sorted(counts.items()))
+    lines = [f"campaign {campaign_id}: {status} ({tally})",
+             f"campaign digest: {digest}"]
+    for shard, job_ids in lost:
+        lines.append(f"LOST from {shard}: " + ", ".join(job_ids))
     if status == "INTERRUPTED":
         lines.append("campaign INTERRUPTED — resume with "
                      f"`repro campaign --resume {campaign_id}`")
+    lines.append(table)
     return "\n".join(lines)
 
 

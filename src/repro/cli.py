@@ -12,28 +12,20 @@ Commands
     A 30-second tour: Takeaways 1 & 2 plus one NV-Core detection.
 ``campaign``
     Run the whole experiment suite through the crash-tolerant runner
-    (:mod:`repro.runner`): subprocess-isolated workers, watchdog
-    timeouts, retry with backoff, checkpointed ``--resume``, and a
-    ``--chaos kill-worker`` failure drill.  With ``--shards N`` the
-    campaign runs through the sharded service scheduler
-    (:mod:`repro.service`) instead: N supervised process-group fault
-    domains, heartbeat leases, a consecutive-failure circuit breaker
-    with quarantine + job reassignment, and the shard-level
-    ``--chaos kill-shard`` / ``--chaos stall-shard`` drills.  Exits
-    0 COMPLETED, 1 FAILED, 3 INTERRUPTED (resumable), 4 DEGRADED
-    (completed with exactly-accounted job loss).
-``serve [--port P] [--runs-dir DIR] [--queue-depth N]``
-    Run the campaign service: a stdlib HTTP/JSON API
-    (:mod:`repro.service.http`) with bounded-queue admission control
-    in front of the sharded scheduler.  SIGTERM/SIGINT shut down
-    gracefully — the running campaign checkpoints as resumable.
-``submit [--url URL] [...campaign flags]``
-    Submit a campaign to a running service and (by default) wait for
-    its terminal state; same exit-code contract as ``campaign``.
-``bench``
+    (:mod:`repro.runner`): subprocess-isolated workers, a heartbeat
+    watchdog, retry with backoff, checkpointed ``--resume``, and the
+    ``--chaos kill-worker`` failure drill.  ``--shards N`` partitions
+    the jobs into N fault domains, each a process group of ``--jobs``
+    workers; consecutive unreported failures quarantine a shard and
+    move its jobs to a healthy one, and ``--chaos kill-shard`` /
+    ``stall-shard`` SIGKILL / SIGSTOP a whole shard.  Prints the
+    campaign digest.  Exits 0 COMPLETED, 1 FAILED, 3 INTERRUPTED
+    (resumable), 4 DEGRADED (some job LOST with its shard).
+``bench [...]``
     Run the perf-regression suite (:mod:`repro.perf.suite`): times the
     simulator hot loops with the decoded-window fast path off and on,
-    writes ``BENCH_perf.json``, and can gate against a baseline.
+    writes ``BENCH_perf.json``, and can gate against a baseline.  Every
+    argument goes unparsed to the suite's own parser.
 ``stats <experiment> [--fast] [--seed N] [--out PATH] [--timings]``
     Run one experiment inside a tracing telemetry session
     (:mod:`repro.telemetry`) and print the deterministic counter
@@ -85,21 +77,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from .analysis import ascii_table, campaign_block
 from .errors import CampaignError, DiskFaultError
 from .experiments.common import (EXPERIMENTS, RunRequest,
                                  run_experiment)
-
-#: compatibility view of the registry: name -> (artefact, runner),
-#: runners taking ``(fast, seed)`` like the original in-module table.
-_EXPERIMENTS: Dict[str, Tuple[str, object]] = {
-    name: (spec.artefact,
-           (lambda fast, seed, _name=name:
-            run_experiment(_name, RunRequest(fast=fast, seed=seed))))
-    for name, spec in EXPERIMENTS.items()
-}
 
 
 def _cmd_list() -> int:
@@ -139,99 +122,29 @@ def _cmd_demo(seed: Optional[int] = None) -> int:
     return 0
 
 
-def _campaign_rows(manifest):
+def _campaign_summary(manifest) -> str:
     from .runner import JobStatus
     rows = []
     for record in manifest.records():
         result = (record.digest[:12]
                   if record.status is JobStatus.COMPLETED
                   else record.error)
-        rows.append((record.job_id, record.status.value,
+        rows.append((record.job_id, record.shard, record.status.value,
                      record.attempts, record.duration_s, result))
-    return rows
+    return campaign_block(manifest.campaign_id, manifest.status, rows,
+                          digest=manifest.campaign_digest(),
+                          lost=sorted(manifest.lost().items()))
 
 
-#: chaos drills handled by the sharded service (the plain runner keeps
-#: worker-level kill-worker)
-_SHARD_CHAOS = ("kill-shard", "stall-shard")
-
-#: chaos drills that strike the durable storage layer (work in both
-#: single-host and sharded mode — the injector is inherited by forked
-#: shard process groups)
+#: chaos drills that strike the durable storage layer
 _STORAGE_CHAOS = ("torn-write", "bit-flip", "enospc", "fsync-fail")
 
-_SERVICE_EXIT = {"COMPLETED": 0, "FAILED": 1, "INTERRUPTED": 3,
-                 "DEGRADED": 4}
-
-
-def _render_service_summary(manifest) -> str:
-    from .analysis import service_block
-    from .service import merge_shards
-    merged = merge_shards(manifest)
-    tally: Dict[str, int] = {}
-    for entry in merged["jobs"].values():
-        status = str(entry["status"])
-        tally[status] = tally.get(status, 0) + 1
-    digest = (str(merged["digest"])
-              if manifest.aggregate_path.exists() else "")
-    return service_block(
-        manifest.campaign_id, manifest.status,
-        [(entry.shard_id, entry.status, len(entry.jobs),
-          entry.strikes, entry.restarts, entry.origin)
-         for entry in manifest.shards.values()],
-        sorted(tally.items()),
-        lost=sorted(manifest.lost.items()),
-        digest=digest)
-
-
-def _cmd_campaign_service(args, specs) -> int:
-    from .service import ServiceChaos, run_service_campaign
-    chaos = None
-    if args.chaos in _SHARD_CHAOS:
-        chaos = ServiceChaos(mode=args.chaos,
-                             strikes=args.chaos_kills,
-                             delay_s=args.chaos_delay,
-                             seed=args.seed or 0,
-                             target=args.chaos_target)
-    elif args.chaos is not None:
-        print("--chaos kill-worker drills the single-host runner; "
-              "use kill-shard/stall-shard with --shards",
-              file=sys.stderr)
-        return 2
-    options = {
-        "workers_per_shard": args.jobs,
-        "stall_timeout": args.stall_timeout,
-        "lease_s": args.lease,
-        "breaker_threshold": args.breaker_threshold,
-        "max_reassignments": args.max_reassignments,
-    }
-
-    def on_event(shard_id: str, message: str) -> None:
-        print(f"[{shard_id}] {message}")
-
-    try:
-        manifest = run_service_campaign(
-            specs, args.runs_dir,
-            campaign_id=args.resume or args.campaign_id,
-            seed=args.seed, shards=max(args.shards, 1),
-            resume=args.resume is not None, options=options,
-            chaos=chaos,
-            on_event=on_event if args.verbose else None)
-    except DiskFaultError as error:
-        print(f"storage fault: {error}", file=sys.stderr)
-        print("campaign INTERRUPTED by storage fault; the journal "
-              "recovers it on --resume", file=sys.stderr)
-        return 3
-    except CampaignError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(_render_service_summary(manifest))
-    print(f"manifest: {manifest.path}")
-    return _SERVICE_EXIT.get(manifest.status, 1)
+_CAMPAIGN_EXIT = {"COMPLETED": 0, "FAILED": 1, "INTERRUPTED": 3,
+                  "DEGRADED": 4}
 
 
 def _cmd_campaign(args) -> int:
-    from .runner import (ChaosMonkey, experiment_jobs, run_campaign)
+    from .runner import ChaosMonkey, experiment_jobs, run_campaign
     if args.chaos in _STORAGE_CHAOS:
         # Storage drills perturb the atomic writer itself; the
         # campaign-level chaos slot is then clear for the runner.
@@ -243,14 +156,6 @@ def _cmd_campaign(args) -> int:
             strike_after=args.chaos_write,
             match=args.chaos_match))
         args.chaos = None
-    use_service = args.shards > 0 or args.chaos in _SHARD_CHAOS
-    if args.resume is not None:
-        from pathlib import Path
-
-        from .service import SERVICE_MANIFEST_NAME
-        if (Path(args.runs_dir) / args.resume /
-                SERVICE_MANIFEST_NAME).exists():
-            use_service = True
     specs = []
     if args.resume is None:
         only = (args.only.split(",") if args.only else None)
@@ -262,12 +167,6 @@ def _cmd_campaign(args) -> int:
         except CampaignError as error:
             print(str(error), file=sys.stderr)
             return 2
-    if use_service:
-        if args.vectorize > 1:
-            print("--vectorize applies to the single-host runner only "
-                  "(not --shards / service mode)", file=sys.stderr)
-            return 2
-        return _cmd_campaign_service(args, specs)
     chaos = None
     if args.chaos is not None:
         chaos = ChaosMonkey(mode=args.chaos, kills=args.chaos_kills,
@@ -282,8 +181,9 @@ def _cmd_campaign(args) -> int:
             specs, args.runs_dir,
             campaign_id=args.resume or args.campaign_id,
             seed=args.seed, resume=args.resume is not None,
-            max_workers=args.jobs, stall_timeout=args.stall_timeout,
-            chaos=chaos, vectorize=args.vectorize,
+            shards=args.shards, max_workers=args.jobs,
+            stall_timeout=args.stall_timeout, chaos=chaos,
+            vectorize=args.vectorize,
             on_event=on_event if args.verbose else None)
     except DiskFaultError as error:
         print(f"storage fault: {error}", file=sys.stderr)
@@ -293,113 +193,9 @@ def _cmd_campaign(args) -> int:
     except CampaignError as error:
         print(str(error), file=sys.stderr)
         return 2
-    print(campaign_block(manifest.campaign_id,
-                         _campaign_rows(manifest),
-                         interrupted=manifest.interrupted))
+    print(_campaign_summary(manifest))
     print(f"manifest: {manifest.path}")
-    if manifest.interrupted:
-        return 3
-    return 0 if manifest.all_completed() else 1
-
-
-def _cmd_serve(args) -> int:
-    import signal
-    import threading
-
-    from .service import ServiceServer
-
-    def on_event(shard_id: str, message: str) -> None:
-        print(f"[{shard_id}] {message}", flush=True)
-
-    server = ServiceServer(
-        args.runs_dir, host=args.host, port=args.port,
-        queue_depth=args.queue_depth,
-        options={"workers_per_shard": args.jobs},
-        on_event=on_event if args.verbose else None)
-    stop_requested = threading.Event()
-
-    def _handle(signum, frame):    # noqa: ARG001 - signal signature
-        stop_requested.set()
-
-    signal.signal(signal.SIGTERM, _handle)
-    signal.signal(signal.SIGINT, _handle)
-    server.start()
-    print(f"serving on {server.url} (runs: {args.runs_dir}, "
-          f"queue depth {args.queue_depth})", flush=True)
-    while not stop_requested.wait(0.2):
-        pass
-    print("shutting down (running campaign checkpoints as "
-          "resumable) ...", flush=True)
-    server.stop()
-    return 0
-
-
-def _cmd_submit(args) -> int:
-    from .analysis import service_block
-    from .errors import AdmissionRejected, ServiceError
-    from .service import ServiceClient
-    client = ServiceClient(args.url, timeout=args.http_timeout)
-    try:
-        if args.resume is not None:
-            campaign_id = args.resume
-            client.resume(campaign_id)
-            print(f"resume accepted: {campaign_id}")
-        else:
-            experiments: Dict[str, object] = {"fast": args.fast}
-            if args.only:
-                experiments["only"] = args.only.split(",")
-            if args.seed is not None:
-                experiments["seed"] = args.seed
-            if args.plan:
-                experiments["plan"] = args.plan
-                experiments["plan_factor"] = args.plan_factor
-            experiments["timeout_s"] = args.timeout
-            experiments["max_attempts"] = args.retries + 1
-            payload: Dict[str, object] = {
-                "experiments": experiments,
-                "shards": args.shards or 2,
-            }
-            if args.seed is not None:
-                payload["seed"] = args.seed
-            campaign_id = client.submit(payload)
-            print(f"submitted: {campaign_id}")
-        if args.no_wait:
-            return 0
-        status = client.wait(campaign_id,
-                             timeout=args.wait_timeout or None)
-        final = str(status.get("status"))
-        digest = ""
-        jobs_tally = [(name, int(count)) for name, count
-                      in dict(status.get("jobs", {})).items()]
-        try:
-            results = client.results(campaign_id)
-            digest = str(results.get("digest", ""))
-            jobs_tally = {}
-            for entry in dict(results.get("jobs", {})).values():
-                name = str(entry["status"])
-                jobs_tally[name] = jobs_tally.get(name, 0) + 1
-            jobs_tally = sorted(jobs_tally.items())
-        except ServiceError:
-            pass                   # not terminal-with-aggregate yet
-        shards = [(shard_id, str(info.get("status")),
-                   int(info.get("jobs", 0)),
-                   int(info.get("strikes", 0)),
-                   int(info.get("restarts", 0)),
-                   str(info.get("origin", "")))
-                  for shard_id, info
-                  in dict(status.get("shards", {})).items()]
-        print(service_block(campaign_id, final, shards,
-                            sorted(jobs_tally),
-                            lost=sorted(dict(status.get(
-                                "lost", {})).items()),
-                            digest=digest))
-        return _SERVICE_EXIT.get(final, 1)
-    except AdmissionRejected as error:
-        print(f"rejected (backpressure): {error}", file=sys.stderr)
-        return 2
-    except ServiceError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    return _CAMPAIGN_EXIT[manifest.status]
 
 
 def _observe(name: str, fast: bool, seed: Optional[int],
@@ -639,14 +435,14 @@ def main(argv=None) -> int:
     campaign.add_argument("--only", default=None, metavar="A,B,...",
                           help="comma-separated experiment subset")
     campaign.add_argument("--jobs", "-j", type=int, default=2,
-                          help="parallel workers (default 2)")
+                          help="parallel workers (per shard with "
+                               "--shards; default 2)")
     campaign.add_argument("--vectorize", type=int, default=1,
                           metavar="N",
                           help="batch N jobs per worker process, "
                                "amortizing fork + warm-up cost "
                                "(default 1 = one process per job; "
-                               "single-host runner only, incompatible "
-                               "with --chaos)")
+                               "incompatible with --chaos)")
     campaign.add_argument("--timeout", type=float, default=300.0,
                           metavar="S",
                           help="per-job wall-clock budget, seconds")
@@ -656,7 +452,8 @@ def main(argv=None) -> int:
                                "than S seconds")
     campaign.add_argument("--retries", type=int, default=2,
                           help="retry budget per job on transient "
-                               "failures (default 2)")
+                               "failures; moving a job off a "
+                               "quarantined shard costs one (default 2)")
     campaign.add_argument("--plan", default="",
                           help="fault-plan preset every job carries "
                                "(clean, acceptance, noisy-neighbour, "
@@ -679,8 +476,8 @@ def main(argv=None) -> int:
                           help="failure drill: kill-worker SIGKILLs "
                                "random workers then interrupts (prove "
                                "--resume converges); kill-shard / "
-                               "stall-shard strike whole shard process "
-                               "groups (the service must self-heal); "
+                               "stall-shard SIGKILL / SIGSTOP a whole "
+                               "shard (the campaign must heal itself); "
                                "torn-write / bit-flip / enospc / "
                                "fsync-fail strike manifest checkpoint "
                                "writes (the storage journal must "
@@ -700,102 +497,17 @@ def main(argv=None) -> int:
                           metavar="S",
                           help="minimum campaign age before the first "
                                "chaos kill")
-    campaign.add_argument("--chaos-target", default=None,
-                          metavar="SHARD",
-                          help="pin shard chaos to one shard id "
-                               "(default: pseudo-random victim)")
     campaign.add_argument("--shards", type=int, default=0,
-                          help="run through the sharded service "
-                               "scheduler with N fault domains "
-                               "(default 0 = single-host runner)")
-    campaign.add_argument("--lease", type=float, default=5.0,
-                          metavar="S",
-                          help="shard heartbeat lease; a staler shard "
-                               "is struck (service mode)")
-    campaign.add_argument("--breaker-threshold", type=int, default=2,
-                          metavar="N",
-                          help="consecutive strikes before a shard is "
-                               "quarantined (service mode)")
-    campaign.add_argument("--max-reassignments", type=int, default=1,
-                          metavar="N",
-                          help="per-job reassignment budget after "
-                               "quarantines; beyond it the job is "
-                               "LOST and the campaign DEGRADED")
+                          help="partition the jobs into N fault "
+                               "domains, each a process group of --jobs "
+                               "workers (default 0 = unsharded)")
     campaign.add_argument("--verbose", "-v", action="store_true",
                           help="print per-job lifecycle events")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the campaign service: sharded scheduler behind a "
-             "stdlib HTTP/JSON API with bounded-queue admission "
-             "control")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8642,
-                       help="listen port (default 8642; 0 = ephemeral)")
-    serve.add_argument("--runs-dir", default="runs",
-                       help="checkpoint root (default: runs/)")
-    serve.add_argument("--queue-depth", type=int, default=8,
-                       help="bounded submission queue; beyond it "
-                            "submissions get HTTP 429 (default 8)")
-    serve.add_argument("--jobs", "-j", type=int, default=2,
-                       help="workers per shard (default 2)")
-    serve.add_argument("--verbose", "-v", action="store_true",
-                       help="print shard lifecycle events")
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a campaign to a running service and wait for "
-             "its terminal state")
-    submit.add_argument("--url", default="http://127.0.0.1:8642",
-                        help="service base URL")
-    submit.add_argument("--fast", action="store_true",
-                        help="reduced parameters per experiment")
-    submit.add_argument("--seed", type=int, default=None,
-                        help="campaign-wide seed for every job")
-    submit.add_argument("--only", default=None, metavar="A,B,...",
-                        help="comma-separated experiment subset")
-    submit.add_argument("--plan", default="",
-                        help="fault-plan preset every job carries")
-    submit.add_argument("--plan-factor", type=float, default=1.0,
-                        help="scale factor applied to --plan rates")
-    submit.add_argument("--timeout", type=float, default=300.0,
-                        metavar="S",
-                        help="per-job wall-clock budget, seconds")
-    submit.add_argument("--retries", type=int, default=2,
-                        help="retry budget per job (default 2)")
-    submit.add_argument("--shards", type=int, default=2,
-                        help="shard count for the submission")
-    submit.add_argument("--resume", default=None, metavar="ID",
-                        help="ask the service to resume campaign ID "
-                             "instead of submitting new jobs")
-    submit.add_argument("--no-wait", action="store_true",
-                        help="return right after the 202 instead of "
-                             "polling to a terminal state")
-    submit.add_argument("--wait-timeout", type=float, default=0.0,
-                        metavar="S",
-                        help="give up waiting after S seconds "
-                             "(default: wait forever)")
-    submit.add_argument("--http-timeout", type=float, default=10.0,
-                        metavar="S",
-                        help="per-request HTTP timeout")
-
-    bench = sub.add_parser(
-        "bench",
+    sub.add_parser(
+        "bench", add_help=False,
         help="run the perf suite (fast path off vs on) and write "
-             "BENCH_perf.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced iteration counts (CI smoke)")
-    bench.add_argument("--out", default="BENCH_perf.json",
-                       help="report path (default: BENCH_perf.json)")
-    bench.add_argument("--profile", default=None, metavar="PATH",
-                       help="also cProfile the suite and dump pstats "
-                            "data to PATH")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="diff speedup ratios against a baseline "
-                            "report; non-zero exit on regression")
-    bench.add_argument("--threshold", type=float, default=None,
-                       help="allowed fractional speedup regression "
-                            "(default: 0.25)")
+             "BENCH_perf.json; `repro bench --help` lists its options")
 
     stats = sub.add_parser(
         "stats",
@@ -875,7 +587,12 @@ def main(argv=None) -> int:
                          help="skip the constant-time auto-rewrite "
                               "validation pass")
 
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "bench":
+        from .perf.suite import main as bench_main
+        return bench_main(extra)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
@@ -885,25 +602,6 @@ def main(argv=None) -> int:
         return _cmd_demo(args.seed)
     if args.command == "campaign":
         return _cmd_campaign(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "bench":
-        from .perf.suite import DEFAULT_THRESHOLD
-        from .perf.suite import main as bench_main
-        forwarded = []
-        if args.quick:
-            forwarded.append("--quick")
-        forwarded += ["--out", args.out]
-        if args.profile:
-            forwarded += ["--profile", args.profile]
-        if args.compare:
-            forwarded += ["--compare", args.compare]
-        threshold = (args.threshold if args.threshold is not None
-                     else DEFAULT_THRESHOLD)
-        forwarded += ["--threshold", str(threshold)]
-        return bench_main(forwarded)
     if args.command == "stats":
         return _cmd_stats(args.experiment, args.fast, args.seed,
                           args.out, args.timings, args.backend)

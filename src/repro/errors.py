@@ -228,48 +228,6 @@ class WorkerCrashed(_StructuredErrorMixin, CampaignError):
         super().__init__(message)
 
 
-class ServiceError(CampaignError):
-    """Base class for sharded-campaign-service errors (bad payload,
-    unknown campaign, scheduler misconfiguration, ...)."""
-
-
-class AdmissionRejected(_StructuredErrorMixin, ServiceError):
-    """The service's bounded submission queue is full: the campaign is
-    explicitly **rejected** (HTTP 429) instead of queued — scheduler
-    memory must stay bounded under a sustained over-capacity submit
-    loop.  Carries the observed depth so clients can back off."""
-
-    def __init__(self, message: str, *, queue_depth: int = 0,
-                 pending: int = 0):
-        self.queue_depth = queue_depth
-        self.pending = pending
-        super().__init__(message)
-
-
-class ServiceUnavailable(_StructuredErrorMixin, ServiceError):
-    """The service stayed unreachable (connection errors) or kept
-    shedding load (HTTP 503) through the client's whole bounded
-    retry budget.  Picklable so campaign workers can transport it
-    across process boundaries like every other error."""
-
-    def __init__(self, message: str, *, attempts: int = 0,
-                 last_error: str = ""):
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(message)
-
-
-class ShardQuarantined(_StructuredErrorMixin, ServiceError):
-    """A shard tripped its circuit breaker and was quarantined; raised
-    only where callers asked for strict (non-degraded) completion."""
-
-    def __init__(self, message: str, *, shard_id: str = "",
-                 lost_jobs=()):
-        self.shard_id = shard_id
-        self.lost_jobs = tuple(lost_jobs)
-        super().__init__(message)
-
-
 class CompileError(ReproError):
     """Base class for the mini-compiler."""
 

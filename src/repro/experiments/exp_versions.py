@@ -18,6 +18,7 @@ extraction path is exercised end-to-end in exp_fingerprint.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +30,12 @@ from ..victims.library import VictimProgram, build_gcd_victim
 from .common import RunRequest, register_experiment
 
 DEFAULT_INPUTS = {"ta": 2 * 3 * 17 * 23 * 31, "tb": 2 * 3 * 29 * 41}
+
+
+def _label_seed(label: str) -> int:
+    """Noise seed of one matrix row, stable across processes (the
+    builtin ``hash`` of a string is salted per interpreter)."""
+    return zlib.crc32(label.encode("utf-8")) & 0xFFFF
 
 
 def measured_function_pcs(victim: VictimProgram, inputs: dict, *,
@@ -102,7 +109,7 @@ def run_figure13_versions(*, inputs: Optional[dict] = None,
     }
     measured = {
         version: measured_function_pcs(victim, inputs,
-                                       seed=hash(version) & 0xFFFF)
+                                       seed=_label_seed(version))
         for version, victim in victims.items()
     }
     references = {
@@ -132,7 +139,7 @@ def run_figure13_optlevels(*, inputs: Optional[dict] = None,
     }
     measured = {
         label: measured_function_pcs(victim, inputs,
-                                     seed=hash(label) & 0xFFFF)
+                                     seed=_label_seed(label))
         for label, victim in victims.items()
     }
     references = {

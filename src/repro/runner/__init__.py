@@ -1,25 +1,34 @@
-"""Crash-tolerant campaign execution.
+"""Crash-tolerant campaign execution: the one campaign supervisor.
 
 The paper's results are *campaigns* — thousands of repeated probe runs
-per figure — and PR 1's resilient measurement policy only protects a
+per figure — and the resilient measurement policy only protects a
 single measurement.  This package protects the layer above it:
 
 * every job runs in a **subprocess-isolated worker** (a crash or hang
   loses one attempt, never the campaign);
 * a **watchdog** SIGKILLs workers that blow their wall-clock budget or
-  stop heartbeating, marking the job ``TIMED_OUT``;
+  stop heartbeating, marking the job ``TIMED_OUT`` — the heartbeat is
+  the only health check;
 * transient failures (:class:`MeasurementUnstable`, worker crashes,
   timeouts) retry with **exponential backoff + jitter** up to a
-  per-job attempt budget;
-* all state checkpoints into a :class:`RunManifest` under
-  ``runs/<campaign-id>/`` through **atomic writes**, so ``--resume``
+  per-job attempt budget — the only budget;
+* with ``shards=N`` every job record names its **fault domain**
+  (:func:`partition_jobs`) and a shard's workers share one process
+  group.  :data:`BREAKER_THRESHOLD` consecutive *strikes* (failed
+  attempts the worker never reported) quarantine a shard of a
+  campaign with two or more shards: its unfinished jobs move to the
+  least-loaded healthy shard, each move costing one attempt, and a job
+  that cannot move ends ``LOST`` (the campaign ends ``DEGRADED``);
+* all state checkpoints into one :class:`RunManifest` under
+  ``runs/<campaign-id>/`` through **journaled writes**, so ``--resume``
   skips completed jobs and re-runs only the rest — converging to
-  byte-identical results;
-* a **chaos mode** (``--chaos kill-worker``) SIGKILLs random workers
-  mid-campaign and aborts, proving the resume path end-to-end.
+  byte-identical results and the same campaign digest;
+* **chaos drills**: ``kill-worker`` SIGKILLs random workers then
+  interrupts the campaign (proving ``--resume``); ``kill-shard``
+  SIGKILLs and ``stall-shard`` SIGSTOPs one shard's process group
+  (proving the campaign heals itself).
 
-See DESIGN.md §8 for the job lifecycle state machine and manifest
-schema.
+See DESIGN.md §8 for the job state machine and the manifest schema.
 """
 
 from __future__ import annotations
@@ -28,23 +37,33 @@ import itertools
 import multiprocessing
 import os
 import random
+import signal
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from .. import telemetry
 from ..errors import CampaignError, SimulationTimeout, WorkerCrashed
-from .artifacts import (atomic_write_bytes, atomic_write_json,
-                        atomic_write_text, digest_text)
+from ..storage import atomic_write_text, digest_text
 from .jobs import (JobRecord, JobSpec, JobStatus, KIND_EXPERIMENT,
-                   KIND_SELFTEST, experiment_jobs, specs_from_payload)
-from .manifest import MANIFEST_NAME, RunManifest, list_campaigns
+                   KIND_SELFTEST, experiment_jobs, partition_jobs)
+from .manifest import (CAMPAIGN_COMPLETED, CAMPAIGN_DEGRADED,
+                       CAMPAIGN_FAILED, CAMPAIGN_INTERRUPTED,
+                       MANIFEST_NAME, RunManifest, list_campaigns)
 from .watchdog import BatchHandle, Watchdog, WorkerHandle
 from .worker import batch_main, execute_job, is_transient, worker_main
 
 __all__ = [
+    "BREAKER_THRESHOLD",
     "BatchHandle",
+    "CAMPAIGN_COMPLETED",
+    "CAMPAIGN_DEGRADED",
+    "CAMPAIGN_FAILED",
+    "CAMPAIGN_INTERRUPTED",
+    "CHAOS_MODES",
+    "CHAOS_TARGET",
     "CampaignRunner",
     "ChaosMonkey",
     "JobRecord",
@@ -56,22 +75,29 @@ __all__ = [
     "RunManifest",
     "Watchdog",
     "WorkerHandle",
-    "atomic_write_bytes",
-    "atomic_write_json",
-    "atomic_write_text",
     "batch_main",
-    "digest_text",
     "execute_job",
     "experiment_jobs",
     "is_transient",
     "list_campaigns",
     "new_campaign_id",
+    "partition_jobs",
     "run_campaign",
-    "specs_from_payload",
 ]
 
 #: chaos modes the runner understands
 CHAOS_KILL_WORKER = "kill-worker"
+CHAOS_KILL_SHARD = "kill-shard"
+CHAOS_STALL_SHARD = "stall-shard"
+CHAOS_MODES = (CHAOS_KILL_WORKER, CHAOS_KILL_SHARD, CHAOS_STALL_SHARD)
+
+#: consecutive strikes that quarantine a shard (campaigns with two or
+#: more shards only)
+BREAKER_THRESHOLD = 2
+
+#: shard the shard-level chaos drills strike; None picks a seeded
+#: pseudo-random shard among those with workers in flight
+CHAOS_TARGET: Optional[str] = None
 
 
 #: process-local sequence folded into generated ids so two campaigns
@@ -83,13 +109,13 @@ _ID_SEQUENCE = itertools.count()
 def new_campaign_id(prefix: str = "campaign") -> str:
     """A sortable, human-readable, **collision-safe** campaign id.
 
-    The wall-clock stamp has second granularity, so two campaigns (or
-    two shards) starting concurrently used to race for the same run
-    directory; the pid + process-local counter suffix makes the id
-    unique across processes and within one.  Nothing downstream may
-    depend on the id for reproducibility: artifact digests are content
-    digests (:func:`digest_text`) and the aggregate digest of the
-    campaign service excludes the campaign id entirely.
+    The wall-clock stamp has second granularity, so two campaigns
+    starting concurrently used to race for the same run directory; the
+    pid + process-local counter suffix makes the id unique across
+    processes and within one.  Nothing downstream may depend on the id
+    for reproducibility: artifact digests are content digests
+    (:func:`digest_text`) and the campaign digest
+    (:meth:`RunManifest.campaign_digest`) excludes the id entirely.
     """
     stamp = time.strftime("%Y%m%d-%H%M%S")
     unique = f"p{os.getpid()}c{next(_ID_SEQUENCE)}"
@@ -98,12 +124,16 @@ def new_campaign_id(prefix: str = "campaign") -> str:
 
 @dataclass
 class ChaosMonkey:
-    """Deterministically SIGKILLs random in-flight workers, then
-    interrupts the campaign — the failure drill ``--resume`` must
-    recover from."""
+    """Deterministic failure drills.
+
+    ``kill-worker`` SIGKILLs random in-flight workers and the last kill
+    interrupts the campaign — the drill ``--resume`` must recover from.
+    ``kill-shard`` SIGKILLs and ``stall-shard`` SIGSTOPs the process
+    group of one shard — the campaign must heal itself (restart in
+    place, or quarantine and move) and run on."""
 
     mode: str = CHAOS_KILL_WORKER
-    #: workers to kill before declaring the campaign interrupted
+    #: workers (kill-worker) or shards (kill/stall-shard) to strike
     kills: int = 1
     #: minimum campaign age before the first kill, seconds (lets some
     #: jobs finish so resume has COMPLETED entries to skip)
@@ -111,16 +141,20 @@ class ChaosMonkey:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode != CHAOS_KILL_WORKER:
+        if self.mode not in CHAOS_MODES:
             raise CampaignError(
                 f"unknown chaos mode {self.mode!r}; "
-                f"known: {CHAOS_KILL_WORKER}")
+                f"known: {', '.join(CHAOS_MODES)}")
         self._rng = random.Random(f"chaos:{self.seed}")
         self._killed = 0
 
     @property
     def exhausted(self) -> bool:
         return self._killed >= self.kills
+
+    @property
+    def strikes_shards(self) -> bool:
+        return self.mode != CHAOS_KILL_WORKER
 
     def maybe_kill(self, inflight: List[WorkerHandle],
                    campaign_age: float) -> Optional[WorkerHandle]:
@@ -132,10 +166,35 @@ class ChaosMonkey:
         self._killed += 1
         return victim
 
+    def maybe_strike_shard(self, inflight: List[WorkerHandle],
+                           campaign_age: float) -> Optional[str]:
+        """Signal the process group of one shard with workers in
+        flight (:data:`CHAOS_TARGET`, or a seeded pick); returns the
+        shard, or None this tick."""
+        if self.exhausted or campaign_age < self.delay_s:
+            return None
+        shards = sorted({handle.shard for handle in inflight})
+        if CHAOS_TARGET is not None:
+            shards = [shard for shard in shards if shard == CHAOS_TARGET]
+        if not shards:
+            return None
+        victim = self._rng.choice(shards)
+        signum = (signal.SIGKILL if self.mode == CHAOS_KILL_SHARD
+                  else signal.SIGSTOP)
+        for pgid in sorted({handle.pgid for handle in inflight
+                            if handle.shard == victim}):
+            try:
+                os.killpg(pgid, signum)
+            except OSError:
+                pass
+        self._killed += 1
+        return victim
+
 
 class CampaignRunner:
     """Drives a :class:`RunManifest` to completion with subprocess
-    workers, a watchdog, retries, and checkpointing."""
+    workers, a watchdog, retries, shard quarantine, and
+    checkpointing."""
 
     def __init__(self, manifest: RunManifest, *,
                  max_workers: int = 2,
@@ -145,9 +204,7 @@ class CampaignRunner:
                  poll_interval: float = 0.02,
                  chaos: Optional[ChaosMonkey] = None,
                  vectorize: int = 1,
-                 on_event: Optional[Callable[[str, str], None]] = None,
-                 on_transition: Optional[Callable[[JobRecord],
-                                                  None]] = None):
+                 on_event: Optional[Callable[[str, str], None]] = None):
         if max_workers < 1:
             raise CampaignError("max_workers must be >= 1")
         if vectorize < 1:
@@ -158,7 +215,16 @@ class CampaignRunner:
             # chaos campaigns run solo workers.
             raise CampaignError(
                 "vectorize > 1 is incompatible with chaos mode")
+        #: fault domains ("" alone = unsharded campaign)
+        self._shards = sorted({record.shard
+                               for record in manifest.records()})
+        sharded = any(self._shards)
+        if chaos is not None and chaos.strikes_shards and not sharded:
+            raise CampaignError(
+                f"chaos mode {chaos.mode!r} needs a sharded campaign "
+                f"(--shards N)")
         self.manifest = manifest
+        #: parallel workers per shard (batches count as one worker)
         self.max_workers = max_workers
         self.vectorize = vectorize
         self.watchdog = Watchdog(stall_timeout=stall_timeout)
@@ -167,10 +233,6 @@ class CampaignRunner:
         self.poll_interval = poll_interval
         self.chaos = chaos
         self._on_event = on_event
-        #: structured hook fired after every persisted job state
-        #: transition — the shard engine streams these to the campaign
-        #: service for live cross-shard progress accounting
-        self._on_transition = on_transition
         self._backoff_rng = random.Random(
             f"backoff:{manifest.campaign_id}")
         try:
@@ -180,15 +242,14 @@ class CampaignRunner:
         self._inflight: Dict[str, WorkerHandle] = {}
         self._batches: Dict[str, BatchHandle] = {}
         self._batch_sequence = itertools.count()
+        #: shard -> consecutive strikes, and the shards quarantined
+        self._strikes: Dict[str, int] = {}
+        self._quarantined: Set[str] = set()
 
     # ------------------------------------------------------------------
     def _event(self, job_id: str, message: str) -> None:
         if self._on_event is not None:
             self._on_event(job_id, message)
-
-    def _transition(self, record: JobRecord) -> None:
-        if self._on_transition is not None:
-            self._on_transition(record)
 
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with full jitter, seconds."""
@@ -196,9 +257,30 @@ class CampaignRunner:
                       self.backoff_base * (2 ** max(0, attempt - 1)))
         return ceiling * (0.5 + 0.5 * self._backoff_rng.random())
 
+    def _handles(self) -> List[Union[WorkerHandle, BatchHandle]]:
+        return [*self._inflight.values(), *self._batches.values()]
+
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
+    def _join_group(self, shard: str, pid: int) -> int:
+        """Move a freshly forked worker into its shard's process group,
+        founding the group when no worker of the shard is in flight.
+        Returns the group id (0 for unsharded campaigns)."""
+        if not shard:
+            return 0
+        group = next((handle.pgid for handle in self._handles()
+                      if handle.shard == shard), 0)
+        for pgid in ((group, pid) if group else (pid,)):
+            try:
+                os.setpgid(pid, pgid)
+                return pgid
+            except OSError:
+                # the group emptied under us, or the worker already
+                # exited: found a fresh group / give up quietly
+                continue
+        return pid
+
     def _launch(self, record: JobRecord) -> None:
         attempt = record.attempts + 1
         heartbeat = self._ctx.Value("d", 0.0, lock=False)
@@ -210,20 +292,32 @@ class CampaignRunner:
             daemon=True,
         )
         process.start()
+        pgid = self._join_group(record.shard, process.pid)
         send_conn.close()
         record.status = JobStatus.RUNNING
         self.manifest.save()
         self._inflight[record.job_id] = WorkerHandle(
             spec=record.spec, attempt=attempt, process=process,
-            conn=recv_conn, heartbeat=heartbeat)
+            conn=recv_conn, heartbeat=heartbeat, shard=record.shard,
+            pgid=pgid)
         telemetry.count("runner.job.launches")
         self._event(record.job_id, f"attempt {attempt} started "
                                    f"(pid {process.pid})")
 
     def _retry_or_fail(self, record: JobRecord, status: JobStatus,
-                       message: str, *, transient: bool) -> None:
-        record.attempts += 1
+                       message: str, *, transient: bool,
+                       strike: bool = False) -> None:
+        """Settle a failed attempt.  ``strike`` marks an attempt the
+        worker never reported (crash without a result, watchdog kill):
+        it counts against the job's shard, and the strike that trips
+        the breaker hands the job to :meth:`_quarantine`."""
         record.error = message
+        if strike and self._strike(record.shard, message):
+            self._quarantine(record.shard)
+            return
+        if not strike:
+            self._strikes.pop(record.shard, None)
+        record.attempts += 1
         if transient and record.attempts_left() > 0:
             delay = self._backoff(record.attempts)
             record.status = JobStatus.PENDING
@@ -238,10 +332,9 @@ class CampaignRunner:
             telemetry.count(f"runner.job.{status.value.lower()}")
             self._event(record.job_id, f"{status.value} ({message})")
         self.manifest.save()
-        self._transition(record)
 
     def _complete(self, record: JobRecord, output: str, duration: float,
-                  counters: Optional[Dict[str, int]] = None) -> None:
+                  counters: Dict[str, int]) -> None:
         artifact = Path("artifacts") / f"{record.job_id}.txt"
         atomic_write_text(self.manifest.directory / artifact, output)
         record.attempts += 1
@@ -250,13 +343,13 @@ class CampaignRunner:
         record.digest = digest_text(output)
         record.artifact = str(artifact)
         record.error = ""
-        record.counters = dict(counters or {})
+        record.counters = dict(counters)
+        self._strikes.pop(record.shard, None)
         self.manifest.save()
         telemetry.count("runner.job.completed")
         self._event(record.job_id,
                     f"COMPLETED in {duration:.2f}s "
                     f"(digest {record.digest[:12]})")
-        self._transition(record)
 
     def _finalize(self, handle: WorkerHandle) -> None:
         """The worker delivered a message or died; settle the record."""
@@ -280,14 +373,10 @@ class CampaignRunner:
                 f"worker for {handle.job_id!r} died without a result "
                 f"(exit code {exitcode})", exitcode=exitcode)
             self._retry_or_fail(record, JobStatus.CRASHED, str(crash),
-                                transient=True)
+                                transient=True, strike=True)
             return
-        kind = message[0]
-        if kind == "ok":
-            # Pre-telemetry workers sent 3-tuples; current ones append
-            # the counter snapshot.
-            _, output, duration = message[:3]
-            counters = message[3] if len(message) > 3 else None
+        if message[0] == "ok":
+            _, output, duration, counters = message
             self._complete(record, output, duration, counters)
             return
         _, error, text, transient, _duration = message
@@ -311,7 +400,7 @@ class CampaignRunner:
             f"worker for {handle.job_id!r} lost its result pipe "
             f"({detail})", exitcode=handle.process.exitcode)
         self._retry_or_fail(record, JobStatus.CRASHED, str(crash),
-                            transient=True)
+                            transient=True, strike=True)
 
     def _kill_timed_out(self, handle: WorkerHandle,
                         reason: str) -> None:
@@ -320,7 +409,8 @@ class CampaignRunner:
         record = self.manifest.jobs[handle.job_id]
         telemetry.count("runner.watchdog.kills")
         self._retry_or_fail(record, JobStatus.TIMED_OUT,
-                            f"watchdog: {reason}", transient=True)
+                            f"watchdog: {reason}", transient=True,
+                            strike=True)
 
     # ------------------------------------------------------------------
     # batch workers (--vectorize)
@@ -340,6 +430,8 @@ class CampaignRunner:
             daemon=True,
         )
         process.start()
+        shard = records[0].shard
+        pgid = self._join_group(shard, process.pid)
         send_conn.close()
         for record in records:
             record.status = JobStatus.RUNNING
@@ -347,7 +439,7 @@ class CampaignRunner:
         self._batches[batch_id] = BatchHandle(
             specs=[record.spec for record in records],
             attempts=attempts, process=process, conn=recv_conn,
-            heartbeat=heartbeat)
+            heartbeat=heartbeat, shard=shard, pgid=pgid)
         telemetry.count("runner.batch.launches")
         telemetry.count("runner.job.launches", len(records))
         self._event(batch_id,
@@ -393,21 +485,26 @@ class CampaignRunner:
         telemetry.count("runner.batch.interrupted")
         for job_id in sorted(handle.pending):
             record = self.manifest.jobs[job_id]
+            if record.status is not JobStatus.RUNNING:
+                continue        # a quarantine already moved it
             if reason is not None:
                 telemetry.count("runner.watchdog.kills")
                 self._retry_or_fail(record, JobStatus.TIMED_OUT,
                                     f"watchdog: {reason}",
-                                    transient=True)
+                                    transient=True, strike=True)
             else:
                 exitcode = handle.process.exitcode
                 crash = WorkerCrashed(
                     f"batch worker for {job_id!r} died without a "
                     f"result (exit code {exitcode})", exitcode=exitcode)
                 self._retry_or_fail(record, JobStatus.CRASHED,
-                                    str(crash), transient=True)
+                                    str(crash), transient=True,
+                                    strike=True)
 
     def _settle_batches(self, now: float) -> None:
         for batch_id, handle in list(self._batches.items()):
+            if batch_id not in self._batches:
+                continue        # a quarantine already reaped it
             pipe_open = self._drain_batch(handle)
             if not handle.pending:
                 self._retire_batch(batch_id, handle, None)
@@ -422,11 +519,66 @@ class CampaignRunner:
             if reason is not None:
                 self._retire_batch(batch_id, handle, reason)
 
-    def _batched_job_ids(self) -> set:
-        busy = set()
-        for handle in self._batches.values():
-            busy.update(spec.job_id for spec in handle.specs)
-        return busy
+    # ------------------------------------------------------------------
+    # shards: strikes and quarantine
+    # ------------------------------------------------------------------
+    def _strike(self, shard: str, message: str) -> bool:
+        """Count a strike against ``shard``; True when it trips the
+        breaker (only campaigns with two or more shards have one)."""
+        if len(self._shards) < 2:
+            return False
+        strikes = self._strikes.get(shard, 0) + 1
+        self._strikes[shard] = strikes
+        telemetry.count("runner.shard.strikes")
+        self._event(shard, f"strike {strikes}/{BREAKER_THRESHOLD} "
+                           f"({message})")
+        return strikes >= BREAKER_THRESHOLD
+
+    def _unfinished(self, shard: str) -> List[JobRecord]:
+        return [record for record in self.manifest.records()
+                if record.shard == shard and record.status in
+                (JobStatus.PENDING, JobStatus.RUNNING)]
+
+    def _quarantine(self, sick: str) -> None:
+        """Trip the breaker: stop the shard's workers and move its
+        unfinished jobs to the least-loaded healthy shard, one attempt
+        per move.  A job with no attempt left for the move, or with no
+        healthy shard to go to, ends LOST against ``sick``."""
+        self._quarantined.add(sick)
+        telemetry.count("runner.shard.quarantines")
+        for job_id, handle in list(self._inflight.items()):
+            if handle.shard == sick:
+                handle.kill()
+                del self._inflight[job_id]
+        for batch_id, batch in list(self._batches.items()):
+            if batch.shard == sick:
+                batch.kill()
+                del self._batches[batch_id]
+        healthy = [shard for shard in self._shards
+                   if shard not in self._quarantined]
+        target = min(healthy, default=None,
+                     key=lambda shard: (len(self._unfinished(shard)),
+                                        shard))
+        moved = lost = 0
+        for record in self._unfinished(sick):
+            if record.status is JobStatus.RUNNING:
+                record.attempts += 1    # the attempt the breaker cut
+            if target is None or record.attempts_left() <= 1:
+                record.status = JobStatus.LOST
+                record.error = (f"shard {sick} quarantined; "
+                                + ("no healthy shard" if target is None
+                                   else "no attempt left to move"))
+                lost += 1
+            else:
+                record.attempts += 1    # each move costs one attempt
+                record.shard = target
+                record.status = JobStatus.PENDING
+                moved += 1
+        telemetry.count("runner.job.moved", moved)
+        telemetry.count("runner.job.lost", lost)
+        self.manifest.save()
+        self._event(sick, f"QUARANTINED: {moved} job(s) moved to "
+                          f"{target or '-'}, {lost} LOST")
 
     # ------------------------------------------------------------------
     # chaos interruption
@@ -458,40 +610,31 @@ class CampaignRunner:
     # main loop
     # ------------------------------------------------------------------
     def _launch_pass(self, now: float) -> None:
-        """Launch runnable jobs up to the worker limit."""
-        if self.vectorize > 1:
-            self._launch_batch_pass(now)
-            return
+        """Launch runnable jobs, up to ``max_workers`` per shard; with
+        ``vectorize > 1`` in batches of that many, a batch occupying
+        one worker slot."""
+        runnable: Dict[str, List[JobRecord]] = {}
         for record in self.manifest.records():
-            if len(self._inflight) >= self.max_workers:
-                break
-            if record.job_id in self._inflight:
-                continue
             if record.runnable(now):
-                self._launch(record)
-
-    def _launch_batch_pass(self, now: float) -> None:
-        """Launch runnable jobs in batches of up to ``vectorize``; a
-        batch occupies one worker slot."""
-        busy = self._batched_job_ids()
-        while len(self._batches) < self.max_workers:
-            batch: List[JobRecord] = []
-            for record in self.manifest.records():
-                if len(batch) >= self.vectorize:
-                    break
-                if record.job_id in busy:
-                    continue
-                if record.runnable(now):
-                    batch.append(record)
-            if not batch:
-                return
-            self._launch_batch(batch)
-            busy.update(record.job_id for record in batch)
+                runnable.setdefault(record.shard, []).append(record)
+        busy = Counter(handle.shard for handle in self._handles())
+        for shard, records in runnable.items():
+            slots = self.max_workers - busy[shard]
+            for start in range(0, min(len(records),
+                                      slots * self.vectorize),
+                               self.vectorize):
+                group = records[start:start + self.vectorize]
+                if self.vectorize > 1:
+                    self._launch_batch(group)
+                else:
+                    self._launch(group[0])
 
     def _settle_pass(self, now: float) -> None:
         """Settle finished, pipe-less, and overdue workers."""
         self._settle_batches(now)
         for handle in list(self._inflight.values()):
+            if self._inflight.get(handle.job_id) is not handle:
+                continue        # a quarantine already reaped it
             try:
                 has_message = handle.conn.poll(0)
             except OSError:
@@ -508,6 +651,27 @@ class CampaignRunner:
             if reason is not None:
                 self._kill_timed_out(handle, reason)
 
+    def _chaos_tick(self, campaign_age: float) -> bool:
+        """Run the chaos drill for this tick; True when it interrupted
+        the campaign."""
+        inflight = list(self._inflight.values())
+        if self.chaos.strikes_shards:
+            shard = self.chaos.maybe_strike_shard(inflight,
+                                                  campaign_age)
+            if shard is not None:
+                telemetry.count("runner.chaos.strikes")
+                self._event(shard, f"chaos: {self.chaos.mode}")
+            return False
+        victim = self.chaos.maybe_kill(inflight, campaign_age)
+        if victim is not None and self.chaos.exhausted:
+            # The final kill takes the whole campaign down, the way a
+            # real box dies mid-run.
+            self._interrupt(victim)
+            return True
+        # Earlier kills are ordinary worker crashes: the next settle
+        # pass reaps them as CRASHED and the retry policy takes over.
+        return False
+
     def run(self) -> RunManifest:
         """Drive every runnable job to a terminal state (or until a
         chaos interruption).  Returns the (saved) manifest."""
@@ -519,18 +683,9 @@ class CampaignRunner:
                 now = time.monotonic()
                 self._launch_pass(now)
                 self._settle_pass(now)
-                # ----- chaos -------------------------------------------
-                if self.chaos is not None and not self.chaos.exhausted:
-                    victim = self.chaos.maybe_kill(
-                        list(self._inflight.values()), now - started)
-                    if victim is not None and self.chaos.exhausted:
-                        # The final kill takes the whole campaign down,
-                        # the way a real box dies mid-run.
-                        self._interrupt(victim)
-                        return manifest
-                    # Earlier kills are ordinary worker crashes: the
-                    # next settle pass reaps them as CRASHED and the
-                    # retry policy takes over.
+                if self.chaos is not None and not self.chaos.exhausted \
+                        and self._chaos_tick(now - started):
+                    return manifest
                 # ----- done? -------------------------------------------
                 if not self._inflight and not self._batches:
                     waiting = [r for r in manifest.records()
@@ -544,11 +699,9 @@ class CampaignRunner:
                     continue
                 time.sleep(self.poll_interval)
         finally:
-            for handle in list(self._inflight.values()):
+            for handle in self._handles():
                 handle.kill()
             self._inflight.clear()
-            for batch in list(self._batches.values()):
-                batch.kill()
             self._batches.clear()
             manifest.save()
         return manifest
@@ -561,6 +714,7 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
                  campaign_id: Optional[str] = None,
                  seed: Optional[int] = None,
                  resume: bool = False,
+                 shards: int = 0,
                  max_workers: int = 2,
                  stall_timeout: float = 10.0,
                  chaos: Optional[ChaosMonkey] = None,
@@ -572,9 +726,11 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
     """Create (or resume) a campaign and run it to completion.
 
     On ``resume=True`` the manifest is loaded from
-    ``runs_dir/campaign_id`` and ``specs`` is ignored — the campaign
-    re-runs exactly what it recorded, skipping COMPLETED jobs.
-    ``vectorize > 1`` batches that many jobs per worker process
+    ``runs_dir/campaign_id`` and ``specs`` and ``shards`` are ignored —
+    the campaign re-runs exactly what it recorded, in the shards it
+    recorded, skipping COMPLETED jobs.  ``shards >= 1`` partitions the
+    jobs into that many fault domains with ``max_workers`` workers
+    each.  ``vectorize > 1`` batches that many jobs per worker process
     (amortizing fork/import/warm-up); results, artifacts and digests
     are byte-identical to solo workers.
     """
@@ -592,7 +748,7 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
                 f"{runs_dir}; use resume")
         manifest = RunManifest.create(
             campaign_id, runs_dir, specs=specs, seed=seed,
-            created=time.strftime("%Y-%m-%dT%H:%M:%S"))
+            created=time.strftime("%Y-%m-%dT%H:%M:%S"), shards=shards)
     runner = CampaignRunner(
         manifest, max_workers=max_workers, stall_timeout=stall_timeout,
         backoff_base=backoff_base, backoff_cap=backoff_cap,

@@ -13,17 +13,25 @@ Job lifecycle state machine::
                    ├──▶ TIMED_OUT  ──▶ PENDING (retry)
                    └──▶ CRASHED    ──▶ PENDING (retry)
 
+    PENDING / RUNNING in a quarantined shard
+                   ├──▶ PENDING on a healthy shard (the move costs one
+                   │    attempt)
+                   └──▶ LOST (no attempt left, or no healthy shard)
+
 FAILED / TIMED_OUT / CRASHED become terminal once the attempt budget is
-spent.  Resume treats anything non-COMPLETED (including a RUNNING state
-left behind by a killed campaign) as runnable again.
+spent.  LOST only happens in sharded campaigns, when the job's shard is
+quarantined and the job cannot move (DESIGN.md §8).  Resume treats
+anything non-COMPLETED (including a RUNNING state left behind by a
+killed campaign, and LOST) as runnable again.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import CampaignError
 
@@ -35,6 +43,8 @@ class JobStatus(str, enum.Enum):
     FAILED = "FAILED"
     TIMED_OUT = "TIMED_OUT"
     CRASHED = "CRASHED"
+    #: the job's shard was quarantined and the job could not move
+    LOST = "LOST"
 
     @property
     def terminal_success(self) -> bool:
@@ -44,7 +54,8 @@ class JobStatus(str, enum.Enum):
     def retryable(self) -> bool:
         """States a fresh attempt may recover from."""
         return self in (JobStatus.FAILED, JobStatus.TIMED_OUT,
-                        JobStatus.CRASHED, JobStatus.RUNNING)
+                        JobStatus.CRASHED, JobStatus.RUNNING,
+                        JobStatus.LOST)
 
 
 #: job kinds the worker knows how to execute
@@ -126,9 +137,10 @@ class JobRecord:
     #: message of the final error (non-COMPLETED terminal states)
     error: str = ""
     #: deterministic telemetry counter snapshot from the successful
-    #: attempt (see :mod:`repro.telemetry`; empty for pre-telemetry
-    #: manifests and failed jobs)
+    #: attempt (see :mod:`repro.telemetry`; empty for failed jobs)
     counters: Dict[str, int] = field(default_factory=dict)
+    #: fault domain currently owning the job ("" = unsharded campaign)
+    shard: str = ""
     #: monotonic timestamp before which no retry may launch
     eligible_at: float = field(default=0.0, repr=False, compare=False)
 
@@ -156,6 +168,7 @@ class JobRecord:
             "error": self.error,
             "counters": {name: self.counters[name]
                          for name in sorted(self.counters)},
+            "shard": self.shard,
         }
 
     @classmethod
@@ -168,7 +181,8 @@ class JobRecord:
             digest=str(payload["digest"]),
             artifact=str(payload["artifact"]),
             error=str(payload["error"]),
-            counters=dict(payload.get("counters", {})),
+            counters=dict(payload["counters"]),
+            shard=str(payload["shard"]),
         )
 
 
@@ -200,63 +214,48 @@ def experiment_jobs(*, fast: bool = False, seed: Optional[int] = None,
     ]
 
 
-def specs_from_payload(payload: Dict[str, object]) -> List[JobSpec]:
-    """Build the job list of a service submission (``POST /campaigns``).
+#: shard ids are zero-padded so listings sort naturally
+SHARD_ID_FORMAT = "s{index:02d}"
 
-    Two payload shapes, mirroring the CLI:
 
-    * ``{"jobs": [<JobSpec dict>, ...]}`` — explicit specs, validated
-      through :meth:`JobSpec.from_dict` (unknown fields and bad values
-      raise :class:`CampaignError`, never a bare ``TypeError``);
-    * ``{"experiments": {"only": [...], "fast": ..., "seed": ...,
-      "timeout_s": ..., "max_attempts": ..., "plan": ...,
-      "plan_factor": ...}}`` — one job per registered experiment,
-      resolved through the experiment registry like
-      ``repro campaign --only``.
+def shard_name(index: int) -> str:
+    return SHARD_ID_FORMAT.format(index=index)
+
+
+def _rank(job_id: str, salt: str) -> bytes:
+    return hashlib.sha256(f"{salt}:{job_id}".encode("utf-8")).digest()
+
+
+def partition_jobs(specs: Sequence[JobSpec], num_shards: int, *,
+                   seed: Optional[int] = None
+                   ) -> Dict[str, List[JobSpec]]:
+    """Split ``specs`` into at most ``num_shards`` fault domains.
+
+    Returns ``{shard_id: [spec, ...]}`` in shard order.  The layout is
+
+    * **deterministic** — the same (job ids, seed, shard count) always
+      yields the same assignment;
+    * **order-independent** — it depends on the job *ids*, never on
+      their order;
+    * **balanced** — jobs are ranked by a seed-salted sha256 and dealt
+      round-robin, so shard sizes differ by at most one.
+
+    The shard count is clamped to the job count so no shard is empty.
+    The layout is placement only: the campaign digest
+    (:meth:`RunManifest.campaign_digest`) never sees it.
     """
-    jobs = payload.get("jobs")
-    if jobs is not None:
-        if not isinstance(jobs, list) or not jobs:
-            raise CampaignError(
-                "payload 'jobs' must be a non-empty list of job specs")
-        specs: List[JobSpec] = []
-        seen = set()
-        for entry in jobs:
-            if not isinstance(entry, dict):
-                raise CampaignError(
-                    f"job spec must be an object, got {entry!r}")
-            try:
-                spec = JobSpec.from_dict(entry)
-            except TypeError as error:
-                raise CampaignError(
-                    f"bad job spec {entry!r}: {error}") from None
-            if not spec.name:
-                raise CampaignError(
-                    f"job spec {spec.job_id!r} has no program/"
-                    f"experiment name")
-            if spec.job_id in seen:
-                raise CampaignError(
-                    f"duplicate job id {spec.job_id!r}")
-            seen.add(spec.job_id)
-            specs.append(spec)
-        return specs
-    experiments = payload.get("experiments")
-    if experiments is not None:
-        if not isinstance(experiments, dict):
-            raise CampaignError("payload 'experiments' must be an "
-                                "object of experiment_jobs options")
-        allowed = {"only", "fast", "seed", "plan", "plan_factor",
-                   "timeout_s", "max_attempts"}
-        unknown = set(experiments) - allowed
-        if unknown:
-            raise CampaignError(
-                f"unknown experiments option(s) "
-                f"{', '.join(sorted(unknown))}")
-        options = dict(experiments)
-        only = options.pop("only", None)
-        if only is not None and not isinstance(only, list):
-            raise CampaignError("experiments 'only' must be a list")
-        return experiment_jobs(only=only, **options)
-    raise CampaignError(
-        "payload must carry 'jobs' (explicit specs) or "
-        "'experiments' (registry selection)")
+    if num_shards < 1:
+        raise CampaignError("num_shards must be >= 1")
+    if not specs:
+        raise CampaignError("cannot partition an empty job list")
+    ids = [spec.job_id for spec in specs]
+    if len(set(ids)) != len(ids):
+        raise CampaignError("duplicate job ids in partition input")
+    num_shards = min(num_shards, len(specs))
+    salt = f"seed={seed if seed is not None else ''}"
+    ranked = sorted(specs, key=lambda spec: _rank(spec.job_id, salt))
+    shards: Dict[str, List[JobSpec]] = {
+        shard_name(index): [] for index in range(num_shards)}
+    for position, spec in enumerate(ranked):
+        shards[shard_name(position % num_shards)].append(spec)
+    return shards

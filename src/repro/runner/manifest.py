@@ -1,50 +1,51 @@
 """The persisted campaign state: ``runs/<campaign-id>/manifest.json``.
 
-The manifest is the single source of truth for checkpoint/resume.  It
-is rewritten (atomically) after **every** job state transition, so a
-SIGKILL of the whole campaign at any instant leaves a loadable
-manifest whose COMPLETED entries can be trusted — their artifacts were
-atomically renamed into place *before* the manifest recorded them.
+The manifest is the single source of truth for checkpoint/resume, for
+sharded campaigns too: every job record carries the fault domain
+(``shard``) that currently owns it, so one manifest holds the whole
+campaign.  It is rewritten (journaled, :mod:`repro.storage`) after
+**every** job state transition, so a SIGKILL of the whole campaign at
+any instant leaves a loadable manifest whose COMPLETED entries can be
+trusted — their artifacts were atomically renamed into place *before*
+the manifest recorded them.
 
 Schema (``schema`` bumps on incompatible change)::
 
     {
-      "schema": 2,
+      "schema": 3,
       "campaign_id": "...",
       "created": "2026-08-06T12:00:00",   # informational only
       "seed": 0,                          # campaign-level default seed
       "interrupted": false,               # a chaos/abort left work behind
-      "shard_id": "",                     # v2: "" = unsharded campaign
-      "parent": "",                       # v2: owning service campaign
-      "jobs": { "<job_id>": JobRecord, ... }
+      "jobs": { "<job_id>": JobRecord, ... }   # JobRecord.shard: "" or "sNN"
     }
-
-Schema v2 (the sharded campaign service, DESIGN.md §12) only *adds*
-fields: ``shard_id`` names the shard this manifest belongs to and
-``parent`` the service campaign that owns it.  The loader defaults
-both for schema-v1 manifests written by the pre-service runner, so a
-v1 campaign loads, resumes, and completes unchanged under the sharded
-scheduler.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .. import telemetry
 from ..errors import CampaignError
 from ..storage import checkpoint, load_checkpoint
-from .jobs import JobRecord, JobSpec, JobStatus
+from .jobs import JobRecord, JobSpec, JobStatus, partition_jobs
 
-SCHEMA_VERSION = 2
-#: schemas the defaulting loader accepts (v1 = pre-service manifests)
-SUPPORTED_SCHEMAS = (1, 2)
+SCHEMA_VERSION = 3
 #: envelope schema tag on every journaled manifest checkpoint
 SCHEMA_TAG = "repro.runner.manifest"
 
 MANIFEST_NAME = "manifest.json"
 ARTIFACT_DIR = "artifacts"
+
+#: campaign outcomes (:attr:`RunManifest.status`)
+CAMPAIGN_COMPLETED = "COMPLETED"
+CAMPAIGN_FAILED = "FAILED"
+CAMPAIGN_INTERRUPTED = "INTERRUPTED"
+CAMPAIGN_DEGRADED = "DEGRADED"
 
 
 @dataclass
@@ -56,10 +57,6 @@ class RunManifest:
     created: str = ""
     seed: Optional[int] = None
     interrupted: bool = False
-    #: shard this manifest belongs to ("" = standalone campaign)
-    shard_id: str = ""
-    #: service campaign owning this shard ("" = standalone campaign)
-    parent: str = ""
     jobs: Dict[str, JobRecord] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -68,17 +65,22 @@ class RunManifest:
     @classmethod
     def create(cls, campaign_id: str, runs_dir: Path, *,
                specs: List[JobSpec], seed: Optional[int],
-               created: str = "", shard_id: str = "",
-               parent: str = "") -> "RunManifest":
+               created: str = "", shards: int = 0) -> "RunManifest":
+        """A fresh manifest; ``shards >= 1`` assigns every job a fault
+        domain with :func:`partition_jobs` (jobs keep ``specs`` order)."""
         directory = Path(runs_dir) / campaign_id
         manifest = cls(campaign_id=campaign_id, directory=directory,
-                       created=created, seed=seed, shard_id=shard_id,
-                       parent=parent)
+                       created=created, seed=seed)
         for spec in specs:
             if spec.job_id in manifest.jobs:
                 raise CampaignError(
                     f"duplicate job id {spec.job_id!r}")
             manifest.jobs[spec.job_id] = JobRecord(spec=spec)
+        if shards:
+            layout = partition_jobs(specs, shards, seed=seed)
+            for shard, shard_specs in layout.items():
+                for spec in shard_specs:
+                    manifest.jobs[spec.job_id].shard = shard
         return manifest
 
     @classmethod
@@ -88,8 +90,7 @@ class RunManifest:
         try:
             # Journaled load: an interrupted checkpoint is replayed
             # from the WAL, a corrupted one quarantined and healed
-            # (ArtifactCorrupt propagates when nothing recovers — the
-            # service layer turns that into shard-loss accounting).
+            # (ArtifactCorrupt propagates when nothing recovers).
             payload = load_checkpoint(path, expect_schema=SCHEMA_TAG)
         except FileNotFoundError:
             raise CampaignError(
@@ -97,20 +98,16 @@ class RunManifest:
                 f"under {runs_dir}") from None
         schema = payload.get("schema") \
             if isinstance(payload, dict) else None
-        if schema not in SUPPORTED_SCHEMAS:
+        if schema != SCHEMA_VERSION:
             raise CampaignError(
                 f"manifest schema {schema!r} "
-                f"not in supported {SUPPORTED_SCHEMAS}")
+                f"!= supported {SCHEMA_VERSION}")
         manifest = cls(
             campaign_id=str(payload["campaign_id"]),
             directory=directory,
             created=str(payload.get("created", "")),
             seed=payload.get("seed"),
-            interrupted=bool(payload.get("interrupted", False)),
-            # v2 shard fields: defaulted for v1 manifests so pre-service
-            # campaigns load and resume under the sharded scheduler
-            shard_id=str(payload.get("shard_id", "")),
-            parent=str(payload.get("parent", "")),
+            interrupted=bool(payload["interrupted"]),
         )
         for job_id, record in payload["jobs"].items():
             manifest.jobs[job_id] = JobRecord.from_dict(record)
@@ -131,24 +128,10 @@ class RunManifest:
             "created": self.created,
             "seed": self.seed,
             "interrupted": self.interrupted,
-            "shard_id": self.shard_id,
-            "parent": self.parent,
             "jobs": {job_id: record.to_dict()
                      for job_id, record in self.jobs.items()},
         }
         checkpoint(self.path, payload, SCHEMA_TAG)
-
-    def add_specs(self, specs: List[JobSpec]) -> List[str]:
-        """Append fresh PENDING jobs (the cross-shard reassignment
-        path).  Specs whose job id already exists are skipped — a
-        reassignment replayed on resume must stay idempotent."""
-        added: List[str] = []
-        for spec in specs:
-            if spec.job_id in self.jobs:
-                continue
-            self.jobs[spec.job_id] = JobRecord(spec=spec)
-            added.append(spec.job_id)
-        return added
 
     # ------------------------------------------------------------------
     # resume semantics
@@ -195,6 +178,45 @@ class RunManifest:
         """job id -> result digest, for clean-vs-resumed comparisons."""
         return {job_id: record.digest
                 for job_id, record in self.jobs.items()}
+
+    def lost(self) -> Dict[str, List[str]]:
+        """shard -> sorted ids of the jobs LOST against it."""
+        out: Dict[str, List[str]] = {}
+        for record in self.by_status(JobStatus.LOST):
+            out.setdefault(record.shard, []).append(record.job_id)
+        return {shard: sorted(out[shard]) for shard in sorted(out)}
+
+    @property
+    def status(self) -> str:
+        """The campaign outcome: INTERRUPTED (resumable), DEGRADED
+        (some job LOST), COMPLETED, or FAILED."""
+        if self.interrupted:
+            return CAMPAIGN_INTERRUPTED
+        if self.by_status(JobStatus.LOST):
+            return CAMPAIGN_DEGRADED
+        if self.all_completed():
+            return CAMPAIGN_COMPLETED
+        return CAMPAIGN_FAILED
+
+    def campaign_digest(self) -> str:
+        """sha256 over seed, status, per-job digests, lost jobs and the
+        merged counters of the COMPLETED jobs.  Campaign id and shard
+        layout are left out, so 1 shard, 3 shards, or a quarantined
+        and resumed campaign give the same digest as a clean run."""
+        completed = self.by_status(JobStatus.COMPLETED)
+        core = {
+            "seed": self.seed,
+            "status": self.status,
+            "jobs": {job_id: self.jobs[job_id].digest
+                     for job_id in sorted(self.jobs)},
+            "lost": sorted(r.job_id
+                           for r in self.by_status(JobStatus.LOST)),
+            "counters": telemetry.merge_counters(
+                *(record.counters for record in completed)),
+        }
+        canonical = json.dumps(core, sort_keys=True,
+                               separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def list_campaigns(runs_dir: Path) -> List[str]:

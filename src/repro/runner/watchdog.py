@@ -6,11 +6,14 @@ Two independent kill conditions, checked every poll tick:
   ``timeout_s`` (catches non-terminating victims whose busy loop never
   misses a heartbeat: the GIL keeps the beat thread alive even while
   the interpreter spins);
-* **stall** — the heartbeat timestamp is older than ``stall_timeout``
-  (catches a frozen/deadlocked/SIGSTOPped worker whose clock no longer
-  advances at all).
+* **stall** — the heartbeat timestamp (the launch time until the
+  first beat lands) is older than ``stall_timeout`` (catches a
+  frozen/deadlocked/SIGSTOPped worker whose clock no longer advances
+  at all — including a whole ``--chaos stall-shard`` process group).
 
 Either way the worker is SIGKILLed and the job marked ``TIMED_OUT``.
+This heartbeat is the campaign's only health check: sharded campaigns
+add no shard-level lease on top of it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ class WorkerHandle:
     process: object                       # multiprocessing.Process
     conn: object                          # receiving end of the pipe
     heartbeat: object                     # multiprocessing.Value("d")
+    #: fault domain ("" = unsharded) and its process group (0 = none)
+    shard: str = ""
+    pgid: int = 0
     started: float = field(default_factory=time.monotonic)
 
     @property
@@ -72,6 +78,8 @@ class BatchHandle:
     process: object
     conn: object
     heartbeat: object
+    shard: str = ""
+    pgid: int = 0
     pending: Set[str] = field(default_factory=set)
     started: float = field(default_factory=time.monotonic)
 
@@ -125,8 +133,8 @@ class Watchdog:
         if elapsed > budget_s:
             return (f"exceeded {budget_s:.1f}s wall-clock "
                     f"budget (ran {elapsed:.1f}s)")
-        last_beat = handle.heartbeat.value
-        if last_beat > 0 and now - last_beat > self.stall_timeout:
+        last_beat = handle.heartbeat.value or handle.started
+        if now - last_beat > self.stall_timeout:
             return (f"heartbeat stalled for {now - last_beat:.1f}s "
                     f"(limit {self.stall_timeout:.1f}s)")
         return None

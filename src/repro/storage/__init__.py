@@ -2,15 +2,14 @@
 write-ahead journaling, and corruption quarantine.
 
 The paper's results are hours of unattended measurement whose state
-must survive infrastructure faults; at campaign-service scale (10⁵–10⁶
-jobs, DESIGN.md §12) torn writes, bit rot, disk-full, and crashed
-checkpoints are routine, not exceptional.  This package is the one
-place every persisted byte goes through:
+must survive infrastructure faults: torn writes, bit rot, disk-full,
+and crashed checkpoints.  This package is the one place every
+persisted byte goes through:
 
 * :func:`atomic_write` / :func:`atomic_write_bytes` /
   :func:`atomic_write_text` / :func:`atomic_write_json` — the single
-  tmp + fsync + rename writer (formerly duplicated across the CLI,
-  runner, perf suite, and service);
+  tmp + fsync + rename writer shared by the CLI, runner, and perf
+  suite;
 * :func:`wrap_envelope` / :func:`parse_document` — the sha256 +
   schema-tag + length envelope every durable JSON document carries
   (embedded as a plain ``"envelope"`` field, so direct readers keep
@@ -26,9 +25,7 @@ place every persisted byte goes through:
   drills.
 
 Telemetry counters: ``storage.writes``, ``storage.journal_replays``,
-``storage.corruption_detected``, ``storage.rebuilds`` (the last
-bumped by the campaign service when it reconstructs ``campaign.json``
-from surviving per-shard manifests).  See DESIGN.md §13.
+``storage.corruption_detected``.  See DESIGN.md §13.
 """
 
 from .atomic import (PathLike, atomic_write, atomic_write_bytes,
@@ -36,8 +33,7 @@ from .atomic import (PathLike, atomic_write, atomic_write_bytes,
                      clear_disk_faults, digest_text, disk_faults,
                      install_disk_faults, read_json)
 from .envelope import (BODY_KEY, ENVELOPE_FMT, ENVELOPE_KEY,
-                       LEGACY_TICK, canonical_bytes, parse_document,
-                       wrap_envelope)
+                       canonical_bytes, parse_document, wrap_envelope)
 from .journal import (CORRUPT_SUFFIX, JOURNAL_SUFFIX, checkpoint,
                       journal_path, load_checkpoint, quarantine_file,
                       quarantine_path, reset_tick_cache)
@@ -48,7 +44,6 @@ __all__ = [
     "ENVELOPE_FMT",
     "ENVELOPE_KEY",
     "JOURNAL_SUFFIX",
-    "LEGACY_TICK",
     "PathLike",
     "atomic_write",
     "atomic_write_bytes",
@@ -75,7 +70,7 @@ __all__ = [
 def write_envelope(path, payload, schema: str, *,
                    tick: int = 1):
     """Atomically write ``payload`` as a (non-journaled) enveloped
-    document — for derived artifacts like the service aggregate,
-    where the journal's replay guarantee adds nothing."""
+    document — for derived artifacts like the certify golden, where
+    the journal's replay guarantee adds nothing."""
     return atomic_write_json(path, wrap_envelope(payload, schema,
                                                  tick))

@@ -6,13 +6,11 @@ any point leaves either the old content or the new content — never a
 truncated file.  The directory entry is fsynced too (best-effort) so
 the rename survives a power cut on journalled filesystems.
 
-This module used to live in :mod:`repro.runner.artifacts`; it moved
-here so the CLI, runner, perf suite, and campaign service all share
-one implementation (their former copies are now re-export shims) and
-so the deterministic disk-fault injector (:mod:`repro.faults.disk`)
-has a single choke point to perturb: :func:`install_disk_faults`
-installs a process-global injector that every write consults before
-touching the filesystem.
+The CLI, runner, and perf suite all share this one implementation, so
+the deterministic disk-fault injector (:mod:`repro.faults.disk`) has a
+single choke point to perturb: :func:`install_disk_faults` installs a
+process-global injector that every write consults before touching the
+filesystem.
 """
 
 from __future__ import annotations

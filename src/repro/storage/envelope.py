@@ -20,18 +20,15 @@ detected on load, while the envelope stays an ordinary JSON field:
 existing readers that index straight into the document
 (``json.load(f)["jobs"]``, CI digest diffs, ``read_json``) keep
 working unchanged.  Non-dict payloads (lists, scalars) are wrapped as
-``{"envelope": {...}, "body": <payload>}``.
-
-Documents written before this layer existed have no envelope; they
-parse as *legacy* — valid, tick ``0`` — so pre-durability manifests
-load, resume, and complete unchanged.
+``{"envelope": {...}, "body": <payload>}``.  A document without an
+envelope is corrupt.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..errors import ArtifactCorrupt
 
@@ -39,8 +36,6 @@ ENVELOPE_KEY = "envelope"
 ENVELOPE_FMT = 1
 #: wrapper key used when the payload itself is not a JSON object
 BODY_KEY = "body"
-#: tick reported for legacy (pre-envelope) documents
-LEGACY_TICK = 0
 
 
 def canonical_bytes(payload: object) -> bytes:
@@ -71,18 +66,17 @@ def wrap_envelope(payload: object, schema: str,
     return {ENVELOPE_KEY: envelope, BODY_KEY: payload}
 
 
-def parse_document(document: object
-                   ) -> Tuple[object, Optional[str], int]:
+def parse_document(document: object) -> Tuple[object, str, int]:
     """Validate a loaded JSON document.
 
-    Returns ``(payload, schema_tag, tick)``; ``schema_tag`` is None
-    for legacy documents without an envelope.  Raises
-    :class:`ArtifactCorrupt` when the envelope is malformed or the
-    checksum/length does not match the payload.
+    Returns ``(payload, schema_tag, tick)``.  Raises
+    :class:`ArtifactCorrupt` when the envelope is missing or malformed,
+    or the checksum/length does not match the payload.
     """
     if not isinstance(document, dict) or \
             ENVELOPE_KEY not in document:
-        return document, None, LEGACY_TICK
+        raise ArtifactCorrupt("document has no envelope",
+                              reason="no-envelope")
     envelope = document[ENVELOPE_KEY]
     if not isinstance(envelope, dict):
         raise ArtifactCorrupt("envelope field is not an object",
@@ -109,7 +103,7 @@ def parse_document(document: object
             f"checksum mismatch: envelope says "
             f"{envelope.get('sha256')!r}, payload hashes to "
             f"{digest}", reason="checksum-mismatch")
-    tick = envelope.get("tick", LEGACY_TICK)
+    tick = envelope.get("tick")
     if not isinstance(tick, int) or tick < 0:
         raise ArtifactCorrupt(f"bad envelope tick {tick!r}",
                               reason="bad-envelope")

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import ArtifactCorrupt
 from .atomic import PathLike, atomic_write_text, read_json
-from .envelope import LEGACY_TICK, parse_document, wrap_envelope
+from .envelope import parse_document, wrap_envelope
 
 JOURNAL_SUFFIX = ".journal"
 CORRUPT_SUFFIX = ".corrupt"
@@ -100,7 +100,7 @@ def checkpoint(path: PathLike, payload: object, schema: str) -> Path:
 
 def _tick_on_disk(path: Path) -> int:
     """Highest tick either copy holds (0 when nothing loads)."""
-    best = LEGACY_TICK
+    best = 0
     for candidate in (path, journal_path(path)):
         try:
             _, _, tick = parse_document(read_json(candidate))
@@ -134,8 +134,7 @@ def _read_copy(path: Path, expect_schema: Optional[str]
     except ArtifactCorrupt as error:
         raise ArtifactCorrupt(f"{path}: {error}", path=str(path),
                               reason=error.reason) from error
-    if expect_schema is not None and schema is not None and \
-            schema != expect_schema:
+    if expect_schema is not None and schema != expect_schema:
         raise ArtifactCorrupt(
             f"{path} carries schema tag {schema!r}, "
             f"expected {expect_schema!r}", path=str(path),

@@ -22,8 +22,8 @@ from repro.runner import (ChaosMonkey, JobRecord, JobSpec, JobStatus,
                           KIND_SELFTEST, RunManifest, execute_job,
                           experiment_jobs, is_transient, list_campaigns,
                           run_campaign)
-from repro.runner.artifacts import (atomic_write_json, atomic_write_text,
-                                    digest_text, read_json)
+from repro.storage import (atomic_write_json, atomic_write_text,
+                           digest_text, read_json)
 
 
 def _selftest(job_id, program, **kwargs):
@@ -580,8 +580,8 @@ def test_experiment_job_counters_land_in_manifest(tmp_path):
 
 
 def test_selftest_job_counters(tmp_path):
-    # `work:` emits deterministic counters (the service aggregation
-    # drills merge them); `sleep:` stays quiet
+    # `work:` emits deterministic counters (the campaign digest merges
+    # them); `sleep:` stays quiet
     specs = [_selftest("busy", "work:10"),
              _selftest("quiet", "sleep:0.01")]
     manifest = run_campaign(specs, tmp_path, campaign_id="tally",
@@ -674,7 +674,7 @@ def test_cli_campaign_unknown_experiment(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# campaign id generation (collision safety) and manifest back-compat
+# campaign id generation (collision safety)
 # ----------------------------------------------------------------------
 def test_campaign_ids_unique_in_a_tight_burst():
     from repro.runner import new_campaign_id
@@ -691,47 +691,6 @@ def test_artifact_digests_independent_of_campaign_id(tmp_path):
     one = run_campaign(specs, tmp_path, campaign_id="id-one", seed=3)
     two = run_campaign(specs, tmp_path, campaign_id="id-two", seed=3)
     assert one.digests() == two.digests()
-
-
-def test_schema_v1_manifest_loads_resumes_and_completes(tmp_path):
-    """PR-2 era manifests (schema 1, no shard fields) must keep
-    working: load with defaulted shard fields, resume, complete."""
-    manifest = RunManifest.create(
-        "legacy", tmp_path,
-        specs=[_selftest("a", "work:5"), _selftest("b", "work:5")],
-        seed=4)
-    # mark one job COMPLETED so resume provably skips it
-    record = manifest.jobs["a"]
-    record.status = JobStatus.COMPLETED
-    record.digest = "f" * 64
-    manifest.save()
-    payload = json.loads(manifest.path.read_text())
-    payload["schema"] = 1
-    del payload["shard_id"]
-    del payload["parent"]
-    manifest.path.write_text(json.dumps(payload))
-
-    loaded = RunManifest.load(tmp_path, "legacy")
-    assert loaded.shard_id == "" and loaded.parent == ""
-    assert loaded.jobs["a"].status is JobStatus.COMPLETED
-
-    finished = run_campaign([], tmp_path, campaign_id="legacy",
-                            resume=True)
-    assert finished.all_completed()
-    # the completed record survived untouched (resume skipped it)
-    assert finished.jobs["a"].digest == "f" * 64
-    # and the manifest was upgraded to the current schema on save
-    assert json.loads(finished.path.read_text())["schema"] == 2
-
-
-def test_add_specs_is_idempotent(tmp_path):
-    manifest = RunManifest.create(
-        "camp", tmp_path, specs=[_selftest("a", "work:1")], seed=0)
-    added = manifest.add_specs([_selftest("a", "work:1"),
-                                _selftest("b", "work:1")])
-    assert added == ["b"]
-    assert manifest.add_specs([_selftest("b", "work:1")]) == []
-    assert sorted(manifest.jobs) == ["a", "b"]
 
 
 # ----------------------------------------------------------------------

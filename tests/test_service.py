@@ -1,50 +1,55 @@
-"""The sharded campaign service: deterministic partitioning, shard
-fault domains, the heartbeat-lease circuit breaker, quarantine +
-reassignment, DEGRADED loss accounting, and cross-shard aggregate
-convergence.
+"""Sharded campaigns: ``run_campaign(..., shards=N)``.
 
-Like the runner tests, the heavyweight scenarios use KIND_SELFTEST
-jobs so the scheduler machinery is exercised without paying for real
-experiments.  Chaos scenarios pin their victim shard (``target=``) so
-assertions are deterministic.
+The guarantees of sharding, pinned on the one campaign supervisor:
+deterministic partitioning, shard-level chaos (``kill-shard`` /
+``stall-shard``), the strike breaker with quarantine and job moves,
+DEGRADED completion with exact per-shard LOST accounting, and a
+campaign digest that is byte-identical across shard layouts, chaos,
+and resume.
+
+Like the runner tests, the scenarios use KIND_SELFTEST jobs so the
+supervisor is exercised without paying for real experiments.  Chaos
+scenarios pin their victim shard (``CHAOS_TARGET``) and, where a test
+needs the breaker to trip on the first strike, lower
+``BREAKER_THRESHOLD`` so assertions are deterministic.
 """
 
-import json
-import threading
 import time
 
 import pytest
 
-from repro.errors import CampaignError, ServiceError
-from repro.runner import JobStatus, RunManifest
-from repro.runner.jobs import (JobSpec, KIND_SELFTEST,
-                               specs_from_payload)
-from repro.service import (CAMPAIGN_COMPLETED, CAMPAIGN_DEGRADED,
-                           CAMPAIGN_INTERRUPTED, CHAOS_KILL_SHARD,
-                           CHAOS_STALL_SHARD, CampaignService,
-                           SHARD_QUARANTINED, ServiceChaos,
-                           ServiceManifest, create_service_campaign,
-                           list_service_campaigns,
-                           load_or_adopt_campaign, merge_shards,
-                           partition_jobs, resume_service_campaign,
-                           run_service_campaign, shard_name)
+from repro import runner
+from repro.errors import CampaignError
+from repro.runner import (CAMPAIGN_COMPLETED, CAMPAIGN_DEGRADED,
+                          CAMPAIGN_INTERRUPTED, ChaosMonkey, JobSpec,
+                          JobStatus, KIND_SELFTEST, RunManifest,
+                          partition_jobs, run_campaign)
+from repro.runner.jobs import shard_name
+
+#: fast retries so the drills converge quickly
+FAST = {"backoff_base": 0.01, "backoff_cap": 0.05}
 
 
 def _selftest(job_id, program, **kwargs):
     kwargs.setdefault("timeout_s", 30.0)
-    kwargs.setdefault("max_attempts", 2)
+    kwargs.setdefault("max_attempts", 3)
     return JobSpec(job_id=job_id, kind=KIND_SELFTEST, name=program,
                    seed=0, **kwargs)
 
 
-def _specs(count=6, program="work:3:0.05"):
-    return [_selftest(f"j{index:02d}", program)
+def _specs(count=6, program="work:3:0.05", **kwargs):
+    return [_selftest(f"j{index:02d}", program, **kwargs)
             for index in range(count)]
 
 
-def _aggregate(runs_dir, campaign_id):
-    path = runs_dir / campaign_id / "aggregate.json"
-    return json.loads(path.read_text())
+def _pin_chaos(monkeypatch, shard, threshold=None):
+    monkeypatch.setattr(runner, "CHAOS_TARGET", shard)
+    if threshold is not None:
+        monkeypatch.setattr(runner, "BREAKER_THRESHOLD", threshold)
+
+
+def _shard_chaos(mode="kill-shard", delay_s=0.1):
+    return ChaosMonkey(mode=mode, kills=1, delay_s=delay_s, seed=1)
 
 
 # ----------------------------------------------------------------------
@@ -84,295 +89,243 @@ def test_partition_clamps_shards_to_job_count():
 
 
 def test_partition_rejects_bad_input():
-    with pytest.raises(ServiceError):
+    with pytest.raises(CampaignError):
         partition_jobs(_specs(3), 0)
-    with pytest.raises(ServiceError):
+    with pytest.raises(CampaignError):
         partition_jobs([], 2)
     dupes = [_selftest("same", "work:1"), _selftest("same", "work:1")]
-    with pytest.raises(ServiceError):
+    with pytest.raises(CampaignError):
         partition_jobs(dupes, 2)
 
 
 # ----------------------------------------------------------------------
-# submission payloads
+# the one manifest
 # ----------------------------------------------------------------------
-def test_specs_from_payload_jobs_path():
-    payload = {"jobs": [
-        {"job_id": "a", "kind": "selftest", "name": "work:1"},
-        {"job_id": "b", "kind": "selftest", "name": "work:2"},
-    ]}
-    specs = specs_from_payload(payload)
-    assert [s.job_id for s in specs] == ["a", "b"]
-
-
-def test_specs_from_payload_experiments_path():
-    specs = specs_from_payload(
-        {"experiments": {"only": ["fig2"], "fast": True, "seed": 3}})
-    assert [s.job_id for s in specs] == ["fig2"]
-    assert specs[0].fast and specs[0].seed == 3
-
-
-def test_specs_from_payload_rejects_garbage():
-    with pytest.raises(CampaignError):
-        specs_from_payload({})
-    with pytest.raises(CampaignError):
-        specs_from_payload({"jobs": []})
-    with pytest.raises(CampaignError):
-        specs_from_payload({"jobs": [{"job_id": "a"}]})
-    with pytest.raises(CampaignError):
-        specs_from_payload({"jobs": [
-            {"job_id": "a", "kind": "selftest", "name": "work:1"},
-            {"job_id": "a", "kind": "selftest", "name": "work:1"}]})
-    with pytest.raises(CampaignError):
-        specs_from_payload({"experiments": {"bogus_option": 1}})
-
-
-# ----------------------------------------------------------------------
-# service manifest persistence
-# ----------------------------------------------------------------------
-def test_service_manifest_roundtrip(tmp_path):
-    manifest = create_service_campaign(
-        _specs(5), tmp_path, campaign_id="camp", seed=9, shards=2)
-    loaded = ServiceManifest.load(tmp_path, "camp")
-    assert loaded.campaign_id == "camp"
-    assert loaded.seed == 9
-    assert sorted(loaded.shards) == ["s00", "s01"]
-    assert loaded.job_ids() == [f"j{i:02d}" for i in range(5)]
-    # each shard has a checkpointed v2 engine manifest of its own
-    for entry in loaded.shards.values():
-        shard = RunManifest.load(tmp_path / "camp" / "shards",
-                                 entry.shard_id)
-        assert shard.parent == "camp"
-        assert shard.shard_id == entry.shard_id
-        assert sorted(shard.jobs) == sorted(entry.jobs)
-    assert list_service_campaigns(tmp_path) == ["camp"]
+def test_sharded_manifest_records_each_jobs_shard(tmp_path):
+    specs = _specs(5)
+    manifest = RunManifest.create("camp", tmp_path, specs=specs,
+                                  seed=9, shards=2)
+    manifest.save()
+    loaded = RunManifest.load(tmp_path, "camp")
+    # jobs keep submission order; the layout is the partitioner's
+    assert list(loaded.jobs) == [spec.job_id for spec in specs]
+    layout = partition_jobs(specs, 2, seed=9)
+    for shard, shard_specs in layout.items():
+        for spec in shard_specs:
+            assert loaded.jobs[spec.job_id].shard == shard
+    # unsharded campaigns leave the field empty
+    plain = RunManifest.create("plain", tmp_path, specs=specs, seed=9)
+    assert {record.shard for record in plain.records()} == {""}
 
 
 def test_create_refuses_existing_campaign(tmp_path):
-    create_service_campaign(_specs(2), tmp_path, campaign_id="camp",
-                            shards=2)
-    with pytest.raises(ServiceError):
-        create_service_campaign(_specs(2), tmp_path,
-                                campaign_id="camp", shards=2)
+    run_campaign(_specs(2, "work:1"), tmp_path, campaign_id="camp",
+                 shards=2)
+    with pytest.raises(CampaignError):
+        run_campaign(_specs(2, "work:1"), tmp_path, campaign_id="camp",
+                     shards=2)
 
 
-def test_chaos_rejects_unknown_mode():
-    with pytest.raises(ServiceError):
-        ServiceChaos(mode="set-on-fire")
+def test_chaos_rejects_unknown_mode(tmp_path):
+    with pytest.raises(CampaignError):
+        ChaosMonkey(mode="set-on-fire")
+    # shard drills need process-group shards to strike
+    with pytest.raises(CampaignError, match="sharded"):
+        run_campaign(_specs(2, "work:1"), tmp_path, campaign_id="flat",
+                     chaos=_shard_chaos())
 
 
 # ----------------------------------------------------------------------
 # clean sharded completion
 # ----------------------------------------------------------------------
 def test_sharded_campaign_completes_and_merges(tmp_path):
-    manifest = run_service_campaign(
-        _specs(6), tmp_path, campaign_id="clean", seed=7, shards=3)
+    manifest = run_campaign(_specs(6), tmp_path, campaign_id="clean",
+                            seed=7, shards=3)
     assert manifest.status == CAMPAIGN_COMPLETED
-    aggregate = _aggregate(tmp_path, "clean")
-    assert aggregate["status"] == CAMPAIGN_COMPLETED
-    assert sorted(aggregate["jobs"]) == [f"j{i:02d}" for i in range(6)]
-    assert all(entry["status"] == "COMPLETED" and entry["digest"]
-               for entry in aggregate["jobs"].values())
-    assert aggregate["lost"] == {}
-    # merged counters came from the per-job telemetry sessions
-    assert aggregate["counters"]
-    # the digest is recomputable from the persisted state
-    assert merge_shards(manifest)["digest"] == aggregate["digest"]
+    assert {record.shard for record in manifest.records()} == \
+        {"s00", "s01", "s02"}
+    assert all(record.digest for record in manifest.records())
+    assert manifest.lost() == {}
+    # per-job counters from the worker telemetry sessions
+    assert all(record.counters["selftest.jobs"] == 1
+               for record in manifest.records())
+    # the digest is recomputable from the persisted manifest
+    loaded = RunManifest.load(tmp_path, "clean")
+    assert loaded.campaign_digest() == manifest.campaign_digest()
 
 
 def test_aggregate_digest_excludes_campaign_and_shard_layout(tmp_path):
-    one = run_service_campaign(_specs(6), tmp_path,
-                               campaign_id="one", seed=7, shards=1)
-    three = run_service_campaign(_specs(6), tmp_path,
-                                 campaign_id="three", seed=7, shards=3)
-    assert one.status == three.status == CAMPAIGN_COMPLETED
-    assert (_aggregate(tmp_path, "one")["digest"]
-            == _aggregate(tmp_path, "three")["digest"])
+    runs = {shards: run_campaign(_specs(6), tmp_path,
+                                 campaign_id=f"n{shards}", seed=7,
+                                 shards=shards)
+            for shards in (0, 1, 3)}
+    assert all(manifest.status == CAMPAIGN_COMPLETED
+               for manifest in runs.values())
+    assert len({manifest.campaign_digest()
+                for manifest in runs.values()}) == 1
+    assert runs[1].digests() == runs[3].digests() == runs[0].digests()
 
 
 # ----------------------------------------------------------------------
-# chaos: kill-shard — quarantine, reassignment, convergence
+# chaos: kill-shard — strike, quarantine, move, convergence
 # ----------------------------------------------------------------------
-def test_kill_shard_quarantines_reassigns_and_converges(tmp_path):
-    clean = run_service_campaign(_specs(6), tmp_path,
-                                 campaign_id="clean", seed=7, shards=3)
+def test_kill_shard_quarantines_reassigns_and_converges(tmp_path,
+                                                        monkeypatch):
+    specs = _specs(6, "work:3:0.5")
+    clean = run_campaign(specs, tmp_path, campaign_id="clean", seed=7,
+                         shards=3)
     assert clean.status == CAMPAIGN_COMPLETED
+    _pin_chaos(monkeypatch, "s01", threshold=1)
     events = []
-    chaos = ServiceChaos(mode=CHAOS_KILL_SHARD, strikes=1,
-                         delay_s=0.05, seed=1, target="s01")
-    manifest = run_service_campaign(
-        _specs(6), tmp_path, campaign_id="chaos", seed=7, shards=3,
-        options={"breaker_threshold": 1}, chaos=chaos,
-        on_event=lambda shard, message: events.append((shard,
-                                                       message)))
+    manifest = run_campaign(
+        specs, tmp_path, campaign_id="chaos", seed=7, shards=3,
+        chaos=_shard_chaos(), **FAST,
+        on_event=lambda source, message: events.append((source,
+                                                        message)))
     assert manifest.status == CAMPAIGN_COMPLETED
-    assert manifest.shards["s01"].status == SHARD_QUARANTINED
-    # its jobs were reassigned somewhere and completed
-    reassigned = set(manifest.reassignments)
-    assert reassigned and reassigned <= set(
-        manifest.shards["s01"].jobs)
-    assert any("QUARANTINED" in message for _, message in events)
-    # convergence: byte-identical merged digest despite the chaos
-    assert (_aggregate(tmp_path, "chaos")["digest"]
-            == _aggregate(tmp_path, "clean")["digest"])
+    assert ("s01", "chaos: kill-shard") in events
+    assert any(source == "s01" and message.startswith("QUARANTINED")
+               for source, message in events)
+    # every job s01 owned moved to a healthy shard and completed there
+    sick = {spec.job_id
+            for spec in partition_jobs(specs, 3, seed=7)["s01"]}
+    for job_id in sick:
+        assert manifest.jobs[job_id].shard in ("s00", "s02")
+    # convergence: the same digests as the clean run despite the chaos
+    assert manifest.digests() == clean.digests()
+    assert manifest.campaign_digest() == clean.campaign_digest()
 
 
-def test_kill_shard_below_threshold_restarts_in_place(tmp_path):
-    chaos = ServiceChaos(mode=CHAOS_KILL_SHARD, strikes=1,
-                         delay_s=0.05, seed=1, target="s00")
-    manifest = run_service_campaign(
-        _specs(4), tmp_path, campaign_id="restart", seed=7, shards=2,
-        options={"breaker_threshold": 2}, chaos=chaos)
+def test_kill_shard_below_threshold_restarts_in_place(tmp_path,
+                                                      monkeypatch):
+    specs = _specs(4, "work:3:0.3")
+    _pin_chaos(monkeypatch, "s00")
+    events = []
+    manifest = run_campaign(
+        specs, tmp_path, campaign_id="restart", seed=7, shards=2,
+        max_workers=1, chaos=_shard_chaos(), **FAST,
+        on_event=lambda source, message: events.append((source,
+                                                        message)))
     assert manifest.status == CAMPAIGN_COMPLETED
-    assert manifest.shards["s00"].restarts >= 1
-    assert manifest.shards["s00"].status != SHARD_QUARANTINED
-    assert manifest.reassignments == {}
+    # one worker in flight, so one strike: below the breaker
+    assert [message for source, message in events
+            if source == "s00" and message.startswith("strike")] \
+        and not any(message.startswith("QUARANTINED")
+                    for _, message in events)
+    layout = partition_jobs(specs, 2, seed=7)
+    for shard, shard_specs in layout.items():
+        for spec in shard_specs:
+            assert manifest.jobs[spec.job_id].shard == shard
+    # the struck job retried in place: exactly one extra attempt
+    assert sorted(record.attempts
+                  for record in manifest.records()) == [1, 1, 1, 2]
 
 
 # ----------------------------------------------------------------------
-# chaos: stall-shard — the heartbeat lease trips the breaker
+# chaos: stall-shard — only the worker heartbeat can tell
 # ----------------------------------------------------------------------
-def test_stalled_shard_trips_breaker_within_lease_budget(tmp_path):
-    """A SIGSTOPped shard never exits, so only the lease can detect
-    it.  The breaker must trip within a small multiple of the lease —
-    far sooner than any per-job timeout (jobs here have 60s budgets)
-    — proving the monotonic lease clock drove the quarantine."""
-    lease_s = 0.8
+def test_stalled_shard_trips_breaker_within_lease_budget(tmp_path,
+                                                         monkeypatch):
+    """A SIGSTOPped shard never exits, so only the heartbeat watchdog
+    can detect it.  It must strike within a small margin of the stall
+    timeout — far sooner than the 60 s job budget."""
+    stall_timeout = 0.8
+    _pin_chaos(monkeypatch, "s00", threshold=1)
     events = []
-
-    def on_event(shard, message):
-        events.append((time.monotonic(), shard, message))
-
-    chaos = ServiceChaos(mode=CHAOS_STALL_SHARD, strikes=1,
-                         delay_s=0.1, seed=1, target="s00")
-    manifest = run_service_campaign(
-        [_selftest(f"j{i}", "work:3:0.3", timeout_s=60.0)
-         for i in range(4)],
-        tmp_path, campaign_id="stall", seed=7, shards=2,
-        options={"breaker_threshold": 1, "lease_s": lease_s},
-        chaos=chaos, on_event=on_event)
+    manifest = run_campaign(
+        _specs(4, "work:3:0.5", timeout_s=60.0), tmp_path,
+        campaign_id="stall", seed=7, shards=2,
+        stall_timeout=stall_timeout, chaos=_shard_chaos("stall-shard"),
+        **FAST,
+        on_event=lambda source, message: events.append(
+            (time.monotonic(), source, message)))
     assert manifest.status == CAMPAIGN_COMPLETED
-    assert manifest.shards["s00"].status == SHARD_QUARANTINED
-    assert chaos.events, "chaos never fired"
-    stalled_at = chaos.events[0][0]
-    tripped = [stamp for stamp, shard, message in events
-               if shard == "s00" and "lease expired" in message]
-    assert tripped, f"lease never tripped; events: {events}"
-    # lease + one heartbeat interval + generous scheduler slack —
-    # and nowhere near the 60s job budget
-    assert tripped[0] - stalled_at < lease_s + 5.0
+    stalled = [stamp for stamp, source, message in events
+               if source == "s00" and message == "chaos: stall-shard"]
+    assert stalled, f"chaos never fired; events: {events}"
+    tripped = [stamp for stamp, source, message in events
+               if source == "s00" and "heartbeat stalled" in message]
+    assert tripped, f"watchdog never struck; events: {events}"
+    assert tripped[0] - stalled[0] < stall_timeout + 5.0
+    assert any(source == "s00" and message.startswith("QUARANTINED")
+               for _, source, message in events)
 
 
 # ----------------------------------------------------------------------
 # graceful degradation: exact loss accounting
 # ----------------------------------------------------------------------
-def test_exhausted_reassignment_budget_degrades_exactly(tmp_path):
-    chaos = ServiceChaos(mode=CHAOS_KILL_SHARD, strikes=1,
-                         delay_s=0.05, seed=1, target="s01")
-    manifest = run_service_campaign(
-        _specs(6), tmp_path, campaign_id="degraded", seed=7, shards=3,
-        options={"breaker_threshold": 1, "max_reassignments": 0},
-        chaos=chaos)
+def _degraded_run(tmp_path, monkeypatch, campaign_id):
+    """s01 is killed with both its jobs in flight and no attempt left
+    to move them: exactly those jobs end LOST against s01."""
+    _pin_chaos(monkeypatch, "s01", threshold=1)
+    return run_campaign(
+        _specs(6, "work:3:0.5", max_attempts=1), tmp_path,
+        campaign_id=campaign_id, seed=7, shards=3,
+        chaos=_shard_chaos(), **FAST)
+
+
+def test_exhausted_reassignment_budget_degrades_exactly(tmp_path,
+                                                        monkeypatch,
+                                                        capsys):
+    manifest = _degraded_run(tmp_path, monkeypatch, "degraded")
     assert manifest.status == CAMPAIGN_DEGRADED
-    aggregate = _aggregate(tmp_path, "degraded")
-    assert aggregate["status"] == CAMPAIGN_DEGRADED
+    sick = sorted(spec.job_id for spec in partition_jobs(
+        _specs(6), 3, seed=7)["s01"])
     # exact accounting: the quarantined shard's unfinished jobs, no
     # more and no less, attributed to the shard that lost them
-    lost = aggregate["lost"]
-    assert set(lost) == {"s01"}
-    statuses = {job: entry["status"]
-                for job, entry in aggregate["jobs"].items()}
-    assert sorted(lost["s01"]) == sorted(
-        job for job, status in statuses.items() if status == "LOST")
-    completed = [job for job, status in statuses.items()
-                 if status == "COMPLETED"]
-    assert sorted(completed + lost["s01"]) == sorted(statuses)
+    assert manifest.lost() == {"s01": sick}
+    for record in manifest.records():
+        expected = (JobStatus.LOST if record.job_id in sick
+                    else JobStatus.COMPLETED)
+        assert record.status is expected
+        assert record.attempts <= record.spec.max_attempts
+
+    # the CLI reports it: exit 4 and the per-shard LOST list
+    from repro.cli import main
+    monkeypatch.setattr(runner, "run_campaign",
+                        lambda *args, **kwargs: manifest)
+    assert main(["campaign", "--only", "fig2", "--shards", "3",
+                 "--runs-dir", str(tmp_path)]) == 4
+    out = capsys.readouterr().out
+    assert f"LOST from s01: {', '.join(sick)}" in out
+    assert f"campaign digest: {manifest.campaign_digest()}" in out
 
 
-def test_resume_restores_lost_jobs_and_converges(tmp_path):
-    clean = run_service_campaign(_specs(6), tmp_path,
-                                 campaign_id="clean", seed=7, shards=3)
-    chaos = ServiceChaos(mode=CHAOS_KILL_SHARD, strikes=1,
-                         delay_s=0.05, seed=1, target="s01")
-    degraded = run_service_campaign(
-        _specs(6), tmp_path, campaign_id="degraded", seed=7, shards=3,
-        options={"breaker_threshold": 1, "max_reassignments": 0},
-        chaos=chaos)
+def test_resume_restores_lost_jobs_and_converges(tmp_path,
+                                                 monkeypatch):
+    clean = run_campaign(_specs(6, "work:3:0.5", max_attempts=1),
+                         tmp_path, campaign_id="clean", seed=7,
+                         shards=3)
+    degraded = _degraded_run(tmp_path, monkeypatch, "degraded")
     assert degraded.status == CAMPAIGN_DEGRADED
-    resumed = run_service_campaign(
-        [], tmp_path, campaign_id="degraded", resume=True)
+    resumed = run_campaign([], tmp_path, campaign_id="degraded",
+                           resume=True, **FAST)
     assert resumed.status == CAMPAIGN_COMPLETED
-    assert resumed.lost == {}
-    assert (_aggregate(tmp_path, "degraded")["digest"]
-            == _aggregate(tmp_path, "clean")["digest"])
+    assert resumed.lost() == {}
+    assert resumed.campaign_digest() == clean.campaign_digest()
 
 
 # ----------------------------------------------------------------------
 # interrupt + resume
 # ----------------------------------------------------------------------
-def test_stop_event_interrupts_resumably_and_converges(tmp_path):
-    clean = run_service_campaign(_specs(6, "work:3:0.15"), tmp_path,
-                                 campaign_id="clean", seed=7, shards=2)
-    stop = threading.Event()
-
-    def stop_on_first_completion(shard, message):
-        if "COMPLETED" in message:
-            stop.set()
-
-    interrupted = run_service_campaign(
-        _specs(6, "work:3:0.15"), tmp_path,
-        campaign_id="resumable", seed=7, shards=2,
-        stop_event=stop, on_event=stop_on_first_completion)
+def test_sharded_interrupt_resumes_and_converges(tmp_path):
+    specs = _specs(6, "work:3:0.3")
+    clean = run_campaign(specs, tmp_path, campaign_id="clean", seed=7,
+                         shards=2)
+    interrupted = run_campaign(
+        specs, tmp_path, campaign_id="resumable", seed=7, shards=2,
+        chaos=ChaosMonkey(mode="kill-worker", kills=1, delay_s=0.1,
+                          seed=1), **FAST)
     assert interrupted.status == CAMPAIGN_INTERRUPTED
-    assert not (tmp_path / "resumable" / "aggregate.json").exists()
-    resumed = run_service_campaign(
-        [], tmp_path, campaign_id="resumable", resume=True)
+    resumed = run_campaign([], tmp_path, campaign_id="resumable",
+                           resume=True, **FAST)
     assert resumed.status == CAMPAIGN_COMPLETED
-    assert (_aggregate(tmp_path, "resumable")["digest"]
-            == _aggregate(tmp_path, "clean")["digest"])
+    assert resumed.campaign_digest() == clean.campaign_digest()
 
 
 def test_resume_requires_campaign_id(tmp_path):
-    with pytest.raises(ServiceError):
-        run_service_campaign([], tmp_path, resume=True)
-    with pytest.raises(ServiceError):
-        resume_service_campaign(tmp_path, "never-existed")
-
-
-# ----------------------------------------------------------------------
-# legacy v1 adoption
-# ----------------------------------------------------------------------
-def _write_v1_campaign(runs_dir, campaign_id, specs):
-    """A schema-v1 manifest exactly as the pre-service runner wrote
-    it: no shard_id/parent fields."""
-    manifest = RunManifest.create(campaign_id, runs_dir, specs=specs,
-                                  seed=5)
-    manifest.save()
-    payload = json.loads(manifest.path.read_text())
-    payload["schema"] = 1
-    payload.pop("shard_id")
-    payload.pop("parent")
-    manifest.path.write_text(json.dumps(payload))
-    return manifest
-
-
-def test_legacy_v1_campaign_adopts_and_completes(tmp_path):
-    _write_v1_campaign(tmp_path, "old", _specs(3))
-    adopted = load_or_adopt_campaign(tmp_path, "old")
-    assert list(adopted.shards) == ["s00"]
-    assert adopted.shards["s00"].directory == "."
-    assert adopted.seed == 5
-    resumed = resume_service_campaign(tmp_path, "old")
-    finished = CampaignService(resumed).run()
-    assert finished.status == CAMPAIGN_COMPLETED
-    aggregate = _aggregate(tmp_path, "old")
-    assert sorted(aggregate["jobs"]) == [f"j{i:02d}" for i in range(3)]
-    # the engine manifest in place was upgraded to schema v2 and the
-    # original job records live on
-    upgraded = RunManifest.load(tmp_path, "old")
-    assert upgraded.all_completed()
-
-
-def test_adopting_missing_campaign_raises(tmp_path):
-    with pytest.raises(ServiceError):
-        load_or_adopt_campaign(tmp_path, "ghost")
+    with pytest.raises(CampaignError):
+        run_campaign([], tmp_path, resume=True)
+    with pytest.raises(CampaignError):
+        run_campaign([], tmp_path, campaign_id="never-existed",
+                     resume=True)

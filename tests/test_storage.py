@@ -13,9 +13,8 @@ import pytest
 from repro import telemetry
 from repro.errors import ArtifactCorrupt, DiskFaultError
 from repro.faults import DiskFaultInjector, disk_chaos
-from repro.storage import (CORRUPT_SUFFIX, ENVELOPE_KEY, LEGACY_TICK,
-                           atomic_write, atomic_write_json,
-                           canonical_bytes, checkpoint,
+from repro.storage import (CORRUPT_SUFFIX, ENVELOPE_KEY, atomic_write,
+                           atomic_write_json, canonical_bytes, checkpoint,
                            clear_disk_faults, install_disk_faults,
                            journal_path, load_checkpoint,
                            parse_document, quarantine_path,
@@ -56,11 +55,10 @@ def test_envelope_roundtrip_non_dict_payload():
     assert tick == 1
 
 
-def test_legacy_document_parses_with_legacy_tick():
-    parsed, schema, tick = parse_document({"schema": 2, "jobs": {}})
-    assert parsed == {"schema": 2, "jobs": {}}
-    assert schema is None
-    assert tick == LEGACY_TICK
+def test_document_without_envelope_is_corrupt():
+    with pytest.raises(ArtifactCorrupt) as excinfo:
+        parse_document({"schema": 3, "jobs": {}})
+    assert excinfo.value.reason == "no-envelope"
 
 
 def test_envelope_detects_payload_tampering():
@@ -104,19 +102,10 @@ def test_atomic_write_json_bytes_unchanged(tmp_path):
                "seed": None, "created": "2026-08-06T12:00:00",
                "unicode": "münchen"}
     new_path = atomic_write_json(tmp_path / "new.json", payload)
-    # the former repro.runner.artifacts serialization, verbatim
+    # the runner's original serialization, verbatim
     legacy = (json.dumps(payload, indent=2, sort_keys=True,
                          ensure_ascii=False) + "\n").encode("utf-8")
     assert new_path.read_bytes() == legacy
-
-
-def test_runner_shim_reexports_storage_writer(tmp_path):
-    from repro.runner import artifacts
-    from repro.storage import atomic as storage_atomic
-    assert artifacts.atomic_write_json is \
-        storage_atomic.atomic_write_json
-    assert artifacts.atomic_write_bytes is \
-        storage_atomic.atomic_write_bytes
 
 
 def test_atomic_write_dispatches_text_and_bytes(tmp_path):

@@ -1,28 +1,20 @@
-"""End-to-end durability drills: truncation at every byte offset,
-torn-write chaos with resume convergence, service-manifest rebuild
-from surviving shards, and DEGRADED completion with exact loss
-accounting when a shard checkpoint is destroyed beyond recovery.
+"""End-to-end durability drills: truncation at every byte offset, and
+torn-write and bit-flip chaos with resume convergence — for unsharded
+campaigns and for the one manifest of a sharded campaign.
 
-The contract under test (ISSUE: durable artifact store): resuming
-from a corrupted checkpoint either converges to the same
-layout-independent aggregate digest as a clean run, or completes
-DEGRADED with exact loss accounting — never an unhandled exception,
-never a silent double-count.
+The contract under test: resuming from a corrupted checkpoint
+converges to the same per-job digests and the same layout-independent
+campaign digest as a clean run — never an unhandled exception, never
+a silent double-count.
 """
-
-import json
 
 import pytest
 
 from repro import telemetry
-from repro.errors import ArtifactCorrupt, CampaignError
+from repro.errors import ArtifactCorrupt, CampaignError, DiskFaultError
 from repro.faults import DiskFaultInjector
-from repro.runner import RunManifest, run_campaign
+from repro.runner import CAMPAIGN_COMPLETED, RunManifest, run_campaign
 from repro.runner.jobs import KIND_SELFTEST, JobSpec
-from repro.service import (CAMPAIGN_COMPLETED, CAMPAIGN_DEGRADED,
-                           ServiceManifest, merge_shards,
-                           rebuild_service_manifest,
-                           run_service_campaign)
 from repro.storage import (clear_disk_faults, install_disk_faults,
                            journal_path, load_checkpoint,
                            reset_tick_cache)
@@ -44,11 +36,6 @@ def _selftest(job_id, program="work:2:0.0"):
 
 def _specs(count=4):
     return [_selftest(f"j{index:02d}") for index in range(count)]
-
-
-def _aggregate(runs_dir, campaign_id):
-    path = runs_dir / campaign_id / "aggregate.json"
-    return json.loads(path.read_text())
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +98,6 @@ def test_torn_write_chaos_resume_converges_to_clean_digest(tmp_path):
 
     install_disk_faults(DiskFaultInjector(
         mode="torn-write", seed=9, strike_after=3))
-    from repro.errors import DiskFaultError
     with pytest.raises(DiskFaultError):
         run_campaign(_specs(4), tmp_path / "runs",
                      campaign_id="drill", seed=9)
@@ -149,75 +135,51 @@ def test_bit_flip_chaos_resume_never_crashes(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# service layer: campaign.json rebuild + DEGRADED loss accounting
+# sharded campaigns: the one manifest heals like any other
 # ----------------------------------------------------------------------
-def test_service_manifest_rebuilds_from_surviving_shards(tmp_path):
+def test_sharded_manifest_bit_flip_heals_from_journal(tmp_path):
+    """External bit rot in a completed sharded campaign's manifest:
+    the envelope checksum catches it, the journal heals it, and the
+    resume converges to the clean campaign digest."""
     runs = tmp_path / "runs"
-    manifest = run_service_campaign(_specs(6), runs,
-                                    campaign_id="svc", seed=2,
-                                    shards=2)
+    manifest = run_campaign(_specs(6), runs, campaign_id="sharded",
+                            seed=2, shards=2)
     assert manifest.status == CAMPAIGN_COMPLETED
-    clean_digest = _aggregate(runs, "svc")["digest"]
-
-    # destroy BOTH copies of the service checkpoint
-    campaign_json = runs / "svc" / "campaign.json"
-    campaign_json.write_text("garbage", encoding="utf-8")
-    journal_path(campaign_json).write_text("also garbage",
-                                           encoding="utf-8")
+    data = bytearray(manifest.path.read_bytes())
+    data[len(data) // 2] ^= 0x08
+    manifest.path.write_bytes(bytes(data))
     reset_tick_cache()
 
     with telemetry.session() as sink:
-        rebuilt = ServiceManifest.load(runs, "svc")
-    assert sink.counters["storage.rebuilds"] == 1
+        resumed = run_campaign([], runs, campaign_id="sharded",
+                               resume=True)
     assert sink.counters["storage.corruption_detected"] >= 1
-    assert sorted(rebuilt.shards) == sorted(manifest.shards)
-    assert rebuilt.job_ids() == manifest.job_ids()
-
-    # the rebuilt campaign resumes (idempotently — everything was
-    # COMPLETED) and converges to the same layout-independent digest
-    reset_tick_cache()
-    resumed = run_service_campaign([], runs, campaign_id="svc",
-                                   resume=True)
     assert resumed.status == CAMPAIGN_COMPLETED
-    assert _aggregate(runs, "svc")["digest"] == clean_digest
+    assert resumed.digests() == manifest.digests()
+    assert resumed.campaign_digest() == manifest.campaign_digest()
+    assert {record.shard for record in resumed.records()} == \
+        {"s00", "s01"}
+    assert list((runs / "sharded").glob("manifest.json.corrupt*"))
 
 
-def test_destroyed_shard_checkpoint_completes_degraded(tmp_path):
-    """A shard manifest corrupted beyond its journal: the campaign
-    must complete DEGRADED with that shard's unproven jobs accounted
-    as LOST — exactly, not silently dropped."""
-    runs = tmp_path / "runs"
-    manifest = run_service_campaign(_specs(6), runs,
-                                    campaign_id="svc", seed=5,
-                                    shards=2)
-    assert manifest.status == CAMPAIGN_COMPLETED
-    victim = sorted(manifest.shards)[0]
-    victim_jobs = sorted(manifest.shards[victim].jobs)
-    shard_dir = runs / "svc" / "shards" / victim
-    (shard_dir / "manifest.json").write_text("xx", encoding="utf-8")
-    journal_path(shard_dir / "manifest.json").write_text(
-        "yy", encoding="utf-8")
+def test_sharded_torn_write_resume_converges_to_clean_digest(tmp_path):
+    clean = run_campaign(_specs(6), tmp_path / "clean",
+                         campaign_id="ref", seed=5, shards=2)
+    assert clean.status == CAMPAIGN_COMPLETED
+
+    install_disk_faults(DiskFaultInjector(
+        mode="torn-write", seed=5, strike_after=4))
+    with pytest.raises(DiskFaultError):
+        run_campaign(_specs(6), tmp_path / "runs", campaign_id="drill",
+                     seed=5, shards=2)
+    clear_disk_faults()
     reset_tick_cache()
 
-    merged = merge_shards(ServiceManifest.load(runs, "svc"))
-    assert merged["status"] == CAMPAIGN_DEGRADED
-    accounted = sorted(job for jobs in merged["lost"].values()
-                       for job in jobs)
-    assert accounted == victim_jobs
-    for job_id in victim_jobs:
-        assert merged["jobs"][job_id]["status"] == "LOST"
-    surviving = [job for job in manifest.job_ids()
-                 if job not in victim_jobs]
-    for job_id in surviving:
-        assert merged["jobs"][job_id]["status"] == "COMPLETED"
-
-
-def test_rebuild_with_no_surviving_state_raises_service_error(
-        tmp_path):
-    from repro.errors import ServiceError
-    (tmp_path / "runs" / "ghost").mkdir(parents=True)
-    with pytest.raises(ServiceError):
-        rebuild_service_manifest(tmp_path / "runs", "ghost")
+    resumed = run_campaign([], tmp_path / "runs", campaign_id="drill",
+                           resume=True)
+    assert resumed.status == CAMPAIGN_COMPLETED
+    assert resumed.digests() == clean.digests()
+    assert resumed.campaign_digest() == clean.campaign_digest()
 
 
 def test_corrupt_manifest_without_journal_raises_artifact_corrupt(
@@ -231,22 +193,6 @@ def test_corrupt_manifest_without_journal_raises_artifact_corrupt(
     with pytest.raises(ArtifactCorrupt):
         RunManifest.load(tmp_path / "runs", "old")
     assert (directory / "manifest.json.corrupt").exists()
-
-
-def test_legacy_unjournaled_manifest_still_loads(tmp_path):
-    """Manifests written before the storage layer (no envelope, no
-    journal) load unchanged."""
-    manifest = run_campaign(_specs(2), tmp_path / "runs",
-                            campaign_id="legacy", seed=1)
-    target = manifest.path
-    payload = json.loads(target.read_text())
-    payload.pop("envelope", None)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                      + "\n", encoding="utf-8")
-    journal_path(target).unlink()
-    reset_tick_cache()
-    loaded = RunManifest.load(tmp_path / "runs", "legacy")
-    assert loaded.digests() == manifest.digests()
 
 
 def test_missing_manifest_still_raises_campaign_error(tmp_path):

@@ -12,10 +12,10 @@ failing loudly if any guarantee breaks:
 3. **resume convergence** — ``--resume`` quarantines the torn copy to
    ``*.corrupt``, replays the journal, and completes with per-job
    digests **byte-identical** to the clean run;
-4. **external bit-flip** — one bit of a *shard* manifest of a
-   completed sharded campaign is flipped from outside (bit rot); the
-   envelope checksum catches it on resume, the journal heals it, and
-   the merged aggregate digest still matches the clean sharded run;
+4. **external bit-flip** — one bit of the manifest of a completed
+   sharded campaign is flipped from outside (bit rot); the envelope
+   checksum catches it on resume, the journal heals it, and the
+   campaign digest still matches the clean sharded run;
 5. **evidence** — every drill leaves its quarantined ``*.corrupt``
    files in place for upload; the runs tree is kept with ``--keep``.
 
@@ -33,6 +33,9 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.runner import RunManifest  # noqa: E402
 
 #: small, fast experiment subset — the drill is about the checkpoints,
 #: not the physics
@@ -66,9 +69,8 @@ def _job_digests(runs_dir: Path, campaign_id: str) -> dict:
             for job_id, job in manifest["jobs"].items()}
 
 
-def _aggregate_digest(runs_dir: Path, campaign_id: str) -> str:
-    path = runs_dir / campaign_id / "aggregate.json"
-    return json.loads(path.read_text())["digest"]
+def _campaign_digest(runs_dir: Path, campaign_id: str) -> str:
+    return RunManifest.load(runs_dir, campaign_id).campaign_digest()
 
 
 def _corrupt_files(runs_dir: Path) -> list:
@@ -128,21 +130,17 @@ def main(argv=None) -> int:
     print("== resume converged: digests byte-identical, torn copy "
           "quarantined")
 
-    # ------------------------------------- external shard bit-flip
+    # ----------------------------------- external sharded bit-flip
     print("== sharded reference run")
     if _campaign(runs_dir, "--fast", "--only", EXPERIMENTS,
-                 "--seed", str(SEED), "--campaign-id", "svc",
+                 "--seed", str(SEED), "--campaign-id", "sharded",
                  "--shards", "2") != 0:
         _fail("sharded campaign did not complete")
-    svc_digest = _aggregate_digest(runs_dir, "svc")
-    print(f"== sharded run COMPLETED, aggregate digest "
-          f"{svc_digest[:16]}")
+    sharded_digest = _campaign_digest(runs_dir, "sharded")
+    print(f"== sharded run COMPLETED, campaign digest "
+          f"{sharded_digest[:16]}")
 
-    shard_manifests = sorted(
-        (runs_dir / "svc" / "shards").glob("*/manifest.json"))
-    if not shard_manifests:
-        _fail("no shard manifests found to corrupt")
-    victim = shard_manifests[0]
+    victim = runs_dir / "sharded" / "manifest.json"
     data = bytearray(victim.read_bytes())
     data[len(data) // 2] ^= 0x08      # deterministic external bit rot
     victim.write_bytes(bytes(data))
@@ -150,18 +148,17 @@ def main(argv=None) -> int:
           f"{victim.relative_to(runs_dir)} from outside")
 
     print("== resume after bit-flip")
-    if _campaign(runs_dir, "--resume", "svc") != 0:
-        _fail("resume after shard bit-flip did not complete")
-    healed = _aggregate_digest(runs_dir, "svc")
-    if healed != svc_digest:
-        _fail(f"aggregate digest diverged after bit-flip heal: "
-              f"{healed} != {svc_digest}")
+    if _campaign(runs_dir, "--resume", "sharded") != 0:
+        _fail("resume after bit-flip did not complete")
+    healed = _campaign_digest(runs_dir, "sharded")
+    if healed != sharded_digest:
+        _fail(f"campaign digest diverged after bit-flip heal: "
+              f"{healed} != {sharded_digest}")
     quarantined = _corrupt_files(runs_dir)
-    if not any(q.startswith("svc/") for q in quarantined):
-        _fail(f"flipped shard manifest was not quarantined: "
-              f"{quarantined}")
+    if not any(q.startswith("sharded/") for q in quarantined):
+        _fail(f"flipped manifest was not quarantined: {quarantined}")
     print("== bit-flip detected by envelope checksum, healed from "
-          "journal, aggregate digest unchanged")
+          "journal, campaign digest unchanged")
 
     print(f"== quarantine evidence: {quarantined}")
     if not args.keep:

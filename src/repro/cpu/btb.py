@@ -153,22 +153,16 @@ class BTB:
         #: Lookup-visibility generation.  Bumped by every mutation that
         #: can change a *lookup result* — allocate (including the
         #: eviction it may imply), target update, deallocation, spurious
-        #: eviction, flushes, and domain switches under partitioning.
-        #: ``touch`` does NOT bump it: LRU refreshes change future
-        #: eviction choices but never the outcome of a lookup, and any
-        #: LRU-driven eviction itself happens inside ``allocate`` (which
-        #: bumps).  Superblocks (:mod:`repro.cpu.decoded`) are stamped
-        #: with this counter, so one integer compare validates every
-        #: predicted edge in a chain at once.
+        #: eviction, flushes that drop an entry, and domain switches
+        #: under partitioning.  ``touch`` does NOT bump it: LRU refreshes
+        #: change future eviction choices but never the outcome of a
+        #: lookup, and any LRU-driven eviction itself happens inside
+        #: ``allocate`` (which bumps).  Superblocks
+        #: (:mod:`repro.cpu.decoded`) are stamped with this counter: an
+        #: unchanged generation validates every lookup a chain was built
+        #: from with one integer compare, and a moved one sends the
+        #: chain to re-peek just those lookups.
         self.generation = 0
-        #: Per-set refinement of :attr:`generation`.  A lookup's result
-        #: depends only on its set's contents, and one 32-byte fetch
-        #: block maps to exactly one set — so a superblock whose global
-        #: stamp went stale can re-validate against just the sets its
-        #: blocks index into, surviving unrelated BTB churn (e.g. a
-        #: shared subroutine's ``ret`` entry being retargeted every
-        #: call would otherwise invalidate every cached chain).
-        self.set_gens: List[int] = [0] * sets
         self.stats = BTBStats()
         #: Telemetry sink captured at construction (None → disabled;
         #: the hot paths then pay one ``is None`` check per rare
@@ -200,20 +194,15 @@ class BTB:
 
     @current_domain.setter
     def current_domain(self, domain: int) -> None:
+        """Switch security domain.  Only under partitioning does the
+        switch change which entries a lookup can see, so only then does
+        it bump :attr:`generation`; domain-blind lookups return the same
+        entries either way (new allocations are stamped with the new
+        domain, but allocating bumps on its own)."""
         if domain != self._current_domain:
             self._current_domain = domain
-            # Under partitioning a domain switch changes which entries a
-            # lookup can see; without it lookups are domain-blind, but
-            # newly allocated entries are stamped with the new domain,
-            # so bumping unconditionally keeps the invariant simple.
-            self._bump_all_sets()
-
-    def _bump_all_sets(self) -> None:
-        """Whole-BTB visibility change: advance every set generation."""
-        self.generation += 1
-        gens = self.set_gens
-        for i in range(len(gens)):
-            gens[i] += 1
+            if self.config.btb_partitioning:
+                self.generation += 1
 
     # ------------------------------------------------------------------
     # field extraction
@@ -339,7 +328,6 @@ class BTB:
         victim.kind = kind
         victim.domain = self._current_domain
         self.generation += 1
-        self.set_gens[set_index] += 1
         self.backend.stamp_insert(self, victim)
         return victim
 
@@ -350,7 +338,6 @@ class BTB:
         if kind is not None:
             entry.kind = kind
         self.generation += 1
-        self.set_gens[entry.set_index] += 1
         self.stats.target_updates += 1
         if self._tel is not None:
             self._tel.emit("cpu.btb.update", {
@@ -362,7 +349,7 @@ class BTB:
     def _invalidate(self, entry: BTBEntry) -> None:
         """Shared entry-invalidation path: clears validity *and* the
         backend's replacement bookkeeping, then bumps the visibility
-        generations.  Every invalidation (deallocate, spurious
+        generation.  Every invalidation (deallocate, spurious
         eviction, flush) must route through here — mutating
         ``entry.valid`` directly would leave clock-style replacement
         stamps stale and desynchronise fault drills from real
@@ -370,7 +357,6 @@ class BTB:
         entry.valid = False
         self.backend.clear_entry(entry)
         self.generation += 1
-        self.set_gens[entry.set_index] += 1
 
     def deallocate(self, entry: BTBEntry) -> None:
         """Invalidate an entry after a false hit (Takeaway 1)."""
@@ -402,39 +388,33 @@ class BTB:
     def flush(self) -> None:
         """Invalidate everything (the §8.2 flush-on-switch mitigation).
 
-        Only sets that actually held a valid entry advance their
-        generation (and the global generation only moves when at least
-        one set changed): flushing an empty BTB changes no lookup
-        result, so it must not invalidate every cached superblock."""
+        The generation only moves when at least one entry was dropped:
+        flushing an empty BTB changes no lookup result, so it must not
+        send every cached superblock to re-validation."""
         self._flush_where(lambda entry: True)
         self.stats.full_flushes += 1
 
     def flush_indirect(self) -> None:
         """IBRS/IBPB model (§4.1): only entries for *indirect* control
         transfers are invalidated; direct jumps and conditional branches
-        survive, which is why NightVision is unaffected.  Per-set
-        generation stamps advance only where an indirect entry was
-        actually dropped, so direct-branch superblock chains survive."""
+        survive, which is why NightVision is unaffected.  Superblock
+        chains built only from direct-branch lookups re-peek the same
+        entries and survive."""
         self._flush_where(lambda entry: entry.kind in INDIRECT_KINDS)
         self.stats.indirect_flushes += 1
 
     def _flush_where(self, predicate) -> None:
         """Invalidate every valid entry satisfying ``predicate``,
-        advancing only the generations of sets that changed."""
+        bumping the generation once if any entry was dropped."""
         clear_entry = self.backend.clear_entry
-        gens = self.set_gens
-        any_changed = False
-        for set_index, ways in enumerate(self._sets):
-            changed = False
+        changed = False
+        for ways in self._sets:
             for entry in ways:
                 if entry.valid and predicate(entry):
                     entry.valid = False
                     clear_entry(entry)
                     changed = True
-            if changed:
-                gens[set_index] += 1
-                any_changed = True
-        if any_changed:
+        if changed:
             self.generation += 1
 
     # ------------------------------------------------------------------

@@ -304,9 +304,12 @@ class Core:
                 # linked across predicted-taken edges can run whole hot
                 # loops without re-opening prediction windows.  Validity
                 # is two integer compares (code generation + BTB
-                # generation) plus a BTB identity check; the executor
-                # commits cycles/retires/trace/LBR bit-identically to
-                # the slow path and bails mid-chain on misprediction or
+                # generation) plus a BTB identity check, and a moved BTB
+                # generation re-peeks the chain's recorded lookups; a
+                # chain without links is a cached "unchainable pc"
+                # verdict under the same rule.  The executor commits
+                # cycles/retires/trace/LBR bit-identically to the slow
+                # path and bails mid-chain on misprediction or
                 # self-modification.  One pass per dispatch: loop
                 # superblocks re-enter through this check each
                 # iteration, which keeps the guard and deadline strides
@@ -314,30 +317,19 @@ class Core:
                 if (fast and superblock_cache is not None
                         and memory.access_filter is None):
                     sb = superblock_cache.get(pc)
-                    if sb is not None:
-                        if isinstance(sb, Superblock):
-                            if (sb.code_generation
-                                    != memory.code_generation
-                                    or not sb.btb_valid(self.btb)):
-                                sb_invalidations += 1
-                                sb = None       # stale: rebuild below
-                        elif (sb[0] != memory.code_generation
-                                or (sb[1] is not None
-                                    and (sb[1] is not self.btb
-                                         or self.btb.set_gens[sb[2]]
-                                         != sb[3]))):
-                            sb = None           # stale negative: retry
-                        else:
-                            sb = False          # known-unchainable pc
+                    if sb is not None and (
+                            sb.code_generation != memory.code_generation
+                            or not sb.btb_valid(self.btb)):
+                        if sb.links:
+                            sb_invalidations += 1
+                        sb = None               # stale: rebuild below
                     if sb is None:
                         sb = build_superblock(memory, self.btb, pc,
                                               fusion_enabled)
                         superblock_cache[pc] = sb
-                        if isinstance(sb, Superblock):
+                        if sb.links:
                             sb_builds += 1
-                        else:
-                            sb = False          # negative marker cached
-                    if sb is not False and (
+                    if sb.links and (
                             instructions + sb.insts_per_pass <= guard
                             and (max_retired is None
                                  or retired + sb.units_per_pass
@@ -776,9 +768,9 @@ class Core:
                 continue
             # Mispredicted (wrong target, not taken, or an unpredicted
             # edge taken): commit, then let the reference machinery
-            # squash/update/allocate.  That bookkeeping bumps the
-            # affected BTB set's generation, so the superblock is
-            # rebuilt on the next dispatch.  (A fused pair's unit was
+            # squash/update/allocate.  When that bookkeeping changes a
+            # lookup the chain was built from, the next dispatch
+            # rebuilds it.  (A fused pair's unit was
             # already counted with its ALU in the prefix loop.)
             self.cycles = cycles_now
             self.total_retired += units

@@ -39,7 +39,7 @@ the oracle skips checks exactly as its icache hit path always has.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import DecodeError, InvalidInstruction, PageFault
@@ -50,10 +50,6 @@ from .btb import reconstruct_end_byte
 from .costs import EXTRA_ISSUE_COST, MEM_WRITERS
 from .fusion import can_fuse
 from .semantics import compile_straightline
-
-#: kept as module attributes for backwards compatibility — the tables
-#: themselves live in :mod:`repro.cpu.costs` (single source of truth).
-_MEM_WRITERS = MEM_WRITERS
 
 _ENABLED = os.environ.get("NV_FAST_PATH", "1").strip().lower() not in (
     "0", "false", "off", "no")
@@ -180,7 +176,7 @@ def build_window(memory, entry_pc: int) -> DecodedWindow:
         instructions.append(instruction)
         thunks.append(compile_straightline(instruction, pc))
         extras.append(EXTRA_ISSUE_COST.get(instruction.spec.mnemonic, 0.0))
-        if instruction.spec.mnemonic in _MEM_WRITERS:
+        if instruction.spec.mnemonic in MEM_WRITERS:
             has_store = True
         pc += length
     window = DecodedWindow(entry_pc, generation, limit, pcs, instructions,
@@ -226,10 +222,10 @@ class SuperblockLink:
     * **predicted-taken** (``entry is not None``): the BTB predicts the
       terminator's *exact* last byte and the chain continues at
       ``entry.target``.  The link pins the BTB entry object; that
-      reference stays truthful for as long as the entry's set
-      generation is unchanged — the superblock's validity condition —
-      so the executor compares ``entry.target`` against the
-      architectural outcome without a fresh lookup.
+      reference stays truthful for as long as the lookup it came from
+      still returns it unchanged — the superblock's validity
+      condition — so the executor compares ``entry.target`` against
+      the architectural outcome without a fresh lookup.
     * **fall-through** (``entry is None``, ``term`` set): no BTB entry
       is in range for this window's block, the terminator is a
       conditional jump, and the chain continues at the not-taken
@@ -301,33 +297,37 @@ class Superblock:
     """A cached chain of decoded windows across predicted edges.
 
     Keyed by entry PC in ``memory.superblock_cache`` and stamped with
-    ``memory.code_generation`` plus a BTB signature.  The signature has
-    two tiers: the cheap check compares the owning BTB's global
-    ``generation`` counter, and when that went stale the chain
-    re-validates against just the per-set generations of the sets its
-    blocks index into (one 32-byte fetch block maps to exactly one BTB
-    set, so those counters cover every lookup result the chain
-    depends on).  Unrelated BTB churn — a shared subroutine's ``ret``
-    being retargeted every call, victim warm-up allocations in other
-    sets — therefore no longer invalidates hot chains; on success the
-    global stamp is refreshed so the next dispatch takes the cheap
-    path again.  ``loop`` marks chains whose last edge targets the
-    entry PC: the dispatcher re-enters them once per iteration.
+    ``memory.code_generation``, the owning BTB, and the BTB lookups the
+    chain was built from: ``lookups`` holds one ``(pc, entry, offset,
+    target)`` record per :meth:`BTB.peek` the builder made.  The chain
+    is a pure function of the code bytes and those lookup results, so
+    it stays valid for as long as every recorded pc still peeks the
+    same entry object with the same offset and target.  The owning
+    BTB's ``generation`` makes the steady state one compare; when it
+    moved, the records are re-peeked, and on success the stamp is
+    refreshed.  BTB churn that leaves the chain's own predictions alone
+    — another set's allocations, a deallocate-and-reallocate of the same
+    entry, domain switches that hide none of its entries — therefore
+    does not force a rebuild.
+
+    A chain with no ``links`` is a *negative marker*: the entry PC is
+    unchainable, and stays cached under the same validity rule so the
+    builder is retried only once one of its lookups (or the code)
+    changes.  ``loop`` marks chains whose last edge targets the entry
+    PC: the dispatcher re-enters them once per iteration.
     """
 
     __slots__ = ("entry_pc", "code_generation", "btb", "btb_generation",
-                 "set_indices", "set_sig", "links", "loop", "loop_taken",
+                 "lookups", "links", "loop", "loop_taken",
                  "insts_per_pass", "units_per_pass", "has_store")
 
     def __init__(self, entry_pc: int, code_generation: int, btb,
-                 links: List[SuperblockLink], loop: bool,
-                 set_indices: Tuple[int, ...]):
+                 lookups: list, links: List[SuperblockLink], loop: bool):
         self.entry_pc = entry_pc
         self.code_generation = code_generation
         self.btb = btb
         self.btb_generation = btb.generation
-        self.set_indices = set_indices
-        self.set_sig = tuple(btb.set_gens[i] for i in set_indices)
+        self.lookups = lookups
         self.links = links
         self.loop = loop
         #: loop closed by a predicted-taken edge: each pass ends with
@@ -340,18 +340,18 @@ class Superblock:
         self.has_store = any(link.window.has_store for link in links)
 
     def btb_valid(self, btb) -> bool:
-        """Is every prediction this chain was built on still current?"""
+        """Would every lookup this chain was built from answer the same
+        way now?"""
         if btb is not self.btb:
             return False
         if btb.generation == self.btb_generation:
             return True
-        gens = btb.set_gens
-        sig = self.set_sig
-        for j, set_index in enumerate(self.set_indices):
-            if gens[set_index] != sig[j]:
+        peek = btb.peek
+        for pc, entry, offset, target in self.lookups:
+            now = peek(pc)
+            if now is not entry or (now is not None and (
+                    now.offset != offset or now.target != target)):
                 return False
-        # Only untouched sets: the chain survived the churn.  Refresh
-        # the global stamp so the next dispatch is one compare again.
         self.btb_generation = btb.generation
         return True
 
@@ -377,32 +377,33 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
       :class:`SuperblockLink` for why this edge is chainable).
 
     Probing uses :meth:`BTB.peek` so build-time probes never perturb
-    the lookup stats the differential suite compares.
+    the lookup stats the differential suite compares.  Every probe is
+    recorded as the chain's validity condition (see
+    :class:`Superblock`).
 
-    Returns the :class:`Superblock`, or — when not even the first edge
-    qualifies — a negative marker tuple ``(code_generation, btb,
-    set_index, set_gen)`` the caller caches to suppress rebuild
-    attempts: ``set_index`` is the entry block's BTB set when the
-    verdict depends on BTB contents, or ``-1`` when it is a pure
-    code-shape verdict (straight-line window, syscall/hlt terminator,
-    decode error) that only a code-generation change can revisit.
+    Always returns a :class:`Superblock`; when not even the first edge
+    qualifies it has no links — a negative marker the caller caches to
+    suppress rebuild attempts until the code or one of the recorded
+    lookups changes.  Pure code-shape verdicts (syscall/hlt terminator,
+    decode error) record no lookup, so only a code-generation change
+    revisits them.
     """
     links: List[SuperblockLink] = []
+    lookups: list = []
     pc = entry_pc
     seen = {entry_pc}
     loop = False
     opens = True
-    set_indices: List[int] = []
     last_byte_index = btb.backend.last_byte_index
 
-    def negative(btb_dependent: bool):
-        if btb_dependent:
-            set_index = btb.fields(entry_pc)[1]
-            return (memory.code_generation, btb, set_index,
-                    btb.set_gens[set_index])
-        return (memory.code_generation, None, -1, 0)
+    def peek(fetch_pc: int):
+        entry = btb.peek(fetch_pc)
+        if entry is None:
+            lookups.append((fetch_pc, None, 0, 0))
+        else:
+            lookups.append((fetch_pc, entry, entry.offset, entry.target))
+        return entry
 
-    btb_dependent = False
     while len(links) < SUPERBLOCK_MAX_LINKS:
         window = get_window(memory, pc)
         if window is None or window.decode_error:
@@ -411,10 +412,7 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
         if term is not None and not term.spec.is_control:
             break                           # syscall / hlt terminator
         if opens:
-            entry = btb.peek(pc)
-            set_index = btb.fields(pc)[1]
-            if set_index not in set_indices:
-                set_indices.append(set_index)
+            entry = peek(pc)
         else:
             # Continuation inside the block: the opening lookup missed.
             # Under range semantics every higher offset misses too; the
@@ -429,7 +427,6 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
                 # A prediction points into straight-line code: the
                 # false-hit machinery will burn it down — not
                 # chainable until then.
-                btb_dependent = True
                 break
             if fusion_enabled and window.fuse_holdback:
                 nw = get_window(memory, window.resume_pc)
@@ -445,7 +442,7 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
                     # taken or fall-through edge would.
                     jcc = nw.terminator
                     jcc_pc = window.resume_pc
-                    entry2 = btb.peek(jcc_pc)
+                    entry2 = peek(jcc_pc)
                     jcc_anchor = (jcc_pc + jcc.length - 1
                                   if last_byte_index else jcc_pc)
                     if entry2 is not None and reconstruct_end_byte(
@@ -453,11 +450,7 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
                         # Prediction interacts with the Jcc (false-hit
                         # walk / mid-unit settle): not chainable until
                         # that entry dies.
-                        btb_dependent = True
                         break
-                    si2 = btb.fields(jcc_pc)[1]
-                    if si2 not in set_indices:
-                        set_indices.append(si2)
                     if entry2 is not None:
                         pe2: Optional[int] = jcc_anchor
                         target = entry2.target
@@ -486,7 +479,6 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
             term_anchor = (term_pc + term.length - 1
                            if last_byte_index else term_pc)
             if reconstruct_end_byte(pc, entry.offset) != term_anchor:
-                btb_dependent = True
                 break
             pred_end = term_anchor
             target = entry.target
@@ -497,7 +489,6 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
             if term.spec.kind is not Kind.COND_JUMP:
                 # An unpredicted jmp/call/ret mispredicts every pass
                 # until an entry exists; chainable once it does.
-                btb_dependent = True
                 break
             pred_end = None
             target = term_pc + term.length
@@ -514,10 +505,5 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
             break
         seen.add(pc)
         opens = next_opens
-    if not links:
-        # First edge failed.  "Shape" failures (decode error,
-        # syscall/hlt terminator) cannot be cured by BTB changes; the
-        # rest hinge on what the entry block's set predicts.
-        return negative(btb_dependent)
-    return Superblock(entry_pc, memory.code_generation, btb, links, loop,
-                      tuple(set_indices))
+    return Superblock(entry_pc, memory.code_generation, btb, lookups,
+                      links, loop)

@@ -7,8 +7,8 @@ which every seed shares, so a :class:`VectorGroup` steps N lanes in
 lockstep through **shared** decode state: the first lane to touch a PC
 decodes it, every other lane executes the cached result.  Superblock
 caches are deliberately *not* shared: a superblock pins the owning
-core's BTB (per-set generation signature), and each lane has its own
-BTB — sharing would make every lane invalidate every other lane's
+core's BTB (and the lookups it was built from), and each lane has its
+own BTB — sharing would make every lane invalidate every other lane's
 chains on each dispatch.
 
 Determinism argument
@@ -96,7 +96,7 @@ class VectorGroup:
             memory.icache = lead.icache
             memory.window_cache = lead.window_cache
             # superblock_cache stays per-lane: chains pin the owning
-            # core's BTB and validate against its set generations.
+            # core's BTB and re-validate against its lookups.
         self._generation = lead.code_generation
         telemetry.count("cpu.vector.lanes", len(lanes))
 

@@ -254,43 +254,62 @@ class TestAllocateAccounting:
 # flush scoping (bugfix)
 # ----------------------------------------------------------------------
 class TestFlushScoping:
-    """Bugfix: flushes bump only the generations of sets that actually
-    lost an entry — flushing an empty BTB (or one with no indirect
-    entries) must not invalidate every cached superblock chain."""
+    """Bugfix: a flush bumps the generation only when it actually drops
+    an entry, and cached chains die only when one of their own lookups
+    changes — flushing an empty BTB (or one with no indirect entries)
+    must not invalidate every cached superblock chain."""
+
+    DIRECT_BLOCK = 0x40_0000
+    RET_BLOCK = 0x40_0200
+
+    @classmethod
+    def _chains(cls, btb):
+        """Straight-line code over both blocks, plus the cached verdict
+        ``build_superblock`` records at each block: its one lookup is
+        whatever entry that block's set predicts there."""
+        asm = Assembler(base=cls.DIRECT_BLOCK)
+        for _ in range(cls.RET_BLOCK - cls.DIRECT_BLOCK + 32):
+            asm.emit("nop")
+        asm.emit("hlt")
+        memory = VirtualMemory()
+        asm.assemble().load_into(memory, perms="rwx")
+        return [build_superblock(memory, btb, block, True)
+                for block in (cls.DIRECT_BLOCK, cls.RET_BLOCK)]
 
     def test_flush_of_empty_btb_changes_no_generation(self):
         btb = BTB(_config("intel"))
+        chains = self._chains(btb)
         generation_before = btb.generation
-        set_gens_before = list(btb.set_gens)
         btb.flush()
         assert btb.generation == generation_before
-        assert btb.set_gens == set_gens_before
+        assert all(chain.btb_valid(btb) for chain in chains)
         assert btb.stats.full_flushes == 1        # still counted
 
     def test_indirect_flush_bumps_only_the_emptied_set(self):
         btb = BTB(_config("intel"))
-        direct = btb.allocate(0x40_0010, 0x1, Kind.DIRECT_JUMP)
-        ret = btb.allocate(0x40_0210, 0x2, Kind.RET)
+        direct = btb.allocate(self.DIRECT_BLOCK + 0x10, 0x1,
+                              Kind.DIRECT_JUMP)
+        ret = btb.allocate(self.RET_BLOCK + 0x10, 0x2, Kind.RET)
         assert direct.set_index != ret.set_index
+        direct_chain, ret_chain = self._chains(btb)
+        assert direct_chain.lookups[0][1] is direct
+        assert ret_chain.lookups[0][1] is ret
         generation_before = btb.generation
-        set_gens_before = list(btb.set_gens)
         btb.flush_indirect()
         assert direct.valid and not ret.valid
         assert btb.generation == generation_before + 1
-        changed = [index for index, (now, before)
-                   in enumerate(zip(btb.set_gens, set_gens_before))
-                   if now != before]
-        assert changed == [ret.set_index]
+        assert direct_chain.btb_valid(btb)        # its lookup held
+        assert not ret_chain.btb_valid(btb)       # its entry died
         assert btb.stats.indirect_flushes == 1
 
     def test_indirect_flush_with_no_indirect_entries_is_invisible(self):
         btb = BTB(_config("intel"))
-        btb.allocate(0x40_0010, 0x1, Kind.DIRECT_JUMP)
+        btb.allocate(self.DIRECT_BLOCK + 0x10, 0x1, Kind.DIRECT_JUMP)
+        chains = self._chains(btb)
         generation_before = btb.generation
-        set_gens_before = list(btb.set_gens)
         btb.flush_indirect()
         assert btb.generation == generation_before
-        assert btb.set_gens == set_gens_before
+        assert all(chain.btb_valid(btb) for chain in chains)
         assert btb.stats.indirect_flushes == 1
 
     def test_superblock_survives_targetless_indirect_flush(self):

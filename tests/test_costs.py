@@ -24,7 +24,7 @@ def test_single_source_of_truth():
     # both consumers import the same table objects
     assert core_mod.EXTRA_ISSUE_COST is EXTRA_ISSUE_COST
     assert decoded_mod.EXTRA_ISSUE_COST is EXTRA_ISSUE_COST
-    assert decoded_mod._MEM_WRITERS is MEM_WRITERS
+    assert decoded_mod.MEM_WRITERS is MEM_WRITERS
 
 
 def test_core_copy_matches_table():

@@ -8,9 +8,11 @@ Covers the invalidation edges DESIGN.md §14 promises:
 * ``set_perms`` does **not** invalidate chains (permission asymmetry),
   but the per-link execute check faults live, mid-chain, at the right
   PC;
-* BTB churn — evictions, mispredict-driven retargets — flips the
-  per-set generation signature and forces a rebuild on the next
-  dispatch (unrelated-set churn does not);
+* BTB churn that changes one of a chain's recorded lookups —
+  retargets, deallocations, partitioned domain switches — forces a
+  rebuild on the next dispatch; churn that leaves them answering the
+  same way (other sets, an identical re-allocation, unpartitioned
+  context switches) does not;
 * retire-budget clips that would land mid-chain fall back to the
   window path and stay bit-identical to the slow path at every stride.
 
@@ -18,6 +20,8 @@ Everything here runs the full fast-vs-slow observable comparison: the
 superblock executor commits cycles, traces, BTB and LBR effects, so
 equality must hold to the bit, not just architecturally.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.cpu.config import DEFAULT_GENERATION
 from repro.cpu.decoded import (Superblock, build_superblock,
                                fast_path_enabled)
 from repro.isa import Assembler
+from repro.isa.instructions import Kind
 from repro.memory import VirtualMemory
 from repro.memory.address import PAGE_SIZE
 
@@ -298,7 +303,7 @@ def test_set_perms_faults_mid_chain_without_invalidation():
 
 
 # ----------------------------------------------------------------------
-# edge 3: BTB churn invalidates via the per-set signature
+# edge 3: BTB churn invalidates via the recorded lookups
 # ----------------------------------------------------------------------
 def test_mispredict_retarget_invalidates_and_rebuilds():
     counters = assert_fast_matches_slow(nested_loops(6, 50))
@@ -322,20 +327,26 @@ def test_btb_flush_invalidates_chain():
     core.btb.flush()
     assert not sb.btb_valid(core.btb)
 
-    # a rerun must still be correct — and must have rebuilt
+    # a rerun must still be correct.  Its first backward jump
+    # re-allocates the loop's entry in the same way with the same
+    # target, so the chain revalidates without a build.
     with telemetry.session() as sink:
         core.attach_telemetry(sink)
         state = MachineState(memory, rip=BASE)
         state.setup_stack(0x7FFF_0000)
         assert core.run(state).reason is StopReason.HALT
         assert state.regs["rax"] == 200 * 3
-    assert sink.snapshot().get("cpu.superblock.invalidations", 0) >= 1
-    assert sink.snapshot().get("cpu.superblock.builds", 0) >= 1
+    assert memory.superblock_cache[loop_pc] is sb
+    assert sb.btb_valid(core.btb)
+    counters = sink.snapshot()
+    assert counters.get("cpu.superblock.invalidations", 0) == 0
+    assert counters.get("cpu.superblock.builds", 0) == 0
+    assert counters.get("cpu.superblock.hits", 0) >= 1
 
 
 def test_unrelated_set_churn_keeps_chain_valid():
-    """Only the chain's own sets are in the signature: churn anywhere
-    else refreshes the cheap global stamp instead of invalidating."""
+    """Only the chain's own lookups are re-peeked: churn anywhere else
+    refreshes the cheap global stamp instead of invalidating."""
     set_fast_path(True)
     memory = VirtualMemory()
     counted_loop(100).load_into(memory, perms="rwx")
@@ -345,15 +356,191 @@ def test_unrelated_set_churn_keeps_chain_valid():
     assert core.run(state).reason is StopReason.HALT
     sb = memory.superblock_cache.get(BASE + 32)
     assert isinstance(sb, Superblock)
-    victim_sets = set(sb.set_indices)
-    # bump generations of sets the chain does not touch
-    other = next(i for i in range(len(core.btb.set_gens))
-                 if i not in victim_sets)
-    core.btb.set_gens[other] += 1
-    core.btb.generation += 1
+    victim_sets = {core.btb.fields(pc)[1] for pc, *_ in sb.lookups}
+    # a real allocation in a set the chain never looks up
+    other = next(pc for pc in range(BASE, BASE + 64 * 32, 32)
+                 if core.btb.fields(pc)[1] not in victim_sets)
+    generation = core.btb.generation
+    core.btb.allocate(other + 31, other + 0x1000, Kind.DIRECT_JUMP)
+    assert core.btb.generation == generation + 1
     assert sb.btb_valid(core.btb)
     # ... and the global stamp was refreshed to the new generation
     assert sb.btb_generation == core.btb.generation
+
+
+def test_reallocation_keeps_chain_retarget_kills_it():
+    """Validity is the lookup result, not the BTB's history: the same
+    entry re-allocated with the same target revalidates, a new target
+    does not."""
+    set_fast_path(True)
+    memory = VirtualMemory()
+    counted_loop(50).load_into(memory, perms="rwx")
+    core = Core(DEFAULT_GENERATION)
+    state = MachineState(memory, rip=BASE)
+    state.setup_stack(0x7FFF_0000)
+    assert core.run(state).reason is StopReason.HALT
+    sb = memory.superblock_cache[BASE + 32]
+    link = sb.links[-1]
+    entry = link.entry
+    assert entry is not None
+    btb = core.btb
+    btb.deallocate(entry)
+    assert not sb.btb_valid(btb)
+    assert btb.allocate(link.pred_end, link.target, entry.kind) is entry
+    assert sb.btb_valid(btb)
+    btb.update_target(entry, link.target + 1)
+    assert not sb.btb_valid(btb)
+
+    # the dispatcher drops the stale chains and the rerun stays correct
+    with telemetry.session() as sink:
+        core.attach_telemetry(sink)
+        state = MachineState(memory, rip=BASE)
+        state.setup_stack(0x7FFF_0000)
+        assert core.run(state).reason is StopReason.HALT
+        assert state.regs["rax"] == 50 * 3
+    counters = sink.snapshot()
+    assert counters.get("cpu.superblock.invalidations", 0) >= 1
+
+
+def run_processes(programs, *, fast, partitioned=False, stride=7):
+    """Run each program as its own process — own memory, own security
+    domain — on one core, round-robin in ``stride``-retire slices with
+    a context switch before every slice; capture every observable."""
+    previous = set_fast_path(fast)
+    try:
+        config = replace(DEFAULT_GENERATION,
+                         btb_partitioning=partitioned)
+        states = []
+        for program in programs:
+            memory = VirtualMemory()
+            program.load_into(memory, perms="rwx")
+            state = MachineState(memory, rip=BASE)
+            state.setup_stack(0x7FFF_0000)
+            states.append(state)
+        results = [[] for _ in states]
+        live = list(range(len(states)))
+        with telemetry.session() as sink:
+            core = Core(config)
+            while live:
+                for index in list(live):
+                    core.context_switch(domain=index + 1)
+                    result = core.run(states[index], collect_trace=True,
+                                      max_retired=stride)
+                    results[index].append(result)
+                    if result.reason is StopReason.HALT:
+                        live.remove(index)
+        observables = [_observables(core, state, runs)
+                       for state, runs in zip(states, results)]
+        return observables, sink.snapshot()
+    finally:
+        set_fast_path(previous)
+
+
+def test_unpartitioned_context_switches_keep_chains():
+    """Lookups ignore the domain without partitioning, so switching
+    processes neither bumps the BTB generation nor stales a chain."""
+    programs = (counted_loop(120), counted_loop(90))
+    slow, _ = run_processes(programs, fast=False)
+    fast, counters = run_processes(programs, fast=True)
+    assert fast == slow
+    assert counters.get("cpu.superblock.hits", 0) > 0
+    assert counters.get("cpu.superblock.invalidations", 0) == 0
+
+    core = Core(DEFAULT_GENERATION)
+    generation = core.btb.generation
+    core.context_switch(domain=7)
+    assert core.btb.generation == generation
+
+
+def test_partitioned_domain_switch_revalidates_by_lookup():
+    """Under partitioning a switch hides the other domain's entries: a
+    chain built on one is stale while that domain is switched out and
+    valid again once it is back, and fast == slow across switches."""
+    programs = (counted_loop(120), counted_loop(90))
+    slow, _ = run_processes(programs, fast=False, partitioned=True)
+    fast, counters = run_processes(programs, fast=True, partitioned=True)
+    assert fast == slow
+    assert counters.get("cpu.superblock.hits", 0) > 0
+
+    set_fast_path(True)
+    memory = VirtualMemory()
+    counted_loop(50).load_into(memory, perms="rwx")
+    core = Core(replace(DEFAULT_GENERATION, btb_partitioning=True))
+    core.context_switch(domain=1)
+    state = MachineState(memory, rip=BASE)
+    state.setup_stack(0x7FFF_0000)
+    assert core.run(state).reason is StopReason.HALT
+    sb = memory.superblock_cache[BASE + 32]
+    assert sb.links[-1].entry is not None
+    generation = core.btb.generation
+    core.context_switch(domain=2)
+    assert core.btb.generation == generation + 1
+    assert not sb.btb_valid(core.btb)     # domain 2 cannot see the entry
+    core.context_switch(domain=1)
+    assert sb.btb_valid(core.btb)         # the re-peek finds it again
+
+
+def midfetch_loop():
+    """A loop whose head block runs straight to the boundary on a
+    fusible ``dec`` that macro-fuses with the ``je8`` leading the next
+    block (a boundary-fused link), closed by a ``jmp8`` one block
+    further on; ``rcx`` is the trip count."""
+    asm = Assembler(base=BASE)
+    asm.label("loop")
+    for _ in range(29):
+        asm.emit("nop")
+    asm.emit("dec", "rcx")                # ends on the block boundary
+    asm.emit("je8", "done")               # leads block BASE + 32
+    asm.align(32)
+    asm.emit("jmp8", "loop")
+    asm.label("done")
+    asm.emit("hlt")
+    return asm.assemble()
+
+
+def test_midfetch_negative_retried_when_successor_entry_dies():
+    """A boundary-fused link's verdict depends on the *successor*
+    block's lookup.  A stale prediction there makes the loop head
+    unchainable; once the false hit deallocates it the head must be
+    rebuilt, even though nothing changed in the head block's set."""
+    program = midfetch_loop()
+    jcc_block = BASE + 32
+
+    def run(fast):
+        previous = set_fast_path(fast)
+        try:
+            memory = VirtualMemory()
+            program.load_into(memory, perms="rwx")
+            state = MachineState(memory, rip=BASE)
+            state.setup_stack(0x7FFF_0000)
+            state.regs["rcx"] = 40
+            with telemetry.session() as sink:
+                core = Core(DEFAULT_GENERATION)
+                # predicts a branch ending inside the nops after the Jcc
+                core.btb.allocate(jcc_block + 3, BASE, Kind.DIRECT_JUMP)
+                result = core.run(state, collect_trace=True)
+            assert result.reason is StopReason.HALT
+            return (_observables(core, state, [result]), sink.snapshot(),
+                    memory)
+        finally:
+            set_fast_path(previous)
+
+    slow, _, _ = run(False)
+    fast, counters, memory = run(True)
+    assert fast == slow
+    assert counters.get("cpu.core.false_hit", 0) == 1
+    head = memory.superblock_cache[BASE]
+    assert isinstance(head, Superblock) and head.links     # rebuilt
+    assert head.loop and head.links[0].mid_fetch
+    assert counters.get("cpu.superblock.hits", 0) >= 1
+
+    # the verdict the first dispatch cached: unchainable, recorded
+    # against the successor block's lookup as well as the head's
+    btb = Core(DEFAULT_GENERATION).btb
+    btb.allocate(jcc_block + 3, BASE, Kind.DIRECT_JUMP)
+    negative = build_superblock(memory, btb, BASE, True)
+    assert not negative.links
+    assert [pc for pc, *_ in negative.lookups] == [BASE, jcc_block]
 
 
 # ----------------------------------------------------------------------

@@ -52,6 +52,7 @@ class _EnclaveRun:
         self.tracker.uninstall()
         if self.host in kernel.processes:
             kernel.processes.remove(self.host)
+        self.enclave.unload()
 
 
 class NvSupervisor:

@@ -21,12 +21,15 @@ from .slicing import FunctionTrace
 
 def set_similarity(victim: Iterable[int],
                    reference: Iterable[int]) -> float:
-    """``|S ∩ S*| / |S|`` over position-independent PC sets."""
+    """``|S ∩ S*| / |S|`` over position-independent PC sets.
+
+    Only the victim is hashed into a set; the reference is walked once
+    against it, so a reference tuple or list is never copied.
+    """
     victim_set = frozenset(victim)
     if not victim_set:
         return 0.0
-    reference_set = frozenset(reference)
-    return len(victim_set & reference_set) / len(victim_set)
+    return len(victim_set.intersection(reference)) / len(victim_set)
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,9 @@ class FingerprintIndex:
               top: Optional[int] = None) -> List[MatchResult]:
         """Similarities of ``victim`` against every reference,
         best first."""
+        victim_set = victim.normalized_set()
         results = [
-            MatchResult(name, set_similarity(victim.normalized(), pcs))
+            MatchResult(name, set_similarity(victim_set, pcs))
             for name, pcs in self._references.items()
         ]
         results.sort(key=lambda r: r.similarity, reverse=True)

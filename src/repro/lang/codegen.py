@@ -28,6 +28,7 @@ Defense passes (the paper's §5 arms race) are also compiler flags:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -114,7 +115,13 @@ class ArmRegion:
 
 @dataclass
 class CompiledModule:
-    """A compiled module: the binary plus per-function layout."""
+    """A compiled module: the binary plus per-function layout.
+
+    Only :class:`Compiler` builds modules, so function ranges are
+    disjoint and neither ``program`` nor ``functions`` changes after
+    construction; the static-PC index below is built once, on first
+    use, from that fixed layout.
+    """
 
     program: AssembledProgram
     functions: Dict[str, FunctionInfo]
@@ -123,6 +130,15 @@ class CompiledModule:
     start: Optional[int] = None
     #: every compiled if/else, in emission order
     arm_regions: List[ArmRegion] = field(default_factory=list)
+    #: function ranges sorted by start: (start, end, name)
+    _ranges: List[Tuple[int, int, str]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    _starts: List[int] = field(
+        default_factory=list, init=False, repr=False, compare=False)
+    #: function name -> its pcs, in ``program.instructions`` order;
+    #: ``None`` until the index is built
+    _pcs: Optional[Dict[str, List[int]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def info(self, name: str) -> FunctionInfo:
         try:
@@ -130,17 +146,36 @@ class CompiledModule:
         except KeyError:
             raise CompileError(f"no function {name!r}") from None
 
+    def _index(self) -> Dict[str, List[int]]:
+        """Sort the ranges once, then file every instruction pc under
+        the function that holds it in one pass over the program."""
+        if self._pcs is None:
+            self._ranges = sorted((info.start, info.end, name)
+                                  for name, info in self.functions.items())
+            self._starts = [start for start, _, _ in self._ranges]
+            pcs: Dict[str, List[int]] = {name: [] for name in self.functions}
+            for pc in self.program.instructions:
+                owner = self._owner(pc)
+                if owner is not None:
+                    pcs[owner].append(pc)
+            self._pcs = pcs
+        return self._pcs
+
+    def _owner(self, pc: int) -> Optional[str]:
+        slot = bisect_right(self._starts, pc) - 1
+        if slot >= 0 and pc < self._ranges[slot][1]:
+            return self._ranges[slot][2]
+        return None
+
     def static_pcs(self, name: str) -> List[int]:
-        """Static instruction addresses of ``name`` (absolute)."""
-        info = self.info(name)
-        return [pc for pc in self.program.instructions
-                if info.contains(pc)]
+        """Static instruction addresses of ``name`` (absolute), in
+        ``program.instructions`` order."""
+        self.info(name)
+        return list(self._index()[name])
 
     def function_of(self, pc: int) -> Optional[str]:
-        for name, info in self.functions.items():
-            if info.contains(pc):
-                return name
-        return None
+        self._index()
+        return self._owner(pc)
 
     def arms_in(self, function: str) -> List[ArmRegion]:
         """If/else arm regions belonging to ``function``."""

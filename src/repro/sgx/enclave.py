@@ -82,6 +82,26 @@ class Enclave:
             raise SgxError("host process already has an access filter")
         memory.access_filter = self._access_filter
 
+    def unload(self) -> None:
+        """Inverse of :meth:`load`: detach the EPC filter from the host
+        memory and forget the host.
+
+        The filter is a bound method of this enclave, so while it is
+        installed the host memory and the enclave keep each other
+        alive; after ``unload`` the host's address space is freed by
+        reference counting alone.
+        """
+        if self.host is None:
+            raise SgxError(f"enclave {self.name} not loaded")
+        memory = self.host.memory
+        if memory.access_filter == self._access_filter:
+            memory.access_filter = None
+        self.host = None
+        self.entered = False
+        self.data_base = None
+        self.epc_ranges = []
+        self._epc_pages = set()
+
     def _add_epc_range(self, base: int, size: int) -> None:
         start = page_number(base) * PAGE_SIZE
         end = (page_number(base + size - 1) + 1) * PAGE_SIZE

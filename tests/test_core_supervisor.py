@@ -1,9 +1,13 @@
 """NV-S end-to-end: full dynamic-PC-trace extraction (small victim)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import telemetry
 from repro.core import NvSupervisor
+from repro.core.nv_supervisor import _EnclaveRun
 from repro.core.pw import PwRange
 from repro.cpu import Core, generation, set_fast_path
 from repro.lang import CompileOptions
@@ -128,3 +132,49 @@ def test_extraction_identical_with_fast_path_off_and_on(gcd_victim):
     counters = sink.snapshot()
     assert counters.get("core.probe.attempts") == 1
     assert counters.get("cpu.decode.misses", 0) == 0
+
+
+# ----------------------------------------------------------------------
+# finished enclave runs are freed by reference counting alone
+# ----------------------------------------------------------------------
+@pytest.fixture
+def gc_disabled():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_closed_run_frees_its_address_space(gcd_victim, gc_disabled):
+    kernel = Kernel(Core(generation("coffeelake")))
+    supervisor = NvSupervisor(kernel)
+    run = supervisor._new_run(gcd_victim, {"ta": 6, "tb": 2})
+    memory = weakref.ref(run.host.memory)
+    enclave = run.enclave
+    run.close(kernel)
+    # the scheduler still names the last host it ran; that is its own
+    # reference, not the enclave's
+    kernel.current = None
+    del run
+    assert memory() is None
+    assert enclave.host is None and not enclave.entered
+
+
+def test_finished_runs_stay_freed(gcd_victim, gc_disabled, monkeypatch):
+    memories = []
+    close = _EnclaveRun.close
+
+    def recording_close(run, kernel):
+        memories.append(weakref.ref(run.host.memory))
+        close(run, kernel)
+
+    monkeypatch.setattr(_EnclaveRun, "close", recording_close)
+    kernel = Kernel(Core(generation("coffeelake")))
+    supervisor = NvSupervisor(kernel)
+    for _ in range(3):
+        supervisor.discover(gcd_victim, {"ta": 6, "tb": 2})
+    alive = [ref() for ref in memories if ref() is not None]
+    assert len(memories) == 3
+    assert alive == [kernel.current.memory]

@@ -36,6 +36,32 @@ class TestSetSimilarity:
     def test_empty_victim(self):
         assert set_similarity([], {1}) == 0.0
 
+    @staticmethod
+    def _reference_formula(victim, reference):
+        victim_set = frozenset(victim)
+        if not victim_set:
+            return 0.0
+        return len(victim_set & frozenset(reference)) / len(victim_set)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 64), max_size=40),
+           st.lists(st.integers(0, 64), max_size=40),
+           st.sampled_from([list, tuple, set, frozenset]),
+           st.sampled_from([list, tuple, set, frozenset, iter]))
+    def test_equals_frozenset_formula_exactly(self, victim, reference,
+                                              victim_type, reference_type):
+        """Bit-identical to the two-frozenset formula for every input
+        shape: duplicates, sets, and a one-shot generator reference."""
+        expected = self._reference_formula(victim, reference)
+        got = set_similarity(victim_type(victim), reference_type(reference))
+        assert got == expected
+
+    def test_generator_reference_and_empty_victim(self):
+        assert set_similarity([1, 1, 2, 3], (pc for pc in (2, 2, 3, 9))) \
+            == 2 / 3
+        assert set_similarity((), (pc for pc in (1, 2))) == 0.0
+        assert set_similarity(iter(()), ()) == 0.0
+
 
 class TestSlicing:
     def test_straightline_single_trace(self):
@@ -171,6 +197,19 @@ class TestIndex:
         assert matches[0].reference == "f"
         assert matches[0].similarity == 1.0
         assert index.best_match(victim).reference == "f"
+
+    def test_match_agrees_with_per_reference_scores(self):
+        index = FingerprintIndex()
+        for name, pcs in (("f", {0, 3, 6, 9}), ("g", {0, 3, 7}),
+                          ("h", {0, 5, 10}), ("i", {3, 6, 9, 12})):
+            index.add_reference(name, pcs)
+        victim = FunctionTrace(entry=0x100, pcs=[0x100, 0x103, 0x103,
+                                                 0x106, 0x10A])
+        scores = [(name, index.score(victim, name))
+                  for name in ("f", "g", "h", "i")]
+        scores.sort(key=lambda item: item[1], reverse=True)
+        assert [(m.reference, m.similarity)
+                for m in index.match(victim)] == scores
 
     def test_rank_victims_view(self):
         victims = [

@@ -267,3 +267,82 @@ func f(a) {
         for arm in compiled.arms_in("f"):
             assert info.start <= arm.then_start <= info.end
             assert info.start <= arm.else_end <= info.end
+
+
+def _scan_static_pcs(compiled, name):
+    """The linear scan ``static_pcs`` replaced (reference)."""
+    info = compiled.info(name)
+    return [pc for pc in compiled.program.instructions
+            if info.contains(pc)]
+
+
+def _scan_function_of(compiled, pc):
+    for name, info in compiled.functions.items():
+        if info.contains(pc):
+            return name
+    return None
+
+
+class TestStaticPcIndex:
+    _SOURCE = """
+func helper(x) { return x + 3; }
+func pick(s, x) {
+  r = 0;
+  if (s > 40) { r = x * 3; } else { r = x + 1; }
+  return r;
+}
+func f(a, b) {
+  s = 0;
+  while (a != 0) { t = helper(b); s = s + pick(t, a); a = a - 1; }
+  return s;
+}
+"""
+
+    @pytest.fixture(params=[
+        dict(opt_level=0), dict(opt_level=2), dict(opt_level=3),
+        dict(opt_level=2, align_jumps=16), dict(opt_level=2, cfr=True),
+    ], ids=["O0", "O2", "O3", "O2-align16", "O2-cfr"])
+    def compiled(self, request):
+        return Compiler(CompileOptions(**request.param)).compile(
+            parse_module(self._SOURCE), start="f")
+
+    def test_static_pcs_match_linear_scan_in_order(self, compiled):
+        for name in compiled.functions:
+            assert compiled.static_pcs(name) == \
+                _scan_static_pcs(compiled, name)
+
+    def test_static_pcs_returns_a_copy(self, compiled):
+        compiled.static_pcs("f").clear()
+        assert compiled.static_pcs("f") == _scan_static_pcs(compiled, "f")
+
+    def test_unknown_function_rejected(self, compiled):
+        with pytest.raises(CompileError):
+            compiled.static_pcs("nope")
+
+    def test_function_of_matches_linear_scan(self, compiled):
+        pcs = set(compiled.program.instructions)
+        for info in compiled.functions.values():
+            pcs.update((info.start - 1, info.start, info.end - 1,
+                        info.end, info.end + 1))
+        low = min(info.start for info in compiled.functions.values())
+        high = max(info.end for info in compiled.functions.values())
+        pcs.update(range(low - 8, high + 8))       # every gap byte
+        pcs.update((0, compiled.program.entry - 1, 1 << 63))
+        outside = [pc for pc in compiled.program.instructions
+                   if _scan_function_of(compiled, pc) is None]
+        assert outside, "the _start stub lies outside every function"
+        for pc in sorted(pcs):
+            assert compiled.function_of(pc) == \
+                _scan_function_of(compiled, pc), hex(pc)
+
+    def test_cfr_trampolines_belong_to_no_function(self):
+        compiled = Compiler(CompileOptions(opt_level=2, cfr=True)).compile(
+            parse_module(self._SOURCE))
+        region = compiled.options.cfr_region
+        trampolines = [pc for pc in compiled.program.instructions
+                       if pc >= region]
+        assert trampolines
+        assert {compiled.function_of(pc) for pc in trampolines} == {None}
+        filed = [pc for name in compiled.functions
+                 for pc in compiled.static_pcs(name)]
+        assert not set(trampolines) & set(filed)

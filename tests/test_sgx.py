@@ -99,6 +99,25 @@ class TestEpcIsolation:
             enclave.load(Process(name="other"))
 
 
+    def test_unload_detaches_and_allows_reload(self):
+        program, enclave, host = _loaded()
+        enclave.unload()
+        assert host.memory.access_filter is None
+        assert enclave.host is None and not enclave.entered
+        assert host.memory.read_bytes(0x10000000, 4) == \
+            program.segments[0][1][:4]
+        other = Process(name="other")
+        enclave.load(other)
+        with pytest.raises(EnclaveAccessError):
+            other.memory.read_bytes(0x10000000, 4)
+
+    def test_unload_when_not_loaded_rejected(self):
+        _, enclave, _ = _loaded()
+        enclave.unload()
+        with pytest.raises(SgxError):
+            enclave.unload()
+
+
 class TestStepper:
     def _stepper(self):
         program, enclave, host = _loaded()

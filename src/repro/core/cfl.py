@@ -171,8 +171,13 @@ class ControlFlowLeakAttack:
         fragment."""
         victim = self.victim_program.new_process(inputs)
         self.kernel.add_process(victim)
-        outcome = self.nv_user.run(victim, self.session,
-                                   max_fragments=max_fragments)
+        try:
+            outcome = self.nv_user.run(victim, self.session,
+                                       max_fragments=max_fragments)
+        finally:
+            # Release the finished victim (and its address space).
+            if victim in self.kernel.processes:
+                self.kernel.processes.remove(victim)
         directions: List[Direction] = []
         raw: List[Tuple[bool, bool]] = []
         confidence: List[float] = []

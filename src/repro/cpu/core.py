@@ -50,8 +50,9 @@ from ..memory.address import block_end
 from .btb import BTB, BTBEntry
 from .config import CpuGeneration, DEFAULT_GENERATION
 from .costs import EXTRA_ISSUE_COST
-from .decoded import (Superblock, build_superblock, build_window,
-                      decode_at, fast_path_enabled)
+from .decoded import (Superblock, adopt_window, build_superblock,
+                      build_window, decode_at, fast_path_enabled,
+                      raise_bad_opcode)
 from .fusion import can_fuse
 from .interp import (_DEADLINE_STRIDE, _check_deadline_now,
                      _effective_deadline)
@@ -109,6 +110,9 @@ class _SpecMemory:
         self.icache = memory.icache
         self.access_filter = memory.access_filter
         self.context = memory.context
+        # The underlying memory's code images serve decode misses.
+        self.image_at = memory.image_at
+        self.check_fetch = memory.check_fetch
 
     def read_u64(self, address: int, **kwargs) -> int:
         if address in self._stores:
@@ -192,6 +196,8 @@ class Core:
         memory = state.memory
         cached = memory.icache.get(pc)
         if cached is not None:
+            if cached[0] is None:
+                raise_bad_opcode(memory, pc)
             # Permission check still applies on every fetch (controlled-
             # channel attacks depend on seeing every executed page).
             # The oracle's ``interp._fetch`` deliberately skips this on
@@ -406,7 +412,8 @@ class Core:
                 window = window_cache.get(pc)
                 if (window is None
                         or window.generation != memory.code_generation):
-                    window = build_window(memory, pc)
+                    window = (adopt_window(memory, pc)
+                              or build_window(memory, pc))
                 k = window.count
                 if k and (pw.pred_end is None
                           or pw.pred_end >= window.resume_pc):

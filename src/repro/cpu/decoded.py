@@ -74,18 +74,48 @@ def fast_path_enabled() -> bool:
     return _ENABLED
 
 
+#: icache value caching a "no instruction here" verdict: the byte at the
+#: pc is not an opcode.  Consumers that hit it re-run the miss path's
+#: first-byte fetch and raise through :func:`raise_bad_opcode`.
+BAD_OPCODE = (None, 1)
+
+
+def raise_bad_opcode(memory, pc: int):
+    """Raise what :func:`decode_at` raises for a bad opcode at ``pc``:
+    the first-byte execute and filter check, then
+    :class:`InvalidInstruction` with the same message."""
+    first = memory.read_bytes(pc, 1, access="execute")
+    raise InvalidInstruction(f"bad opcode {first[0]:#04x} at {pc:#x}")
+
+
 def decode_at(memory, pc: int) -> Tuple[Instruction, int]:
     """Decode the instruction at ``pc`` and fill the icache.
 
     The shared miss path of ``interp._fetch`` and ``Core._decode``:
     execute-permission-checked fetch, opcode validation, decode, icache
     insert.  Raises :class:`InvalidInstruction` for junk bytes (decode
-    failures included) and lets :class:`PageFault` propagate.
+    failures included) and lets :class:`PageFault` propagate.  A bad
+    opcode is cached as :data:`BAD_OPCODE`.
+
+    Inside an attached code image (fast path only) the loader's own
+    decode replaces the read and the byte decode; the fetch checks run
+    all the same, first byte then full length.
     """
     telemetry.count("cpu.decode.misses")
+    if _ENABLED:
+        image = memory.image_at(pc)
+        if image is not None:
+            shared = image.decode(pc)
+            if shared is not None:
+                memory.check_fetch(pc, 1)
+                memory.check_fetch(pc, shared[1])
+                telemetry.count("cpu.decode.image_hits")
+                memory.icache[pc] = shared
+                return shared
     first = memory.read_bytes(pc, 1, access="execute")
     spec = SPECS_BY_OPCODE.get(first[0])
     if spec is None:
+        memory.icache[pc] = BAD_OPCODE
         raise InvalidInstruction(f"bad opcode {first[0]:#04x} at {pc:#x}")
     blob = memory.read_bytes(pc, spec.length, access="execute")
     try:
@@ -133,6 +163,15 @@ class DecodedWindow:
             and (terminator is None
                  or terminator.spec.kind is Kind.COND_JUMP))
 
+    def stamped(self, generation: int) -> "DecodedWindow":
+        """This window's shared decode under another memory's
+        ``generation`` stamp."""
+        clone = DecodedWindow.__new__(DecodedWindow)
+        for name in DecodedWindow.__slots__:
+            setattr(clone, name, getattr(self, name))
+        clone.generation = generation
+        return clone
+
     def __repr__(self) -> str:                     # pragma: no cover
         return (f"DecodedWindow({self.entry_pc:#x}, n={self.count}, "
                 f"resume={self.resume_pc:#x}, gen={self.generation})")
@@ -148,6 +187,10 @@ def build_window(memory, entry_pc: int) -> DecodedWindow:
     reproduces the fault at ``resume_pc``.  Empty error windows are not
     cached so a transient fault (e.g. execute permission revoked during
     a controlled-channel probe) does not stick.
+
+    A window that decoded cleanly and lies wholly inside an attached
+    code image with window sharing on is published on the image, for
+    other memories to adopt (:func:`adopt_window`).
     """
     telemetry.count("cpu.decode.window_builds")
     generation = memory.code_generation
@@ -164,8 +207,12 @@ def build_window(memory, entry_pc: int) -> DecodedWindow:
     while pc < limit:
         cached = icache.get(pc)
         try:
-            instruction, length = (cached if cached is not None
-                                   else decode_at(memory, pc))
+            if cached is None:
+                instruction, length = decode_at(memory, pc)
+            elif cached[0] is None:
+                raise_bad_opcode(memory, pc)
+            else:
+                instruction, length = cached
         except (PageFault, InvalidInstruction):
             decode_error = True
             break
@@ -185,11 +232,75 @@ def build_window(memory, entry_pc: int) -> DecodedWindow:
     cache = getattr(memory, "window_cache", None)
     if cache is not None and not (decode_error and not pcs):
         cache[entry_pc] = window
+        if _ENABLED and not decode_error:
+            _publish(memory, window)
+    return window
+
+
+def _publish(memory, window: DecodedWindow) -> None:
+    """Keep ``window`` on its code image when every instruction it
+    decoded (terminator included) is one of the image's own decodes —
+    so it never reads past the segment's end, and misaligned entries
+    and data bytes stay private."""
+    image = memory.image_at(window.entry_pc)
+    if image is None or image.windows is None:
+        return
+    decode = image.decode
+    if window.terminator is not None and decode(window.resume_pc) is None:
+        return
+    for pc in window.pcs:
+        if decode(pc) is None:
+            return
+    image.windows[window.entry_pc] = window
+
+
+def adopt_window(memory, pc: int) -> Optional[DecodedWindow]:
+    """Take the window at ``pc`` from an attached code image, if it has
+    one, instead of building it.
+
+    Re-runs the checks a build would make: every window pc (terminator
+    included) missing from the private icache gets the fetch checks of
+    :func:`decode_at`.  If any check fails, nothing is filled and
+    ``None`` sends the caller to :func:`build_window`, which reproduces
+    the failure.  Otherwise the icache fills as a build would fill it
+    and the window enters the private cache under this memory's
+    ``code_generation``.
+    """
+    if not _ENABLED:
+        return None
+    image = memory.image_at(pc)
+    if image is None or not image.windows:
+        return None
+    shared = image.windows.get(pc)
+    if shared is None:
+        return None
+    icache = memory.icache
+    pcs = shared.pcs
+    if shared.terminator is not None:
+        pcs = pcs + [shared.resume_pc]
+    missing = [(at, image.decode(at)) for at in pcs if at not in icache]
+    try:
+        for at, decoded in missing:
+            memory.check_fetch(at, 1)
+            memory.check_fetch(at, decoded[1])
+    except Exception:
+        # An access filter may raise any error; the build reproduces
+        # whichever it is, or stops the window there.
+        return None
+    if missing:
+        telemetry.count("cpu.decode.misses", len(missing))
+        telemetry.count("cpu.decode.image_hits", len(missing))
+        for at, decoded in missing:
+            icache[at] = decoded
+    telemetry.count("cpu.decode.window_adoptions")
+    window = shared.stamped(memory.code_generation)
+    memory.window_cache[pc] = window
     return window
 
 
 def get_window(memory, pc: int) -> Optional[DecodedWindow]:
-    """Current-generation window for ``pc``, building it on demand.
+    """Current-generation window for ``pc``, adopting or building it
+    on demand.
 
     Returns ``None`` when ``memory`` has no window cache (exotic
     memory wrappers like the speculative store-buffer overlay).
@@ -200,7 +311,7 @@ def get_window(memory, pc: int) -> Optional[DecodedWindow]:
     window = cache.get(pc)
     if window is not None and window.generation == memory.code_generation:
         return window
-    return build_window(memory, pc)
+    return adopt_window(memory, pc) or build_window(memory, pc)
 
 
 # ----------------------------------------------------------------------

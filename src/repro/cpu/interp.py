@@ -20,7 +20,8 @@ from typing import Callable, List, Optional, Tuple
 from .. import telemetry
 from ..errors import SimulationTimeout
 from ..isa.instructions import Instruction
-from .decoded import build_window, decode_at, fast_path_enabled
+from .decoded import (adopt_window, build_window, decode_at,
+                      fast_path_enabled, raise_bad_opcode)
 from .semantics import execute
 from .state import MachineState
 
@@ -100,10 +101,13 @@ def _fetch(state: MachineState, pc: int) -> Tuple[Instruction, int]:
     ground-truth traces and must not observe the supervisor attacker's
     controlled-channel permission flips.  The miss path — shared with
     the core via :func:`repro.cpu.decoded.decode_at` — does check,
-    exactly as it always has.
+    exactly as it always has, and so does a hit on a cached bad-opcode
+    verdict, which raises exactly what the miss raised.
     """
     cached = state.memory.icache.get(pc)
     if cached is not None:
+        if cached[0] is None:
+            raise_bad_opcode(state.memory, pc)
         return cached  # type: ignore[return-value]
     return decode_at(state.memory, pc)
 
@@ -153,7 +157,8 @@ def interpret(state: MachineState, *,
                 window = window_cache.get(pc)
                 if (window is None
                         or window.generation != memory.code_generation):
-                    window = build_window(memory, pc)
+                    window = (adopt_window(memory, pc)
+                              or build_window(memory, pc))
                 k = window.count
                 i = 0
                 if k:
@@ -287,7 +292,8 @@ def run_function(state: MachineState, entry: int, *,
                 window = window_cache.get(pc)
                 if (window is None
                         or window.generation != memory.code_generation):
-                    window = build_window(memory, pc)
+                    window = (adopt_window(memory, pc)
+                              or build_window(memory, pc))
                 k = window.count
                 i = 0
                 if k:

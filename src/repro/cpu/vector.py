@@ -3,36 +3,25 @@
 A campaign multiplies *seeds*: the same victim binary executed under N
 different inputs.  Decode artifacts — icache fills and decoded-window
 builds (:mod:`repro.cpu.decoded`) — depend only on the code bytes,
-which every seed shares, so a :class:`VectorGroup` steps N lanes in
-lockstep through **shared** decode state: the first lane to touch a PC
-decodes it, every other lane executes the cached result.  Superblock
-caches are deliberately *not* shared: a superblock pins the owning
+which every seed shares.  Lanes loaded from one program share them
+through the program's code images (``isa.assembler.SegmentImage``):
+the first lane to reach a PC decodes it and builds its window, every
+other lane takes the loader's decode and adopts that window into its
+own caches.  Superblocks stay per lane: a superblock pins the owning
 core's BTB (and the lookups it was built from), and each lane has its
-own BTB — sharing would make every lane invalidate every other lane's
-chains on each dispatch.
+own BTB.
 
 Determinism argument
 --------------------
 Lane isolation is complete for everything observable: registers, data
-pages, page tables, BTB, LBR, cycle accounting all live per lane.  The
-only shared objects are content-addressed decode artifacts validated
-by ``code_generation`` stamps, so lockstep results are bit-identical
-to running each lane alone *provided every lane's code bytes are
-identical whenever their generation stamps agree*.  The group enforces
-that invariant structurally:
-
-* at construction, all lanes must report the same ``code_generation``
-  (same load sequence, same image — data inputs may differ freely);
-* after every turn, any lane whose generation moved (a seed-dependent
-  self-modifying write, a page map/unmap) raises
-  :class:`VectorizationError` instead of silently publishing its
-  rebuilt windows to sibling lanes.
-
-Victims that self-modify identically across seeds could in principle
-keep sharing; the group refuses anyway — the failure mode (one lane
-executing another lane's bytes) is silent corruption, and the victims
-this mode exists for (traversal sweeps, §5 campaigns) never write
-their code.
+pages, page tables, icache, window and superblock caches, BTB, LBR and
+cycle accounting all live per lane.  What lanes share is immutable and
+content-addressed: an image serves a lane only while the lane's bytes
+over the segment are the image's bytes, and every adoption re-runs the
+fetch checks the lane's own build would have made.  A lane that writes
+its code detaches the image from itself alone and decodes its own
+bytes from then on, so lockstep results are bit-identical to running
+each lane alone — self-modifying victims included.
 """
 
 from __future__ import annotations
@@ -54,7 +43,7 @@ DEFAULT_STRIDE = 16_384
 
 @dataclass
 class VectorLane:
-    """One seed's run: private core + state, shared decode caches."""
+    """One seed's run: private core, state and caches."""
 
     index: int
     seed: Optional[int]
@@ -78,36 +67,14 @@ SyscallHandler = Callable[[VectorLane, RunResult], bool]
 
 
 class VectorGroup:
-    """N lanes stepping in lockstep through shared decode state."""
+    """N lanes stepping in lockstep; decode work is shared through the
+    lanes' code images."""
 
     def __init__(self, lanes: List[VectorLane]):
         if not lanes:
             raise VectorizationError("a vector group needs >= 1 lane")
-        generations = {lane.memory.code_generation for lane in lanes}
-        if len(generations) != 1:
-            raise VectorizationError(
-                f"lanes disagree on code_generation at share time "
-                f"({sorted(generations)}); all lanes must load the "
-                f"same image the same way")
         self.lanes = lanes
-        lead = lanes[0].memory
-        for lane in lanes[1:]:
-            memory = lane.memory
-            memory.icache = lead.icache
-            memory.window_cache = lead.window_cache
-            # superblock_cache stays per-lane: chains pin the owning
-            # core's BTB and re-validate against its lookups.
-        self._generation = lead.code_generation
         telemetry.count("cpu.vector.lanes", len(lanes))
-
-    def _check_generation(self, lane: VectorLane) -> None:
-        generation = lane.memory.code_generation
-        if generation != self._generation:
-            raise VectorizationError(
-                f"lane {lane.index} (seed={lane.seed}) moved "
-                f"code_generation {self._generation} -> {generation} "
-                f"mid-run; self-modifying victims cannot share decode "
-                f"state across seeds")
 
     def run(self, *, stride: int = DEFAULT_STRIDE,
             collect_trace: bool = False,
@@ -134,7 +101,6 @@ class VectorGroup:
                     max_instructions=lane.max_instructions)
                 lane.instructions += result.instructions
                 lane.reason = result.reason
-                self._check_generation(lane)
                 if result.reason is StopReason.RETIRE_LIMIT:
                     still_active.append(lane)
                     continue
@@ -154,14 +120,13 @@ def run_many_seeds(make_lane: Callable[[int, int], VectorLane],
                    collect_trace: bool = False,
                    on_syscall: Optional[SyscallHandler] = None,
                    vectorize: bool = True) -> List[VectorLane]:
-    """Run one lane per seed; lockstep+shared when ``vectorize``.
+    """Run one lane per seed; in lockstep when ``vectorize``.
 
     ``make_lane(index, seed)`` builds a fresh lane.  With
-    ``vectorize=False`` the same lanes run sequentially with *private*
-    caches and the same ``stride`` slicing — the N×1 reference the
-    vectorized mode is benchmarked (and differentially tested)
-    against: architectural and micro-architectural results are
-    bit-identical either way.
+    ``vectorize=False`` the same lanes run one after another with the
+    same ``stride`` slicing — the N×1 reference the vectorized mode is
+    benchmarked (and differentially tested) against: architectural and
+    micro-architectural results are bit-identical either way.
     """
     lanes = [make_lane(index, seed) for index, seed in enumerate(seeds)]
     if vectorize:

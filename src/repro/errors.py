@@ -124,9 +124,8 @@ class InvalidInstruction(CpuError):
 
 
 class VectorizationError(CpuError):
-    """A lockstep many-seeds group lost the invariant that makes
-    sharing decode state sound (diverging code generations, mismatched
-    lane setup).  See :mod:`repro.cpu.vector`."""
+    """A lockstep many-seeds group was set up wrongly (no lanes, a
+    stride below 1).  See :mod:`repro.cpu.vector`."""
 
 
 class SystemError_(ReproError):

@@ -17,6 +17,7 @@ colliding code gigabytes apart without materializing padding.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,6 +53,55 @@ def abs_(label: str, addend: int = 0) -> Ref:
 
 Operand = Union[int, str, Ref]
 
+_MASK64 = (1 << 64) - 1
+
+
+class SegmentImage:
+    """One code segment of an :class:`AssembledProgram`, shared by every
+    address space the program is loaded into.
+
+    A memory the segment is attached to (``VirtualMemory.attach_image``)
+    answers an icache miss inside ``[base, end)`` with the loader's own
+    decode instead of reading and decoding bytes; a byte-changing write
+    over the segment detaches it from that memory only.  ``windows``
+    holds decoded windows (``repro.cpu.decoded``) for later memories to
+    adopt; it stays ``None`` until a second address space loads the
+    segment, so single-space images (probe snippets, corpus modules)
+    keep none.
+    """
+
+    __slots__ = ("base", "end", "blob", "_instructions", "windows",
+                 "_first_space")
+
+    def __init__(self, base: int, blob: bytes,
+                 instructions: Dict[int, Instruction]):
+        self.base = base
+        self.end = base + len(blob)
+        self.blob = blob
+        self._instructions = instructions
+        self.windows: Optional[Dict[int, object]] = None
+        self._first_space: Optional[weakref.ref] = None
+
+    def decode(self, pc: int) -> Optional[Tuple[Instruction, int]]:
+        """The decode at ``pc``, or ``None`` when no instruction of the
+        program starts there or it would read past the segment's end."""
+        instruction = self._instructions.get(pc)
+        if (instruction is None or pc < self.base
+                or pc + instruction.length > self.end):
+            return None
+        return instruction, instruction.length
+
+    def note_space(self, memory) -> None:
+        """Record that ``memory`` loaded this segment; the second
+        address space to do so turns window sharing on."""
+        if self.windows is not None:
+            return
+        if self._first_space is None:
+            self._first_space = weakref.ref(memory)
+        elif self._first_space() is not memory:
+            self.windows = {}
+            self._first_space = None
+
 
 @dataclass
 class _Item:
@@ -81,6 +131,8 @@ class AssembledProgram:
     segments: List[Tuple[int, bytes]] = field(default_factory=list)
     symbols: Dict[str, int] = field(default_factory=dict)
     instructions: Dict[int, Instruction] = field(default_factory=dict)
+    _images: List[SegmentImage] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def entry(self) -> int:
@@ -99,11 +151,24 @@ class AssembledProgram:
         """Sorted list of every static instruction address."""
         return sorted(self.instructions)
 
+    def segment_images(self) -> List[SegmentImage]:
+        """One :class:`SegmentImage` per segment, in segment order."""
+        images = self._images
+        if (len(images) != len(self.segments)
+                or any(image.base != base or image.blob is not blob
+                       for image, (base, blob)
+                       in zip(images, self.segments))):
+            images[:] = [SegmentImage(base, blob, self.instructions)
+                         for base, blob in self.segments]
+        return images
+
     def load_into(self, memory, perms: str = "rx") -> None:
-        """Map and write every segment into a ``VirtualMemory``."""
-        for base, blob in self.segments:
-            memory.map_range(base, len(blob), perms)
-            memory.write_bytes(base, blob, check=False)
+        """Map and write every segment into a ``VirtualMemory``, then
+        attach each segment's shared image to it."""
+        for image in self.segment_images():
+            memory.map_range(image.base, len(image.blob), perms)
+            memory.write_bytes(image.base, image.blob, check=False)
+            memory.attach_image(image)
 
 
 class Assembler:
@@ -256,6 +321,11 @@ class Assembler:
                     raise AssemblerError(
                         f"at {item.address:#x} ({item.mnemonic}): {error}"
                     ) from error
+                if spec.fmt is Format.REG_IMM64:
+                    # Keep the decoded form: the bytes hold the
+                    # immediate unsigned.
+                    instruction = Instruction(
+                        spec, (resolved[0], resolved[1] & _MASK64))
                 program.instructions[item.address] = instruction
                 blob += encoded
 

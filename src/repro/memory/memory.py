@@ -13,7 +13,7 @@ outright (raising :class:`ProtectionFault`) or redact reads.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import PageFault, ProtectionFault
 from .address import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_number
@@ -32,31 +32,35 @@ _DECODE_REACH = 9
 
 
 class DecodeCache(dict):
-    """The icache dict, plus a registry of pages holding cached decodes.
+    """The icache dict, plus registries of the pages that hold code.
 
     ``code_pages`` lets :meth:`VirtualMemory.write_bytes` decide in O(1)
     whether a write can possibly invalidate cached code — data stores
-    skip the invalidation sweep entirely.  Writes near cached code are
-    then byte-diffed, so only writes that really change code bump the
-    code generation counter that keys the decoded-window cache
-    (:mod:`repro.cpu.decoded`).
+    skip the invalidation sweep entirely.  It holds every page with a
+    cached decode and every page of an attached code image.  Writes
+    near code are then byte-diffed, so only writes that really change
+    code bump the code generation counter that keys the decoded-window
+    cache (:mod:`repro.cpu.decoded`); ``decode_pages`` (pages that ever
+    held a cached decode) decides whether a change bumps it.
     """
 
-    __slots__ = ("code_pages",)
+    __slots__ = ("code_pages", "decode_pages")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.code_pages: set = set()
+        self.decode_pages: set = set()
         for pc, value in self.items():
             self._register(pc, value)
 
     def _register(self, pc: int, value) -> None:
-        self.code_pages.add(pc >> PAGE_SHIFT)
         try:
             last_byte = pc + value[1] - 1     # value = (instr, length)
         except (TypeError, IndexError, KeyError):
             last_byte = pc
-        self.code_pages.add(last_byte >> PAGE_SHIFT)
+        for vpn in (pc >> PAGE_SHIFT, last_byte >> PAGE_SHIFT):
+            self.code_pages.add(vpn)
+            self.decode_pages.add(vpn)
 
     def __setitem__(self, pc, value) -> None:
         self._register(pc, value)
@@ -80,6 +84,9 @@ class VirtualMemory:
         #: ``code_generation`` and the owning BTB's generation, so no
         #: eager invalidation happens here.
         self.superblock_cache: Dict[int, object] = {}
+        #: attached code images (``SegmentImage``, see
+        #: :meth:`attach_image`), indexed by every page they cover.
+        self.images: Dict[int, List[object]] = {}
         #: bumped whenever a write changes bytes on a page holding
         #: cached decodes (one half of :attr:`code_generation`).
         self._write_epoch = 0
@@ -176,7 +183,7 @@ class VirtualMemory:
             last = (address + len(data) - 1) >> PAGE_SHIFT
             if any(vpn in icache.code_pages
                    for vpn in range(first, last + 1)):
-                self._invalidate_changed(address, data)
+                self._invalidate_changed(address, data, first, last)
         cursor = address
         view = memoryview(data)
         while view:
@@ -187,14 +194,18 @@ class VirtualMemory:
             cursor += chunk
             view = view[chunk:]
 
-    def _invalidate_changed(self, address: int, data: bytes) -> None:
-        """Invalidate the decodes a write near cached code would stale.
+    def _invalidate_changed(self, address: int, data: bytes,
+                            first_page: int, last_page: int) -> None:
+        """Invalidate what a write near code would stale.
 
         The write is diffed against the current bytes.  An identical
         rewrite (a probe snippet re-mapped over itself) invalidates
-        nothing.  Otherwise the code generation retires once, so
-        decoded windows re-verify (self-modifying code), and every
-        decode that can overlap a changed byte is dropped.
+        nothing.  Otherwise every attached image overlapping a changed
+        byte is detached from this memory, and — when the write's pages
+        ``first_page..last_page`` ever held cached decodes — the code
+        generation retires once, so decoded windows re-verify
+        (self-modifying code), and every decode that can overlap a
+        changed byte is dropped.
         """
         old = self._raw_read(address, len(data))
         if old == data:
@@ -203,10 +214,71 @@ class VirtualMemory:
                  ^ int.from_bytes(data, "little"))
         first_changed = address + ((delta & -delta).bit_length() - 1) // 8
         last_changed = address + (delta.bit_length() - 1) // 8
-        self._write_epoch += 1
+        if self.images:
+            for image in self._images_over(first_changed, last_changed + 1):
+                self._detach(image)
         icache = self.icache
+        if not any(vpn in icache.decode_pages
+                   for vpn in range(first_page, last_page + 1)):
+            return
+        self._write_epoch += 1
         for stale in range(first_changed - _DECODE_REACH, last_changed + 1):
             icache.pop(stale, None)
+
+    # ------------------------------------------------------------------
+    # shared code images
+    # ------------------------------------------------------------------
+    def attach_image(self, image) -> None:
+        """Attach a code segment image whose bytes were just written.
+
+        ``image`` (an ``isa.assembler.SegmentImage``) must match this
+        memory's bytes over ``[image.base, image.end)``.  Attachments
+        it overlaps are detached first, so at most one image answers
+        for any byte.  Its pages join ``icache.code_pages``: every
+        write near it is byte-diffed, and a changing one detaches it.
+        """
+        for old in self._images_over(image.base, image.end):
+            self._detach(old)
+        first = image.base >> PAGE_SHIFT
+        last = (image.end - 1) >> PAGE_SHIFT
+        code_pages = self.icache.code_pages
+        for vpn in range(first, last + 1):
+            self.images.setdefault(vpn, []).append(image)
+            code_pages.add(vpn)
+        image.note_space(self)
+
+    def image_at(self, pc: int):
+        """The attached image whose segment holds ``pc``, or ``None``."""
+        attached = self.images.get(pc >> PAGE_SHIFT)
+        if attached:
+            for image in attached:
+                if image.base <= pc < image.end:
+                    return image
+        return None
+
+    def _images_over(self, start: int, end: int) -> list:
+        """Attached images overlapping ``[start, end)``."""
+        found: list = []
+        for vpn in range(start >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1):
+            for image in self.images.get(vpn, ()):
+                if (image.base < end and start < image.end
+                        and image not in found):
+                    found.append(image)
+        return found
+
+    def _detach(self, image) -> None:
+        for vpn in range(image.base >> PAGE_SHIFT,
+                         ((image.end - 1) >> PAGE_SHIFT) + 1):
+            attached = self.images.get(vpn)
+            if attached is not None and image in attached:
+                attached.remove(image)
+                if not attached:
+                    del self.images[vpn]
+
+    def check_fetch(self, address: int, size: int) -> None:
+        """The checks an instruction fetch of ``size`` bytes makes
+        (access filter, then execute permission), without the read."""
+        self._check(address, size, "execute", True)
 
     # ------------------------------------------------------------------
     # typed access

@@ -34,6 +34,10 @@ class Enclave:
                  data_size: int = 1 << 20):
         self.name = name
         self.image = image
+        #: the program sealed into ``image``, when known: a decrypted
+        #: segment that matches one of its segments byte for byte
+        #: attaches that segment's shared code image on load
+        self.program: Optional[AssembledProgram] = None
         self._key = key
         self.entry = image.entry
         #: EPC ranges as (start, end) half-open intervals
@@ -57,7 +61,9 @@ class Enclave:
         """Seal an assembled program into an enclave image (PCL)."""
         image = SealedImage.seal_segments(
             list(program.segments), program.entry, key)
-        return cls(name, image, key, data_size)
+        enclave = cls(name, image, key, data_size)
+        enclave.program = program
+        return enclave
 
     # ------------------------------------------------------------------
     # loading (EADD/EINIT + PCL decryption)
@@ -69,11 +75,17 @@ class Enclave:
             raise SgxError(f"enclave {self.name} already loaded")
         self.host = host
         memory = host.memory
+        images = ({image.base: image
+                   for image in self.program.segment_images()}
+                  if self.program is not None else {})
         for base, blob in self.image.decrypt_segments(self._key):
             memory.map_range(base, len(blob), "rx")
             self._add_epc_range(base, len(blob))
             # Write plaintext directly into EPC (loader runs "inside").
             memory.write_bytes(base, blob, check=False)
+            image = images.get(base)
+            if image is not None and image.blob == blob:
+                memory.attach_image(image)
         self.data_base = data_base
         memory.map_range(data_base, self.data_size, "rw")
         self._add_epc_range(data_base, self.data_size)

@@ -1,5 +1,8 @@
 """Use case 1 end-to-end: the control-flow-leakage attack."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import ControlFlowLeakAttack, Direction, arm_pw
@@ -94,6 +97,33 @@ class TestGcdLeak:
         result = attack.attack(dict(zip(("ta", "tb"),
                                         key.gcd_inputs())))
         assert result.directions[-1] is Direction.NONE
+
+
+    def test_finished_victims_are_released(self, monkeypatch):
+        """Each attack removes its victim from the kernel, so the
+        victim's address space is freed by reference counting."""
+        victim = build_gcd_victim(
+            "3.0", options=CompileOptions(opt_level=2),
+            nlimbs=2, with_yield=True)
+        attack = _attack(victim)
+        memories = []
+        new_process = victim.new_process
+
+        def tracked(*args, **kwargs):
+            process = new_process(*args, **kwargs)
+            memories.append(weakref.ref(process.memory))
+            return process
+
+        monkeypatch.setattr(victim, "new_process", tracked)
+        gc.disable()
+        try:
+            for seed in (37, 38):
+                key = generate_key(bits_per_prime=24, seed=seed)
+                attack.attack(dict(zip(("ta", "tb"), key.gcd_inputs())))
+                assert all(memory() is None for memory in memories)
+            assert attack.kernel.processes == [attack.nv.attacker]
+        finally:
+            gc.enable()
 
 
 class TestTruthSemantics:

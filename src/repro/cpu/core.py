@@ -50,7 +50,7 @@ from ..memory.address import block_end
 from .btb import BTB, BTBEntry
 from .config import CpuGeneration, DEFAULT_GENERATION
 from .costs import EXTRA_ISSUE_COST
-from .decoded import (Superblock, adopt_window, build_superblock,
+from .decoded import (SuperblockLink, adopt_window, build_superblock,
                       build_window, decode_at, fast_path_enabled,
                       raise_bad_opcode)
 from .fusion import can_fuse
@@ -230,12 +230,9 @@ class Core:
         trace: Optional[List[int]] = [] if collect_trace else None
         unit_starts: Optional[List[int]] = [] if collect_trace else None
         pw: Optional[_PredictionWindow] = None
-        # Fast-path telemetry is kept in plain locals (two integer adds
-        # per *window*, not per instruction) and folded into the sink
+        # Superblock telemetry is kept in plain locals (integer adds per
+        # *dispatch*, not per instruction) and folded into the sink
         # once per run() — the disabled-mode hot loop stays untouched.
-        fp_windows = 0
-        fp_instructions = 0
-        fp_bailouts = 0
         sb_builds = 0
         sb_hits = 0
         sb_bailouts = 0
@@ -266,12 +263,6 @@ class Core:
                     tel.count("cpu.core.instructions", instructions)
                 if retired:
                     tel.count("cpu.core.retired", retired)
-                if fp_windows:
-                    tel.count("cpu.core.fastpath.windows", fp_windows)
-                    tel.count("cpu.core.fastpath.instructions",
-                              fp_instructions)
-                if fp_bailouts:
-                    tel.count("cpu.core.fastpath.bailouts", fp_bailouts)
                 if sb_builds:
                     tel.count("cpu.superblock.builds", sb_builds)
                 if sb_hits:
@@ -292,7 +283,6 @@ class Core:
         window_cache = getattr(memory, "window_cache", None)
         superblock_cache = getattr(memory, "superblock_cache", None)
         fast = fast_path_enabled() and window_cache is not None
-        issue_cost = self._issue_cost
         fusion_enabled = self.config.fusion_enabled
         next_deadline_check = _DEADLINE_STRIDE
         while True:
@@ -304,22 +294,22 @@ class Core:
                 next_deadline_check = instructions + _DEADLINE_STRIDE
                 _check_deadline_now(instructions, deadline)
             pc = state.rip
+            ran = None
             if pw is None:
-                # ----- superblock dispatch ----------------------------
-                # At a fresh bundle boundary, a cached chain of windows
-                # linked across predicted-taken edges can run whole hot
-                # loops without re-opening prediction windows.  Validity
-                # is two integer compares (code generation + BTB
-                # generation) plus a BTB identity check, and a moved BTB
-                # generation re-peeks the chain's recorded lookups; a
-                # chain without links is a cached "unchainable pc"
-                # verdict under the same rule.  The executor commits
-                # cycles/retires/trace/LBR bit-identically to the slow
-                # path and bails mid-chain on misprediction or
-                # self-modification.  One pass per dispatch: loop
-                # superblocks re-enter through this check each
-                # iteration, which keeps the guard and deadline strides
-                # of the outer loop authoritative.
+                # ----- bundle start: superblock dispatch --------------
+                # A cached chain of windows linked across predicted
+                # edges can run whole hot loops without re-opening
+                # prediction windows.  Validity is two integer compares
+                # (code generation + BTB generation) plus a BTB identity
+                # check, and a moved BTB generation re-peeks the chain's
+                # recorded lookups; a chain without links is a cached
+                # "unchainable pc" verdict under the same rule.  Only a
+                # pass that fits the instruction and retire budgets
+                # whole is dispatched; otherwise the bundle opens here
+                # and the mid-bundle entry below runs (and clips) its
+                # first window.  Loop superblocks re-enter through this
+                # check each batch of passes, which keeps the guard and
+                # deadline strides of the outer loop authoritative.
                 if (fast and superblock_cache is not None
                         and memory.access_filter is None):
                     sb = superblock_cache.get(pc)
@@ -340,9 +330,6 @@ class Core:
                             and (max_retired is None
                                  or retired + sb.units_per_pass
                                  <= max_retired)):
-                        # Budget gate is for the *whole* pass: a pass
-                        # that would clip mid-chain falls back to the
-                        # window path, which clips bit-identically.
                         sb_hits += 1
                         passes = 1
                         if sb.loop_taken:
@@ -363,126 +350,72 @@ class Core:
                                 room = d
                             if room > 1:
                                 passes = room
-                        (sb_insts, sb_units, fault, error,
-                         live_pw, bailed) = self._run_superblock(
-                            sb, state, memory, trace, unit_starts,
-                            passes)
-                        instructions += sb_insts
-                        retired += sb_units
-                        if bailed:
+                        ran = self._run_superblock(
+                            sb.links if passes == 1 else sb.links * passes,
+                            sb.code_generation, state, memory, trace,
+                            unit_starts)
+                        if ran[5]:              # bailed mid-chain
                             sb_bailouts += 1
-                        # ``live_pw`` is whatever prediction window the
-                        # slow path would have open right now: one is
-                        # handed back both on mid-chain bails and when
-                        # a pass *ends* on a fall-through edge (the
-                        # not-taken conditional leaves the window open,
-                        # so re-opening one here would double-charge
-                        # fetch and lookups).
-                        pw = live_pw
-                        if fault is not None:
-                            return result(StopReason.PAGE_FAULT, fault)
-                        if error is not None:
-                            raise error
+                if ran is None:
+                    self.cycles += self.config.fetch_cycles
+                    pw = self._open_window(pc)
+
+            if ran is None:
+                # A predicted branch-end byte we have walked past did
+                # not align with any instruction: false hit, deallocate.
+                while pw.pred_end is not None and pw.pred_end < pc:
+                    self._false_hit(pw, pc)
+
+                if pc >= pw.limit:
+                    # Bundle ran to the 32-byte boundary: next PW.
+                    pw = None
+                    continue
+
+                # ----- mid-bundle: the window's straight-line prefix --
+                # A one-link chain with no chained edge, run under the
+                # live prediction window when the prediction cannot
+                # interact with the prefix: a BTB miss, or a predicted
+                # branch-end byte at/after the terminator region
+                # (``resume_pc``).  Predictions inside the prefix,
+                # access filters, control transfers and faults all use
+                # the reference loop below — the differential suite
+                # proves the two bit-identical on state, traces, cycles,
+                # BTB and LBR.
+                if fast and memory.access_filter is None:
+                    window = window_cache.get(pc)
+                    if (window is None
+                            or window.generation != memory.code_generation):
+                        window = (adopt_window(memory, pc)
+                                  or build_window(memory, pc))
+                    if window.count and (pw.pred_end is None
+                                         or pw.pred_end >= window.resume_pc):
+                        budget = guard - instructions
                         if (max_retired is not None
-                                and retired >= max_retired):
-                            return result(StopReason.RETIRE_LIMIT)
-                        continue
-                self.cycles += self.config.fetch_cycles
-                pw = self._open_window(pc)
+                                and max_retired - retired < budget):
+                            budget = max_retired - retired
+                        ran = self._run_superblock(
+                            (SuperblockLink(window, None, None, None,
+                                            window.resume_pc,
+                                            window.resume_pc, False,
+                                            False),),
+                            window.generation, state, memory, trace,
+                            unit_starts, pw, budget)
 
-            # A predicted branch-end byte we have walked past did not
-            # align with any instruction: false hit, deallocate.
-            while pw.pred_end is not None and pw.pred_end < pc:
-                self._false_hit(pw, pc)
-
-            if pc >= pw.limit:
-                # Bundle ran to the 32-byte boundary: next PW.
-                pw = None
+            if ran is not None:
+                # ``ran[4]`` is whatever prediction window the reference
+                # loop would have open right now: after a fall-through
+                # the window stays open, and re-opening one here would
+                # double-charge fetch and lookups.
+                sb_insts, sb_units, fault, error, pw, _ = ran
+                instructions += sb_insts
+                retired += sb_units
+                if fault is not None:
+                    return result(StopReason.PAGE_FAULT, fault)
+                if error is not None:
+                    raise error
+                if max_retired is not None and retired >= max_retired:
+                    return result(StopReason.RETIRE_LIMIT)
                 continue
-
-            # ----- decoded-window fast path ----------------------------
-            # Execute the window's cached straight-line prefix in one go
-            # when the prediction cannot interact with it: a BTB miss,
-            # or a predicted branch-end byte at/after the terminator
-            # region (``resume_pc``).  Predictions inside the prefix,
-            # access filters, control transfers and faults all use the
-            # generic loop below — the differential suite proves the two
-            # paths bit-identical on state, traces, cycles, BTB and LBR.
-            if fast and memory.access_filter is None:
-                window = window_cache.get(pc)
-                if (window is None
-                        or window.generation != memory.code_generation):
-                    window = (adopt_window(memory, pc)
-                              or build_window(memory, pc))
-                k = window.count
-                if k and (pw.pred_end is None
-                          or pw.pred_end >= window.resume_pc):
-                    if fusion_enabled and window.fuse_holdback:
-                        k -= 1
-                    if instructions + k > guard:
-                        k = guard - instructions
-                    if max_retired is not None and retired + k > max_retired:
-                        k = max_retired - retired
-                    if k > 0:
-                        try:
-                            # One execute check covers the whole prefix:
-                            # a 32-byte block never crosses a page, so
-                            # this equals the warm slow path's per-fetch
-                            # first-byte check.
-                            memory.page_table.check(pc, "execute")
-                        except PageFault as fault:
-                            return result(StopReason.PAGE_FAULT, fault)
-                        pcs = window.pcs
-                        thunks = window.thunks
-                        extras = window.extras
-                        cycles_now = self.cycles
-                        fault = None
-                        error = None
-                        i = 0
-                        try:
-                            if window.has_store:
-                                generation = window.generation
-                                while i < k:
-                                    thunks[i](state)
-                                    cycles_now += issue_cost + extras[i]
-                                    i += 1
-                                    if (memory.code_generation
-                                            != generation):
-                                        break   # self-modifying code
-                            else:
-                                while i < k:
-                                    thunks[i](state)
-                                    cycles_now += issue_cost + extras[i]
-                                    i += 1
-                        except PageFault as page_fault:
-                            fault = page_fault
-                        except BaseException as exc:
-                            error = exc
-                        self.cycles = cycles_now
-                        instructions += i
-                        retired += i
-                        self.total_retired += i
-                        fp_windows += 1
-                        fp_instructions += i
-                        if (window.has_store and i < k
-                                and fault is None and error is None):
-                            fp_bailouts += 1  # self-modified mid-window
-                        if trace is not None:
-                            trace.extend(pcs[:i])
-                            unit_starts.extend(pcs[:i])
-                        if fault is not None:
-                            # The faulting instruction is not counted,
-                            # charged or traced; RIP points at it.
-                            state.rip = pcs[i]
-                            return result(StopReason.PAGE_FAULT, fault)
-                        if error is not None:
-                            state.rip = pcs[i]
-                            raise error
-                        state.rip = (pcs[i] if i < window.count
-                                     else window.resume_pc)
-                        if max_retired is not None and retired >= max_retired:
-                            return result(StopReason.RETIRE_LIMIT)
-                        continue
 
             try:
                 instruction, length = self._decode(state, pc)
@@ -563,29 +496,45 @@ class Core:
                 return result(StopReason.RETIRE_LIMIT)
 
     # ------------------------------------------------------------------
-    # superblock executor
+    # cached executor
     # ------------------------------------------------------------------
-    def _run_superblock(self, sb: Superblock, state: MachineState,
+    def _run_superblock(self, links, code_gen: int, state: MachineState,
                         memory, trace: Optional[List[int]],
                         unit_starts: Optional[List[int]],
-                        passes: int = 1):
-        """Execute up to ``passes`` passes over a validated superblock.
+                        pw: Optional[_PredictionWindow] = None,
+                        budget: int = 0):
+        """Execute a chain of decoded windows stamped with ``code_gen``.
 
-        Returns ``(instructions, units, fault, error, live_pw, bailed)``.
-        Cycle, retire, trace, BTB and LBR effects are committed exactly
-        as the generic loop + window fast path would have produced them
-        — the float accumulation order per item is identical, the LBR
-        timestamp is the pre-penalty retire time, and every link that
-        opens a prediction window counts one BTB lookup (plus a hit
-        when the edge is predicted), mirroring the per-window
+        The one cached executor, with two entry points:
+
+        * **bundle start** (``pw is None``): a validated superblock's
+          links, repeated once per loop pass; every link opens or
+          continues prediction windows exactly as the builder recorded.
+        * **mid-bundle** (``pw`` is the live prediction window): one
+          link with no chained edge, whose window's straight-line
+          prefix runs under ``pw``.  The prefix is clipped to
+          ``budget`` (what the instruction guard and ``max_retired``
+          still allow) and holds back its last instruction when that
+          could macro-fuse with what follows — fusion retires the pair
+          as one unit, which only the reference loop models.  Returns
+          ``None`` when that leaves nothing to run.
+
+        Otherwise returns ``(instructions, units, fault, error,
+        live_pw, bailed)``.  Cycle, retire, trace, BTB and LBR effects
+        are committed exactly as the reference loop would have produced
+        them — the float accumulation order per item is identical, the
+        LBR timestamp is the pre-penalty retire time, and every link
+        that opens a prediction window counts one BTB lookup (plus a
+        hit when the edge is predicted), mirroring the per-window
         ``_open_window`` the dispatch replaced; fall-through links that
-        continue inside an open window charge nothing, exactly like
-        the slow path.  On a mispredicted edge the committed partial
-        state is handed to :meth:`_resolve_control`, which performs
-        the squash / target-update / allocation bookkeeping (bumping
-        the affected BTB set's generation and thereby invalidating
-        this superblock).  ``live_pw`` is the prediction window the
-        slow path would have open on return: set on mid-prefix
+        continue inside an open window charge nothing, exactly like the
+        reference loop.  On a mispredicted edge the committed partial
+        state is handed to :meth:`_resolve_control`, which performs the
+        squash / target-update / allocation bookkeeping; the chain dies
+        at its next dispatch if re-peeking one of its recorded lookups
+        then gives a different answer.  ``live_pw`` is the prediction
+        window the reference loop would have open on return: ``pw``
+        itself for a mid-bundle entry; otherwise set on
         self-modification bails and whenever execution stops inside a
         fall-through window (including a completed pass whose last
         edge fell through), ``None`` after taken edges.
@@ -596,33 +545,37 @@ class Core:
         lbr = self.lbr
         touch = self.btb.touch
         page_check = memory.page_table.check
-        code_gen = sb.code_generation
         cycles_now = self.cycles
         insts = 0
         units = 0
-        chain = sb.links if passes == 1 else sb.links * passes
         first_link = True
-        for link in chain:
+        for link in links:
             window = link.window
             pc = window.entry_pc
+            k = count = window.count
             if first_link:
                 first_link = False
-            else:
-                if memory.code_generation != code_gen:
-                    # A previous link's terminator wrote code pages
-                    # (e.g. a call pushing onto a code-holding page):
-                    # later cached links may be stale, so hand back to
-                    # the generic machinery, which re-decodes.
-                    self.cycles = cycles_now
-                    self.total_retired += units
-                    state.rip = pc
-                    live = None
-                    if not link.opens_pw:
-                        # Mid-block fall-through: the window is open.
-                        live = _PredictionWindow(entry=None,
-                                                 pred_end=None,
-                                                 limit=window.limit)
-                    return insts, units, None, None, live, True
+                if pw is not None:
+                    if self.config.fusion_enabled and window.fuse_holdback:
+                        k -= 1
+                    if k > budget:
+                        k = budget
+                    if k <= 0:
+                        return None
+            elif memory.code_generation != code_gen:
+                # A previous link's terminator wrote code pages
+                # (e.g. a call pushing onto a code-holding page):
+                # later cached links may be stale, so hand back to
+                # the reference loop, which re-decodes.
+                self.cycles = cycles_now
+                self.total_retired += units
+                state.rip = pc
+                live = None
+                if not link.opens_pw:
+                    # Mid-block fall-through: the window is open.
+                    live = _PredictionWindow(entry=None, pred_end=None,
+                                             limit=window.limit)
+                return insts, units, None, None, live, True
             if link.opens_pw:
                 # Same fetch charge and lookup count as
                 # ``_open_window``; a hit only when the edge is
@@ -636,14 +589,14 @@ class Core:
                     stats.hits += 1
             try:
                 # One execute check covers the link: a 32-byte block
-                # never crosses a page (see the window fast path).
+                # never crosses a page, so this equals the warm
+                # reference loop's per-fetch first-byte check.
                 page_check(pc, "execute")
             except PageFault as fault:
                 self.cycles = cycles_now
                 self.total_retired += units
                 state.rip = pc
                 return insts, units, fault, None, None, True
-            k = window.count
             pcs = window.pcs
             thunks = window.thunks
             extras = window.extras
@@ -673,9 +626,8 @@ class Core:
                 trace.extend(pcs[:i])
                 unit_starts.extend(pcs[:i])
             if fault is not None or error is not None:
-                # Same observable state as the window path: the
-                # faulting item is not counted, charged or traced, and
-                # RIP points at it.
+                # The faulting item is not counted, charged or traced,
+                # and RIP points at it — as in the reference loop.
                 self.cycles = cycles_now
                 self.total_retired += units
                 state.rip = pcs[i]
@@ -683,14 +635,16 @@ class Core:
             if memory.code_generation != code_gen:
                 # A store in this prefix hit code pages; the cached
                 # terminator may be stale.  Resume with the prediction
-                # window still open, exactly like the window path.
+                # window still open.
                 self.cycles = cycles_now
                 self.total_retired += units
-                state.rip = pcs[i] if i < k else window.resume_pc
+                state.rip = pcs[i] if i < count else window.resume_pc
                 # The window open over the prefix: predictionless for
                 # mid-fetch links (their ``entry`` describes the
                 # successor block's window, not this one).
-                if link.mid_fetch:
+                if pw is not None:
+                    live = pw
+                elif link.mid_fetch:
                     live = _PredictionWindow(entry=None, pred_end=None,
                                              limit=window.limit)
                 else:
@@ -701,10 +655,12 @@ class Core:
             # ----- the link's terminating control transfer -----------
             term = link.term
             if term is None:
-                # Boundary link: straight-line to the 32-byte limit.
-                # The slow path closes the exhausted window for free;
-                # the next link re-opens one (fetch charge + lookup).
-                state.rip = window.resume_pc
+                # Boundary link, or a (possibly clipped) mid-bundle
+                # prefix: nothing to terminate.  At the 32-byte limit
+                # the reference loop closes the exhausted window for
+                # free; the next link re-opens one (fetch charge +
+                # lookup).
+                state.rip = pcs[i] if i < count else window.resume_pc
                 continue
             term_pc = link.term_pc
             fused = link.fused
@@ -789,12 +745,13 @@ class Core:
             return insts, units, None, None, None, True
         self.cycles = cycles_now
         self.total_retired += units
-        last = sb.links[-1]
-        live = None
-        if last.entry is None:
-            # The pass ended on a fall-through edge: the slow path's
-            # prediction window is still open (the outer loop closes
-            # it for free if the successor crossed the block boundary).
+        live = pw
+        last = links[-1]
+        if live is None and last.entry is None:
+            # The pass ended on a fall-through edge: the reference
+            # loop's prediction window is still open (the outer loop
+            # closes it for free if the successor crossed the block
+            # boundary).
             live = _PredictionWindow(entry=None, pred_end=None,
                                      limit=last.term_limit)
         return insts, units, None, None, live, False

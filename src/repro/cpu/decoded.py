@@ -8,11 +8,14 @@ or the first control transfer: per-instruction compiled thunks
 (:func:`repro.cpu.semantics.compile_straightline`), issue-cost extras,
 and the fall-through layout.  Both execution engines use it:
 
-* :meth:`repro.cpu.core.Core.run` executes the cached window when the
-  BTB prediction cannot interact with it (no entry, or the predicted
-  branch-end byte lies at/after the window's terminator region) —
-  bit-identical cycle accounting, BTB, LBR and trace behaviour is
-  enforced by the differential suite in ``tests/test_fastpath_diff.py``;
+* :meth:`repro.cpu.core.Core.run` hands windows to its one cached
+  executor (``Core._run_superblock``): chained into superblocks at a
+  bundle start, or as a one-link chain mid-bundle when the BTB
+  prediction cannot interact with the window (no entry, or the
+  predicted branch-end byte lies at/after the window's terminator
+  region) — bit-identical cycle accounting, BTB, LBR and trace
+  behaviour is enforced by the differential suite in
+  ``tests/test_fastpath_diff.py``;
 * :func:`repro.cpu.interpret` / :func:`repro.cpu.run_function` execute
   it unconditionally (the oracle has no micro-architectural state).
 
@@ -430,7 +433,7 @@ class Superblock:
 
     __slots__ = ("entry_pc", "code_generation", "btb", "btb_generation",
                  "lookups", "links", "loop", "loop_taken",
-                 "insts_per_pass", "units_per_pass", "has_store")
+                 "insts_per_pass", "units_per_pass")
 
     def __init__(self, entry_pc: int, code_generation: int, btb,
                  lookups: list, links: List[SuperblockLink], loop: bool):
@@ -448,7 +451,6 @@ class Superblock:
         self.loop_taken = loop and links[-1].entry is not None
         self.insts_per_pass = sum(link.insts for link in links)
         self.units_per_pass = sum(link.units for link in links)
-        self.has_store = any(link.window.has_store for link in links)
 
     def btb_valid(self, btb) -> bool:
         """Would every lookup this chain was built from answer the same

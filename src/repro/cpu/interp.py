@@ -52,16 +52,6 @@ def _effective_deadline(deadline: Optional[float]) -> Optional[float]:
     return _AMBIENT_DEADLINE
 
 
-def _check_deadline(count: int, deadline: Optional[float]) -> None:
-    # ``count`` must be non-zero: instruction 0 of every run used to
-    # pay a pointless ``time.monotonic`` call here.
-    if (deadline is not None and count and count % _DEADLINE_STRIDE == 0
-            and time.monotonic() > deadline):
-        raise SimulationTimeout(
-            f"wall-clock deadline expired after {count} instructions",
-            executed=count, deadline=True)
-
-
 def _check_deadline_now(count: int, deadline: Optional[float]) -> None:
     """Unconditional deadline check, for threshold-strided loops.
 
@@ -126,18 +116,18 @@ def _fold_run_counters(prefix: str, count: int) -> None:
             sink.count(f"{prefix}.instructions", count)
 
 
-def interpret(state: MachineState, *,
-              max_instructions: int = 5_000_000,
-              collect_trace: bool = True,
-              syscall_handler: Optional[SyscallHandler] = None,
-              raise_on_limit: bool = True,
-              deadline: Optional[float] = None) -> InterpResult:
-    """Run until ``hlt``, an unhandled syscall, or the budget.
+def _run(state: MachineState, max_instructions: int, collect_trace: bool,
+         syscall_handler: Optional[SyscallHandler],
+         deadline: Optional[float],
+         stop_pc: Optional[int] = None) -> InterpResult:
+    """The oracle's one run loop, behind :func:`interpret` and
+    :func:`run_function`.
 
-    ``deadline`` is an absolute ``time.monotonic`` timestamp; past it
-    the run raises :class:`SimulationTimeout` (checked every
-    ``_DEADLINE_STRIDE`` instructions).  When omitted, the ambient
-    deadline installed by :func:`set_ambient_deadline` applies.
+    Runs until ``hlt``, an unhandled syscall, reaching ``stop_pc``
+    (stop reason RETURNED), or ``max_instructions`` (stop reason
+    LIMIT; the callers decide whether that raises).  With the fast path
+    on, each window's cached straight-line prefix runs as compiled
+    thunks and chains straight into its terminator.
     """
     deadline = _effective_deadline(deadline)
     memory = state.memory
@@ -153,6 +143,10 @@ def interpret(state: MachineState, *,
                 next_deadline_check = count + _DEADLINE_STRIDE
                 _check_deadline_now(count, deadline)
             pc = state.rip
+            if pc == stop_pc:
+                return InterpResult(InterpStop.RETURNED, count, trace,
+                                    branch_events)
+            instruction = None
             if fast:
                 window = window_cache.get(pc)
                 if (window is None
@@ -203,157 +197,11 @@ def interpret(state: MachineState, *,
                         and count < max_instructions
                         and memory.code_generation == window.generation):
                     pc = window.resume_pc
-                    outcome = execute(state, term, pc)
-                    count += 1
-                    if collect_trace:
-                        trace.append(pc)
-                    if (outcome.taken is not None
-                            and term.spec.cond is not None):
-                        branch_events.append((pc, outcome.taken))
-                    state.rip = outcome.next_pc
-                    if outcome.halt:
-                        return InterpResult(InterpStop.HALT, count,
-                                            trace, branch_events)
-                    if outcome.syscall:
-                        if (syscall_handler is None
-                                or not syscall_handler(state)):
-                            return InterpResult(InterpStop.SYSCALL,
-                                                count, trace,
-                                                branch_events)
+                    instruction = term
+                elif k:
                     continue
-                if k:
-                    continue
-            instruction, _ = _fetch(state, pc)
-            outcome = execute(state, instruction, pc)
-            count += 1
-            if collect_trace:
-                trace.append(pc)
-            if (outcome.taken is not None
-                    and instruction.spec.cond is not None):
-                branch_events.append((pc, outcome.taken))
-            state.rip = outcome.next_pc
-            if outcome.halt:
-                return InterpResult(InterpStop.HALT, count, trace,
-                                    branch_events)
-            if outcome.syscall:
-                if syscall_handler is None:
-                    return InterpResult(InterpStop.SYSCALL, count, trace,
-                                        branch_events)
-                if not syscall_handler(state):
-                    return InterpResult(InterpStop.SYSCALL, count, trace,
-                                        branch_events)
-    finally:
-        _fold_run_counters("cpu.interp", count)
-    if raise_on_limit:
-        raise SimulationTimeout(
-            f"interpreter exceeded {max_instructions} instructions",
-            budget=max_instructions, executed=count)
-    return InterpResult(InterpStop.LIMIT, count, trace, branch_events)
-
-
-def run_function(state: MachineState, entry: int, *,
-                 args: Optional[List[int]] = None,
-                 max_instructions: int = 5_000_000,
-                 collect_trace: bool = True,
-                 syscall_handler: Optional[SyscallHandler] = None,
-                 deadline: Optional[float] = None,
-                 ) -> InterpResult:
-    """Call the function at ``entry`` with the standard convention
-    (args in rdi/rsi/rdx/rcx/r8/r9) and run until it returns.
-
-    The function's return is detected with a sentinel return address.
-    ``deadline`` behaves as in :func:`interpret`.
-    """
-    deadline = _effective_deadline(deadline)
-    sentinel = 0xDEAD_0000_0000_0000 & ((1 << 48) - 1)  # canonical-ish
-    arg_regs = ("rdi", "rsi", "rdx", "rcx", "r8", "r9")
-    for register, value in zip(arg_regs, args or []):
-        state.regs[register] = value
-    state.push(sentinel)
-    state.rip = entry
-
-    memory = state.memory
-    window_cache = getattr(memory, "window_cache", None)
-    fast = fast_path_enabled() and window_cache is not None
-    trace: List[int] = []
-    branch_events: List[Tuple[int, bool]] = []
-    count = 0
-    next_deadline_check = _DEADLINE_STRIDE
-    try:
-        while count < max_instructions:
-            if count >= next_deadline_check:
-                next_deadline_check = count + _DEADLINE_STRIDE
-                _check_deadline_now(count, deadline)
-            pc = state.rip
-            if pc == sentinel:
-                return InterpResult(InterpStop.RETURNED, count, trace,
-                                    branch_events)
-            if fast:
-                window = window_cache.get(pc)
-                if (window is None
-                        or window.generation != memory.code_generation):
-                    window = (adopt_window(memory, pc)
-                              or build_window(memory, pc))
-                k = window.count
-                i = 0
-                if k:
-                    if count + k > max_instructions:
-                        k = max_instructions - count
-                    pcs = window.pcs
-                    thunks = window.thunks
-                    try:
-                        if window.has_store:
-                            generation = window.generation
-                            while i < k:
-                                thunks[i](state)
-                                i += 1
-                                if memory.code_generation != generation:
-                                    break   # self-modifying: re-decode
-                        else:
-                            while i < k:
-                                thunks[i](state)
-                                i += 1
-                    except BaseException:
-                        count += i
-                        if collect_trace:
-                            trace.extend(pcs[:i])
-                        state.rip = pcs[i]
-                        raise
-                    count += i
-                    if collect_trace:
-                        trace.extend(pcs[:i])
-                    if i < window.count:
-                        state.rip = pcs[i]
-                        continue
-                    state.rip = window.resume_pc
-                # Chain straight into the window's terminator (see
-                # :func:`interpret`).
-                term = window.terminator
-                if (term is not None and i == window.count
-                        and count < max_instructions
-                        and memory.code_generation == window.generation):
-                    pc = window.resume_pc
-                    outcome = execute(state, term, pc)
-                    count += 1
-                    if collect_trace:
-                        trace.append(pc)
-                    if (outcome.taken is not None
-                            and term.spec.cond is not None):
-                        branch_events.append((pc, outcome.taken))
-                    state.rip = outcome.next_pc
-                    if outcome.halt:
-                        return InterpResult(InterpStop.HALT, count,
-                                            trace, branch_events)
-                    if outcome.syscall:
-                        if (syscall_handler is None
-                                or not syscall_handler(state)):
-                            return InterpResult(InterpStop.SYSCALL,
-                                                count, trace,
-                                                branch_events)
-                    continue
-                if k:
-                    continue
-            instruction, _ = _fetch(state, pc)
+            if instruction is None:
+                instruction, _ = _fetch(state, pc)
             outcome = execute(state, instruction, pc)
             count += 1
             if collect_trace:
@@ -371,6 +219,55 @@ def run_function(state: MachineState, entry: int, *,
                                         branch_events)
     finally:
         _fold_run_counters("cpu.interp", count)
-    raise SimulationTimeout(
-        f"run_function exceeded {max_instructions} instructions",
-        budget=max_instructions, executed=count)
+    return InterpResult(InterpStop.LIMIT, count, trace, branch_events)
+
+
+def interpret(state: MachineState, *,
+              max_instructions: int = 5_000_000,
+              collect_trace: bool = True,
+              syscall_handler: Optional[SyscallHandler] = None,
+              raise_on_limit: bool = True,
+              deadline: Optional[float] = None) -> InterpResult:
+    """Run until ``hlt``, an unhandled syscall, or the budget.
+
+    ``deadline`` is an absolute ``time.monotonic`` timestamp; past it
+    the run raises :class:`SimulationTimeout` (checked every
+    ``_DEADLINE_STRIDE`` instructions).  When omitted, the ambient
+    deadline installed by :func:`set_ambient_deadline` applies.
+    """
+    result = _run(state, max_instructions, collect_trace, syscall_handler,
+                  deadline)
+    if result.reason is InterpStop.LIMIT and raise_on_limit:
+        raise SimulationTimeout(
+            f"interpreter exceeded {max_instructions} instructions",
+            budget=max_instructions, executed=result.instructions)
+    return result
+
+
+def run_function(state: MachineState, entry: int, *,
+                 args: Optional[List[int]] = None,
+                 max_instructions: int = 5_000_000,
+                 collect_trace: bool = True,
+                 syscall_handler: Optional[SyscallHandler] = None,
+                 deadline: Optional[float] = None,
+                 ) -> InterpResult:
+    """Call the function at ``entry`` with the standard convention
+    (args in rdi/rsi/rdx/rcx/r8/r9) and run until it returns.
+
+    The function's return is detected with a sentinel return address,
+    which is the run's stop pc.  ``deadline`` behaves as in
+    :func:`interpret`.
+    """
+    sentinel = 0xDEAD_0000_0000_0000 & ((1 << 48) - 1)  # canonical-ish
+    arg_regs = ("rdi", "rsi", "rdx", "rcx", "r8", "r9")
+    for register, value in zip(arg_regs, args or []):
+        state.regs[register] = value
+    state.push(sentinel)
+    state.rip = entry
+    result = _run(state, max_instructions, collect_trace, syscall_handler,
+                  deadline, stop_pc=sentinel)
+    if result.reason is InterpStop.LIMIT:
+        raise SimulationTimeout(
+            f"run_function exceeded {max_instructions} instructions",
+            budget=max_instructions, executed=result.instructions)
+    return result

@@ -358,11 +358,3 @@ def test_long_run_checks_the_clock(monkeypatch):
     interpret(state, deadline=1e18)
     assert calls["n"] >= 1
 
-
-def test_check_deadline_skips_instruction_zero(monkeypatch):
-    from repro.cpu.interp import _check_deadline
-    calls = _count_monotonic(monkeypatch)
-    _check_deadline(0, 1e18)
-    assert calls["n"] == 0                 # the old bug paid one here
-    _check_deadline(2048, 1e18)
-    assert calls["n"] == 1

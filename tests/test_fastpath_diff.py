@@ -17,6 +17,7 @@ from repro.cpu import (Core, MachineState, StopReason, interpret,
                       run_function, set_fast_path)
 from repro.cpu.config import DEFAULT_GENERATION, generation
 from repro.isa import Assembler
+from repro.isa.instructions import Kind
 from repro.memory import VirtualMemory
 from repro.victims.library import (build_bn_cmp_victim, build_gcd_victim)
 from repro.victims.rsa import generate_key
@@ -384,3 +385,53 @@ def test_core_guard_clip_mid_window():
 
     for budget in (1, 3, 10, 57):
         assert run(False, budget) == run(True, budget)
+
+
+def test_preallocated_entry_at_every_offset_single_step_sweep():
+    """One 32-byte block — a straight-line prefix ending in a fusible
+    ``dec``, then the conditional exit ``jne8`` — with a BTB entry
+    pre-allocated at each byte offset of the block: inside the prefix
+    (a false hit mid-bundle), on the Jcc's anchor byte (a predicted
+    edge) and past it.  Every retire budget up to the program's length
+    clips the prefix somewhere else, so fast must equal slow on every
+    observable at each (offset, budget) pair."""
+    asm = Assembler(base=0x0040_0000)
+    asm.label("block")
+    asm.emit("addi8", "rax", 5)
+    asm.emit("xor", "rbx", "rax")
+    asm.emit("shl", "rbx", 1)
+    asm.emit("inc", "rdx")
+    asm.emit("dec", "rcx")
+    asm.emit("jne8", "block")
+    asm.emit("hlt")
+    program = asm.assemble()
+    block = program.address_of("block")
+
+    def run(fast, offset, max_retired):
+        previous = set_fast_path(fast)
+        try:
+            memory = VirtualMemory()
+            program.load_into(memory)
+            state = MachineState(memory, rip=block)
+            state.setup_stack(0x7FFF_0000)
+            state.regs["rcx"] = 3
+            core = Core()
+            core.btb.allocate(block + offset, block, Kind.COND_JUMP)
+            results = []
+            for _ in range(1_000):
+                result = core.run(state, collect_trace=True,
+                                  max_retired=max_retired)
+                results.append(result)
+                if result.reason is not StopReason.RETIRE_LIMIT:
+                    break
+            return core_observables(core, state, results)
+        finally:
+            set_fast_path(previous)
+
+    length = run(False, 0x1F, None)["runs"][0][1]
+    for offset in range(32):
+        for max_retired in range(1, length + 1):
+            slow = run(False, offset, max_retired)
+            assert slow == run(True, offset, max_retired), (offset,
+                                                            max_retired)
+            assert slow["runs"][-1][0] is StopReason.HALT

@@ -71,11 +71,10 @@ def make_rng(seed):
 
 
 def test_deadline_guards_stay_allowlisted():
-    """The two interp deadline guards are the only clock sites the
-    scoped packages may contain."""
+    """The interp deadline guard is the only clock site the scoped
+    packages may contain."""
     allow = lint_determinism.DEADLINE_GUARD_ALLOWLIST
     assert allow == {
-        ("src/repro/cpu/interp.py", "_check_deadline"),
         ("src/repro/cpu/interp.py", "_check_deadline_now"),
     }
     interp = REPO_ROOT / "src" / "repro" / "cpu" / "interp.py"

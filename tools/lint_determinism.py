@@ -27,9 +27,9 @@ rejects:
 
 Allow-listed exceptions (function-level, reviewed by hand):
 
-* the wall-clock *deadline guards* in ``repro.cpu.interp`` — they read
+* the wall-clock *deadline guard* in ``repro.cpu.interp`` — it reads
   ``time.monotonic`` purely to abort runaway simulations and never
-  feed the result into simulated state.
+  feeds the result into simulated state.
 
 Run from the repository root::
 
@@ -58,7 +58,6 @@ SCOPED_DIRS = (
 
 #: (relative path, enclosing function) pairs allowed to read the clock
 DEADLINE_GUARD_ALLOWLIST = {
-    ("src/repro/cpu/interp.py", "_check_deadline"),
     ("src/repro/cpu/interp.py", "_check_deadline_now"),
 }
 
@@ -95,7 +94,7 @@ class _Visitor(ast.NodeVisitor):
                     self.findings.append((
                         node.lineno,
                         f"wall-clock read time.{attr}() outside the "
-                        f"allow-listed deadline guards"))
+                        f"allow-listed deadline guard"))
             elif module == "random" and attr != "Random":
                 self.findings.append((
                     node.lineno,
@@ -108,7 +107,7 @@ class _Visitor(ast.NodeVisitor):
                 self.findings.append((
                     node.lineno,
                     f"wall-clock read {func.id}() outside the "
-                    f"allow-listed deadline guards"))
+                    f"allow-listed deadline guard"))
         self.generic_visit(node)
 
     # -- import bookkeeping ---------------------------------------------

@@ -136,25 +136,20 @@ def _campaign_summary(manifest) -> str:
                           lost=sorted(manifest.lost().items()))
 
 
-#: chaos drills that strike the durable storage layer
-_STORAGE_CHAOS = ("torn-write", "bit-flip", "enospc", "fsync-fail")
-
 _CAMPAIGN_EXIT = {"COMPLETED": 0, "FAILED": 1, "INTERRUPTED": 3,
                   "DEGRADED": 4}
 
 
 def _cmd_campaign(args) -> int:
+    from .faults import disk_chaos
     from .runner import ChaosMonkey, experiment_jobs, run_campaign
-    if args.chaos in _STORAGE_CHAOS:
+    injector = disk_chaos(args.chaos or "", seed=args.seed or 0,
+                          strike_after=args.chaos_write)
+    if injector is not None:
         # Storage drills perturb the atomic writer itself; the
         # campaign-level chaos slot is then clear for the runner.
-        from .faults import DiskFaultInjector
         from .storage import install_disk_faults
-        install_disk_faults(DiskFaultInjector(
-            mode=args.chaos, seed=args.seed or 0,
-            strikes=args.chaos_kills,
-            strike_after=args.chaos_write,
-            match=args.chaos_match))
+        install_disk_faults(injector)
         args.chaos = None
     specs = []
     if args.resume is None:
@@ -187,8 +182,10 @@ def _cmd_campaign(args) -> int:
             on_event=on_event if args.verbose else None)
     except DiskFaultError as error:
         print(f"storage fault: {error}", file=sys.stderr)
-        print("campaign INTERRUPTED by storage fault; the journal "
-              "recovers it on --resume", file=sys.stderr)
+        print("campaign INTERRUPTED by storage fault; --resume "
+              "recovers it (a corrupt manifest is quarantined and the "
+              "campaign re-runs from its creation record)",
+              file=sys.stderr)
         return 3
     except CampaignError as error:
         print(str(error), file=sys.stderr)
@@ -265,13 +262,13 @@ def _load_golden(tool: str, golden: str,
     goldens are quarantined aside (``<name>.corrupt``) so forensics
     survive and the next ``--out`` starts clean.  With ``schema`` the
     file must be an enveloped JSON document
-    (:func:`repro.storage.parse_document`) whose payload carries the
+    (:func:`repro.storage.load_document`) whose payload carries the
     report text; without it the file is legacy plain text.
     """
     import os
 
     from .errors import ArtifactCorrupt
-    from .storage import quarantine_file
+    from .storage import load_document, quarantine_file
 
     if not os.path.exists(golden):
         print(f"{tool}: golden report missing at {golden} "
@@ -286,19 +283,14 @@ def _load_golden(tool: str, golden: str,
             print(f"{tool}: cannot read golden report: {error}",
                   file=sys.stderr)
             return None
-    from .storage import parse_document, read_json
     try:
-        document = read_json(golden)
-        payload, found_schema, _ = parse_document(document)
-        if found_schema != schema:
-            raise ArtifactCorrupt(
-                f"golden schema {found_schema!r}, expected {schema!r}")
+        payload = load_document(golden, schema)
         report = payload.get("report") if isinstance(payload, dict) \
             else None
         if not isinstance(report, str):
             raise ArtifactCorrupt("golden payload lacks a report body")
         return report
-    except (OSError, ValueError, ArtifactCorrupt) as error:
+    except (OSError, ArtifactCorrupt) as error:
         destination = quarantine_file(golden)
         where = (f"; quarantined to {destination}"
                  if destination is not None else "")
@@ -471,28 +463,22 @@ def main(argv=None) -> int:
     campaign.add_argument("--chaos", default=None,
                           choices=["kill-worker", "kill-shard",
                                    "stall-shard", "torn-write",
-                                   "bit-flip", "enospc",
-                                   "fsync-fail"],
+                                   "bit-flip", "enospc"],
                           help="failure drill: kill-worker SIGKILLs "
                                "random workers then interrupts (prove "
                                "--resume converges); kill-shard / "
                                "stall-shard SIGKILL / SIGSTOP a whole "
                                "shard (the campaign must heal itself); "
-                               "torn-write / bit-flip / enospc / "
-                               "fsync-fail strike manifest checkpoint "
-                               "writes (the storage journal must "
-                               "recover on resume)")
+                               "torn-write / bit-flip / enospc strike "
+                               "a manifest write (--resume must "
+                               "converge to the clean digest)")
     campaign.add_argument("--chaos-kills", type=int, default=1,
-                          help="workers/shards/writes to strike")
+                          help="workers/shards to strike")
     campaign.add_argument("--chaos-write", type=int, default=0,
                           metavar="N",
                           help="storage chaos: strike the Nth "
-                               "matching checkpoint write (default 0 "
-                               "= seeded in [2, 6])")
-    campaign.add_argument("--chaos-match", default="manifest.json",
-                          metavar="GLOB",
-                          help="storage chaos: file-name glob the "
-                               "fault targets (default manifest.json)")
+                               "manifest write (default 0 = seeded "
+                               "in [2, 6])")
     campaign.add_argument("--chaos-delay", type=float, default=0.2,
                           metavar="S",
                           help="minimum campaign age before the first "

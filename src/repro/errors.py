@@ -189,9 +189,10 @@ class CampaignError(ReproError):
 
 class ArtifactCorrupt(_StructuredErrorMixin, CampaignError):
     """A persisted artifact failed validation on load (checksum
-    mismatch, truncation, invalid JSON, wrong schema tag) and could not
-    be recovered from its write-ahead journal.  The damaged file has
-    already been quarantined to ``<name>.corrupt`` (path recorded in
+    mismatch, truncation, invalid JSON, wrong schema tag) and nothing
+    could serve in its place — for a campaign, neither the manifest
+    nor its creation record.  A damaged manifest has already been
+    quarantined to ``<name>.corrupt`` (path recorded in
     ``quarantined``) so forensics survive and a retried load does not
     trip over the same bytes."""
 
@@ -204,9 +205,8 @@ class ArtifactCorrupt(_StructuredErrorMixin, CampaignError):
 
 
 class DiskFaultError(_StructuredErrorMixin, CampaignError):
-    """An injected disk fault fired (torn write, ENOSPC, fsync
-    failure) — the storage layer behaves as if the process died
-    mid-checkpoint.  Carries the fault kind and path so drills can
+    """An injected disk fault fired (torn write, ENOSPC) — the
+    storage layer behaves as if the process died mid-checkpoint.  Carries the fault kind and path so drills can
     assert exactly which write was struck."""
 
     def __init__(self, message: str, *, path: str = "",

@@ -15,8 +15,8 @@ the same surfaces a real machine would —
   an involuntary context switch).
 
 :mod:`repro.faults.disk` extends the same seeded-schedule discipline
-to the *storage* substrate (torn writes, bit rot, ENOSPC, failed
-fsync) for the durability drills in DESIGN.md §13.
+to the *storage* substrate (torn writes, bit rot, ENOSPC) for the
+durability drills in DESIGN.md §13.
 
 Everything is driven by a seeded :class:`FaultInjector` with one RNG
 stream *per surface*, so the injected schedule for any one surface is

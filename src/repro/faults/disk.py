@@ -14,18 +14,15 @@ measurement campaign actually meets:
   write otherwise succeeds (bit rot / DMA corruption); nothing
   raises — the damage must be *detected on load* by the envelope
   checksum;
-* ``enospc`` — the write fails up front with the disk-full errno;
-* ``fsync-fail`` — the data was accepted but durability cannot be
-  promised (fsync returned EIO); the injector leaves the old target
-  in place and plays dead, like a kernel that remounted the disk
-  read-only.
+* ``enospc`` — the write fails up front with the disk-full errno,
+  the old target stays in place, and the injector plays dead.
 
 Like every fault surface in this package the schedule is a pure
 function of the seed: the struck write index, torn-byte offset, and
 flipped bit come from one ``random.Random(f"disk-faults:{seed}")``
-stream.  ``match`` restricts the blast radius by file name (default:
-only ``manifest.json`` checkpoints), so a drill tears the checkpoint
-it is aimed at, not every artifact in the campaign.
+stream.  Only campaign manifest writes (``manifest.json``) count and
+get struck, so a drill never damages the write-once creation record
+or the artifacts beside it.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from __future__ import annotations
 import errno
 import random
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -42,35 +38,23 @@ from ..errors import DiskFaultError
 MODE_TORN_WRITE = "torn-write"
 MODE_BIT_FLIP = "bit-flip"
 MODE_ENOSPC = "enospc"
-MODE_FSYNC_FAIL = "fsync-fail"
 
-DISK_FAULT_MODES = (MODE_TORN_WRITE, MODE_BIT_FLIP, MODE_ENOSPC,
-                    MODE_FSYNC_FAIL)
-
-#: modes after which the injector plays dead (every later matching
-#: write fails too — the "process died / disk gone" half of the drill)
-_CRASHING_MODES = (MODE_TORN_WRITE, MODE_ENOSPC, MODE_FSYNC_FAIL)
+DISK_FAULT_MODES = (MODE_TORN_WRITE, MODE_BIT_FLIP, MODE_ENOSPC)
 
 
 @dataclass
 class DiskFaultInjector:
-    """Strikes the Nth matching write with one deterministic fault.
+    """Strikes the Nth manifest write with one deterministic fault.
 
     Installed process-globally via
     :func:`repro.storage.install_disk_faults`; every
-    :func:`repro.storage.atomic_write_bytes` whose file name matches
-    ``match`` consults it.
+    :func:`repro.storage.atomic_write_bytes` consults it.
     """
 
     mode: str = MODE_TORN_WRITE
     seed: int = 0
-    #: faults to inject before going quiet (bit-flip only; crashing
-    #: modes play dead after their first strike regardless)
-    strikes: int = 1
-    #: strike on this (1-based) matching write; 0 = seeded in [2, 6]
+    #: strike on this (1-based) manifest write; 0 = seeded in [2, 6]
     strike_after: int = 0
-    #: glob applied to the written file's *name* (not its path)
-    match: str = "manifest.json"
     #: (kind, path, detail) per injected fault, for drills and tests
     events: List[Tuple[str, str, int]] = field(default_factory=list)
 
@@ -79,67 +63,42 @@ class DiskFaultInjector:
             raise DiskFaultError(
                 f"unknown disk fault mode {self.mode!r}; known: "
                 f"{', '.join(DISK_FAULT_MODES)}", kind=self.mode)
-        if self.strikes < 1:
-            raise DiskFaultError("strikes must be >= 1",
-                                 kind=self.mode)
         self._rng = random.Random(f"disk-faults:{self.seed}")
         if self.strike_after < 1:
             self.strike_after = self._rng.randint(2, 6)
         self._seen = 0
-        self._struck = 0
-        self._next_strike = self.strike_after
-        self._dead = False
+        #: a crashing strike fired: every later write fails
+        self.dead = False
 
-    # ------------------------------------------------------------------
-    @property
-    def exhausted(self) -> bool:
-        return self._struck >= self.strikes
-
-    @property
-    def dead(self) -> bool:
-        return self._dead
-
-    def matches(self, path) -> bool:
-        return fnmatch(Path(path).name, self.match)
-
-    # ------------------------------------------------------------------
     def before_write(self, path, data: bytes) -> bytes:
         """Consulted by the atomic writer before it touches disk.
 
         Returns the (possibly corrupted) payload to write, writes a
         torn target directly, or raises :class:`DiskFaultError`.
         """
-        if self._dead:
+        if self.dead:
             # After a crashing strike nothing at all reaches disk —
-            # the process this models is gone — so even non-matching
-            # writes (journals, artifacts) fail until the drill ends.
+            # the process this models is gone — so even artifact
+            # writes fail until the drill ends.
             raise DiskFaultError(
                 f"disk offline after injected {self.mode} fault",
                 path=str(path), kind=self.mode)
-        if not self.matches(path):
+        from ..runner.manifest import MANIFEST_NAME
+        if Path(path).name != MANIFEST_NAME:
             return data
         self._seen += 1
-        if self.exhausted or self._seen < self._next_strike:
+        if self._seen != self.strike_after:
             return data
-        self._struck += 1
-        self._next_strike += max(1, self.strike_after)
         if self.mode == MODE_BIT_FLIP:
             return self._flip_bit(path, data)
-        self._dead = True
+        self.dead = True
         if self.mode == MODE_ENOSPC:
             self.events.append((self.mode, str(path), 0))
             raise DiskFaultError(
                 f"injected ENOSPC writing {path}", path=str(path),
                 kind=self.mode, errno_=errno.ENOSPC)
-        if self.mode == MODE_FSYNC_FAIL:
-            self.events.append((self.mode, str(path), 0))
-            raise DiskFaultError(
-                f"injected fsync failure writing {path} "
-                f"(data not durable)", path=str(path),
-                kind=self.mode, errno_=errno.EIO)
         return self._tear(path, data)
 
-    # ------------------------------------------------------------------
     def _flip_bit(self, path, data: bytes) -> bytes:
         if not data:
             return data
@@ -163,14 +122,12 @@ class DiskFaultInjector:
             kind=self.mode, errno_=errno.EIO)
 
 
-def disk_chaos(mode: str, *, seed: int = 0, strikes: int = 1,
-               strike_after: int = 0,
-               match: str = "manifest.json"
+def disk_chaos(mode: str, *, seed: int = 0, strike_after: int = 0
                ) -> Optional[DiskFaultInjector]:
     """Build the injector for a ``--chaos`` storage drill (None for
     an unknown mode, so CLI wiring can fall through to other chaos
     families)."""
     if mode not in DISK_FAULT_MODES:
         return None
-    return DiskFaultInjector(mode=mode, seed=seed, strikes=strikes,
-                             strike_after=strike_after, match=match)
+    return DiskFaultInjector(mode=mode, seed=seed,
+                             strike_after=strike_after)

@@ -20,9 +20,11 @@ single measurement.  This package protects the layer above it:
   least-loaded healthy shard, each move costing one attempt, and a job
   that cannot move ends ``LOST`` (the campaign ends ``DEGRADED``);
 * all state checkpoints into one :class:`RunManifest` under
-  ``runs/<campaign-id>/`` through **journaled writes**, so ``--resume``
-  skips completed jobs and re-runs only the rest — converging to
-  byte-identical results and the same campaign digest;
+  ``runs/<campaign-id>/``, one atomic enveloped write per state
+  transition, so ``--resume`` skips completed jobs and re-runs only
+  the rest — converging to byte-identical results and the same
+  campaign digest.  A corrupt manifest is quarantined and the resume
+  re-runs the whole campaign from its write-once creation record;
 * **chaos drills**: ``kill-worker`` SIGKILLs random workers then
   interrupts the campaign (proving ``--resume``); ``kill-shard``
   SIGKILLs and ``stall-shard`` SIGSTOPs one shard's process group
@@ -51,7 +53,7 @@ from .jobs import (JobRecord, JobSpec, JobStatus, KIND_EXPERIMENT,
                    KIND_SELFTEST, experiment_jobs, partition_jobs)
 from .manifest import (CAMPAIGN_COMPLETED, CAMPAIGN_DEGRADED,
                        CAMPAIGN_FAILED, CAMPAIGN_INTERRUPTED,
-                       MANIFEST_NAME, RunManifest, list_campaigns)
+                       CREATION_RECORD_NAME, MANIFEST_NAME, RunManifest)
 from .watchdog import BatchHandle, Watchdog, WorkerHandle
 from .worker import batch_main, execute_job, is_transient, worker_main
 
@@ -64,6 +66,7 @@ __all__ = [
     "CAMPAIGN_INTERRUPTED",
     "CHAOS_MODES",
     "CHAOS_TARGET",
+    "CREATION_RECORD_NAME",
     "CampaignRunner",
     "ChaosMonkey",
     "JobRecord",
@@ -79,7 +82,6 @@ __all__ = [
     "execute_job",
     "experiment_jobs",
     "is_transient",
-    "list_campaigns",
     "new_campaign_id",
     "partition_jobs",
     "run_campaign",
@@ -725,8 +727,9 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
                  ) -> RunManifest:
     """Create (or resume) a campaign and run it to completion.
 
-    On ``resume=True`` the manifest is loaded from
-    ``runs_dir/campaign_id`` and ``specs`` and ``shards`` are ignored —
+    On ``resume=True`` the manifest (or, when it is corrupt, the
+    creation record) is loaded from ``runs_dir/campaign_id`` and
+    ``specs`` and ``shards`` are ignored —
     the campaign re-runs exactly what it recorded, in the shards it
     recorded, skipping COMPLETED jobs.  ``shards >= 1`` partitions the
     jobs into that many fault domains with ``max_workers`` workers
@@ -742,7 +745,9 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
         manifest.reset_for_resume()
     else:
         campaign_id = campaign_id or new_campaign_id()
-        if (runs_dir / campaign_id / MANIFEST_NAME).exists():
+        directory = runs_dir / campaign_id
+        if any((directory / name).exists()
+               for name in (MANIFEST_NAME, CREATION_RECORD_NAME)):
             raise CampaignError(
                 f"campaign {campaign_id!r} already exists under "
                 f"{runs_dir}; use resume")

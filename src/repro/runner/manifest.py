@@ -3,11 +3,19 @@
 The manifest is the single source of truth for checkpoint/resume, for
 sharded campaigns too: every job record carries the fault domain
 (``shard``) that currently owns it, so one manifest holds the whole
-campaign.  It is rewritten (journaled, :mod:`repro.storage`) after
-**every** job state transition, so a SIGKILL of the whole campaign at
-any instant leaves a loadable manifest whose COMPLETED entries can be
-trusted — their artifacts were atomically renamed into place *before*
-the manifest recorded them.
+campaign.  It is rewritten (one atomic enveloped write,
+:mod:`repro.storage`) after **every** job state transition, so a
+SIGKILL of the whole campaign at any instant leaves a loadable
+manifest whose COMPLETED entries can be trusted — their artifacts were
+atomically renamed into place *before* the manifest recorded them.
+
+:meth:`RunManifest.create` also writes ``campaign.json``, the
+write-once **creation record**: the same payload as the first
+manifest (every job PENDING, with its spec and shard), never rewritten.
+:meth:`RunManifest.load` reads the manifest if it is valid, else the
+creation record — a corrupt manifest is quarantined to
+``manifest.json.corrupt`` and, since job digests are deterministic,
+the resume re-runs every job and converges to the clean digest.
 
 Schema (``schema`` bumps on incompatible change)::
 
@@ -30,15 +38,16 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .. import telemetry
-from ..errors import CampaignError
-from ..storage import checkpoint, load_checkpoint
+from ..errors import ArtifactCorrupt, CampaignError
+from ..storage import load_document, quarantine_file, write_envelope
 from .jobs import JobRecord, JobSpec, JobStatus, partition_jobs
 
 SCHEMA_VERSION = 3
-#: envelope schema tag on every journaled manifest checkpoint
+#: envelope schema tag on the manifest and its creation record
 SCHEMA_TAG = "repro.runner.manifest"
 
 MANIFEST_NAME = "manifest.json"
+CREATION_RECORD_NAME = "campaign.json"
 ARTIFACT_DIR = "artifacts"
 
 #: campaign outcomes (:attr:`RunManifest.status`)
@@ -66,8 +75,9 @@ class RunManifest:
     def create(cls, campaign_id: str, runs_dir: Path, *,
                specs: List[JobSpec], seed: Optional[int],
                created: str = "", shards: int = 0) -> "RunManifest":
-        """A fresh manifest; ``shards >= 1`` assigns every job a fault
-        domain with :func:`partition_jobs` (jobs keep ``specs`` order)."""
+        """A fresh manifest, persisted as the campaign's creation
+        record; ``shards >= 1`` assigns every job a fault domain with
+        :func:`partition_jobs` (jobs keep ``specs`` order)."""
         directory = Path(runs_dir) / campaign_id
         manifest = cls(campaign_id=campaign_id, directory=directory,
                        created=created, seed=seed)
@@ -81,21 +91,18 @@ class RunManifest:
             for shard, shard_specs in layout.items():
                 for spec in shard_specs:
                     manifest.jobs[spec.job_id].shard = shard
+        write_envelope(directory / CREATION_RECORD_NAME,
+                       manifest._payload(), SCHEMA_TAG)
         return manifest
 
     @classmethod
     def load(cls, runs_dir: Path, campaign_id: str) -> "RunManifest":
         directory = Path(runs_dir) / campaign_id
-        path = directory / MANIFEST_NAME
-        try:
-            # Journaled load: an interrupted checkpoint is replayed
-            # from the WAL, a corrupted one quarantined and healed
-            # (ArtifactCorrupt propagates when nothing recovers).
-            payload = load_checkpoint(path, expect_schema=SCHEMA_TAG)
-        except FileNotFoundError:
+        payload = _load_state(directory)
+        if payload is None:
             raise CampaignError(
                 f"no manifest for campaign {campaign_id!r} "
-                f"under {runs_dir}") from None
+                f"under {runs_dir}")
         schema = payload.get("schema") \
             if isinstance(payload, dict) else None
         if schema != SCHEMA_VERSION:
@@ -122,7 +129,10 @@ class RunManifest:
         return self.directory / ARTIFACT_DIR
 
     def save(self) -> None:
-        payload = {
+        write_envelope(self.path, self._payload(), SCHEMA_TAG)
+
+    def _payload(self) -> dict:
+        return {
             "schema": SCHEMA_VERSION,
             "campaign_id": self.campaign_id,
             "created": self.created,
@@ -131,7 +141,6 @@ class RunManifest:
             "jobs": {job_id: record.to_dict()
                      for job_id, record in self.jobs.items()},
         }
-        checkpoint(self.path, payload, SCHEMA_TAG)
 
     # ------------------------------------------------------------------
     # resume semantics
@@ -219,12 +228,25 @@ class RunManifest:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def list_campaigns(runs_dir: Path) -> List[str]:
-    """Campaign ids with a manifest under ``runs_dir``, sorted."""
-    runs_dir = Path(runs_dir)
-    if not runs_dir.is_dir():
-        return []
-    return sorted(
-        entry.name for entry in runs_dir.iterdir()
-        if (entry / MANIFEST_NAME).is_file()
-    )
+def _load_state(directory: Path) -> Optional[dict]:
+    """The manifest if valid, else the creation record; None when the
+    campaign has neither.  A corrupt manifest is quarantined; when
+    neither file can serve, the load raises :class:`ArtifactCorrupt`."""
+    manifest = directory / MANIFEST_NAME
+    failure: Optional[ArtifactCorrupt] = None
+    quarantined = None
+    for path in (manifest, directory / CREATION_RECORD_NAME):
+        try:
+            return load_document(path, SCHEMA_TAG)
+        except FileNotFoundError:
+            continue
+        except ArtifactCorrupt as error:
+            failure = failure or error
+            if path == manifest:
+                quarantined = quarantine_file(path)
+    if failure is None:
+        return None
+    raise ArtifactCorrupt(
+        f"campaign {directory.name!r} has no valid manifest or "
+        f"creation record: {failure}", path=failure.path,
+        reason=failure.reason, quarantined=str(quarantined or ""))

@@ -4,7 +4,7 @@ The payload is written to a temporary file in the *same directory*,
 fsynced, then :func:`os.replace`'d over the destination.  A SIGKILL at
 any point leaves either the old content or the new content — never a
 truncated file.  The directory entry is fsynced too (best-effort) so
-the rename survives a power cut on journalled filesystems.
+the rename itself survives a power cut.
 
 The CLI, runner, and perf suite all share this one implementation, so
 the deterministic disk-fault injector (:mod:`repro.faults.disk`) has a
@@ -71,7 +71,7 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     if _DISK_FAULTS is not None:
         # May corrupt ``data`` (bit flip), tear the target directly,
-        # or raise DiskFaultError (ENOSPC / fsync failure / crash).
+        # or raise DiskFaultError (ENOSPC / crash).
         data = _DISK_FAULTS.before_write(path, data)
     tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
     try:

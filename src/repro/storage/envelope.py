@@ -7,7 +7,7 @@ Every durable JSON document carries an ``"envelope"`` field::
       "envelope": {
         "fmt": 1,                # envelope format version
         "schema": "repro.runner.manifest",   # document type tag
-        "tick": 17,              # checkpoint sequence number
+        "tick": 1,               # always 1; kept so fmt 1 holds
         "sha256": "...",         # over the canonical payload bytes
         "length": 1234           # of the canonical payload bytes
       }
@@ -22,20 +22,28 @@ existing readers that index straight into the document
 working unchanged.  Non-dict payloads (lists, scalars) are wrapped as
 ``{"envelope": {...}, "body": <payload>}``.  A document without an
 envelope is corrupt.
+
+:func:`load_document` is the one reader for enveloped files: whatever
+is wrong with a file that exists (unreadable, torn, bit-flipped, wrong
+schema tag) surfaces as :class:`ArtifactCorrupt`, and
+:func:`quarantine_file` moves the damage aside to ``<name>.corrupt``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Tuple
+from pathlib import Path
+from typing import Optional, Tuple
 
 from ..errors import ArtifactCorrupt
+from .atomic import PathLike, atomic_write_json
 
 ENVELOPE_KEY = "envelope"
 ENVELOPE_FMT = 1
 #: wrapper key used when the payload itself is not a JSON object
 BODY_KEY = "body"
+CORRUPT_SUFFIX = ".corrupt"
 
 
 def canonical_bytes(payload: object) -> bytes:
@@ -44,14 +52,13 @@ def canonical_bytes(payload: object) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def wrap_envelope(payload: object, schema: str,
-                  tick: int = 1) -> dict:
+def wrap_envelope(payload: object, schema: str) -> dict:
     """Build the enveloped document for ``payload``."""
     canonical = canonical_bytes(payload)
     envelope = {
         "fmt": ENVELOPE_FMT,
         "schema": schema,
-        "tick": int(tick),
+        "tick": 1,
         "sha256": hashlib.sha256(canonical).hexdigest(),
         "length": len(canonical),
     }
@@ -64,6 +71,12 @@ def wrap_envelope(payload: object, schema: str,
         document[ENVELOPE_KEY] = envelope
         return document
     return {ENVELOPE_KEY: envelope, BODY_KEY: payload}
+
+
+def write_envelope(path: PathLike, payload: object,
+                   schema: str) -> Path:
+    """Atomically write ``payload`` as one enveloped document."""
+    return atomic_write_json(path, wrap_envelope(payload, schema))
 
 
 def parse_document(document: object) -> Tuple[object, str, int]:
@@ -108,3 +121,63 @@ def parse_document(document: object) -> Tuple[object, str, int]:
         raise ArtifactCorrupt(f"bad envelope tick {tick!r}",
                               reason="bad-envelope")
     return payload, str(envelope.get("schema", "")), tick
+
+
+def load_document(path: PathLike, schema: str) -> object:
+    """Read and validate one enveloped JSON file tagged ``schema``;
+    return its payload.  Raises FileNotFoundError when the file is
+    missing and :class:`ArtifactCorrupt` for anything else that keeps
+    it from serving."""
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise
+    except OSError as error:
+        raise ArtifactCorrupt(f"cannot read {path}: {error}",
+                              path=str(path),
+                              reason="unreadable") from error
+    try:
+        document = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ArtifactCorrupt(
+            f"{path} is not valid JSON (truncated or torn write): "
+            f"{error}", path=str(path),
+            reason="invalid-json") from error
+    try:
+        payload, found, _ = parse_document(document)
+    except ArtifactCorrupt as error:
+        raise ArtifactCorrupt(f"{path}: {error}", path=str(path),
+                              reason=error.reason) from error
+    if found != schema:
+        raise ArtifactCorrupt(
+            f"{path} carries schema tag {found!r}, "
+            f"expected {schema!r}", path=str(path),
+            reason="schema-mismatch")
+    return payload
+
+
+def quarantine_path(path: PathLike) -> Path:
+    """The (non-clobbering) destination a damaged file moves to."""
+    path = Path(path)
+    candidate = path.parent / f"{path.name}{CORRUPT_SUFFIX}"
+    sequence = 0
+    while candidate.exists():
+        sequence += 1
+        candidate = path.parent / \
+            f"{path.name}{CORRUPT_SUFFIX}.{sequence}"
+    return candidate
+
+
+def quarantine_file(path: PathLike) -> Optional[Path]:
+    """Move a damaged file aside to ``<name>.corrupt`` (forensics
+    survive, a retried load starts clean).  Returns the quarantine
+    path, or None if the file vanished underneath us."""
+    path = Path(path)
+    destination = quarantine_path(path)
+    try:
+        path.rename(destination)
+    except OSError:
+        return None
+    from .. import telemetry
+    telemetry.count("storage.corruption_detected")
+    return destination

@@ -18,10 +18,10 @@ import pytest
 
 from repro.errors import (CampaignError, MeasurementUnstable, PageFault,
                           SimulationTimeout, WorkerCrashed)
-from repro.runner import (ChaosMonkey, JobRecord, JobSpec, JobStatus,
+from repro.runner import (CREATION_RECORD_NAME, MANIFEST_NAME,
+                          ChaosMonkey, JobRecord, JobSpec, JobStatus,
                           KIND_SELFTEST, RunManifest, execute_job,
-                          experiment_jobs, is_transient, list_campaigns,
-                          run_campaign)
+                          experiment_jobs, is_transient, run_campaign)
 from repro.storage import (atomic_write_json, atomic_write_text,
                            digest_text, read_json)
 
@@ -162,7 +162,8 @@ def test_manifest_roundtrip_and_listing(tmp_path):
     assert loaded.seed == 7
     assert loaded.jobs["a"].status is JobStatus.COMPLETED
     assert loaded.jobs["b"].spec == specs[1]
-    assert list_campaigns(tmp_path) == ["camp-1"]
+    assert sorted(path.name for path in manifest.directory.iterdir()) \
+        == [CREATION_RECORD_NAME, MANIFEST_NAME]
     with pytest.raises(CampaignError):
         RunManifest.load(tmp_path, "no-such-campaign")
 

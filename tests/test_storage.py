@@ -1,7 +1,8 @@
-"""The durable storage layer: checksummed envelopes, write-ahead
-journaled checkpoints with quarantine + recovery, the consolidated
-atomic writer (byte-identical to the implementation it replaced), and
-the deterministic disk-fault injector.
+"""The durable storage layer: checksummed envelopes, the one
+enveloped-file reader with quarantine, the manifest's one write per
+state transition and its manifest-else-creation-record load rule, the
+consolidated atomic writer (byte-identical to the implementation it
+replaced), and the deterministic disk-fault injector.
 """
 
 import errno
@@ -13,22 +14,35 @@ import pytest
 from repro import telemetry
 from repro.errors import ArtifactCorrupt, DiskFaultError
 from repro.faults import DiskFaultInjector, disk_chaos
+from repro.runner import CREATION_RECORD_NAME, JobStatus, RunManifest
+from repro.runner.jobs import KIND_SELFTEST, JobSpec
+from repro.runner.manifest import SCHEMA_TAG
 from repro.storage import (CORRUPT_SUFFIX, ENVELOPE_KEY, atomic_write,
-                           atomic_write_json, canonical_bytes, checkpoint,
+                           atomic_write_json, canonical_bytes,
                            clear_disk_faults, install_disk_faults,
-                           journal_path, load_checkpoint,
-                           parse_document, quarantine_path,
-                           read_json, reset_tick_cache,
-                           wrap_envelope, write_envelope)
+                           load_document, parse_document,
+                           quarantine_path, read_json, wrap_envelope,
+                           write_envelope)
 
 
 @pytest.fixture(autouse=True)
 def _clean_storage_state():
-    reset_tick_cache()
     clear_disk_faults()
     yield
-    reset_tick_cache()
     clear_disk_faults()
+
+
+def _campaign(runs_dir, campaign_id="camp"):
+    """A two-job campaign, created (creation record written) and then
+    saved once with its first job COMPLETED."""
+    specs = [JobSpec(job_id=job_id, kind=KIND_SELFTEST, name="work:2",
+                     seed=0) for job_id in ("a", "b")]
+    manifest = RunManifest.create(campaign_id, runs_dir, specs=specs,
+                                  seed=0, shards=2)
+    manifest.jobs["a"].status = JobStatus.COMPLETED
+    manifest.jobs["a"].digest = "d" * 64
+    manifest.save()
+    return manifest
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +50,7 @@ def _clean_storage_state():
 # ----------------------------------------------------------------------
 def test_envelope_roundtrip_dict_payload():
     payload = {"alpha": 1, "jobs": {"j0": {"status": "PENDING"}}}
-    document = wrap_envelope(payload, "repro.test", tick=3)
+    document = wrap_envelope(payload, "repro.test")
     # the payload's own keys stay top-level: direct readers
     # (json.load(f)["jobs"]) keep working
     assert document["jobs"] == payload["jobs"]
@@ -44,7 +58,7 @@ def test_envelope_roundtrip_dict_payload():
     parsed, schema, tick = parse_document(document)
     assert parsed == payload
     assert schema == "repro.test"
-    assert tick == 3
+    assert tick == 1
 
 
 def test_envelope_roundtrip_non_dict_payload():
@@ -123,98 +137,80 @@ def test_atomic_writes_count_telemetry(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# write-ahead journal
+# one copy per checkpoint: manifest, else creation record
 # ----------------------------------------------------------------------
-def test_checkpoint_writes_journal_then_target(tmp_path):
-    path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.test")
-    assert path.exists() and journal_path(path).exists()
-    payload, schema, tick = parse_document(read_json(path))
-    assert payload == {"state": 1} and tick == 1
-    checkpoint(path, {"state": 2}, "repro.test")
-    _, _, tick = parse_document(read_json(path))
-    assert tick == 2
-    assert load_checkpoint(path, "repro.test") == {"state": 2}
-
-
-def test_load_replays_newer_journal_over_stale_target(tmp_path):
-    path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.test")
-    stale = path.read_bytes()
-    checkpoint(path, {"state": 2}, "repro.test")
-    # crash between journal and target: the target is one tick behind
-    path.write_bytes(stale)
+def test_manifest_save_is_one_write_per_transition(tmp_path):
     with telemetry.session() as sink:
-        assert load_checkpoint(path, "repro.test") == {"state": 2}
-    assert sink.counters["storage.journal_replays"] == 1
-    # the replay repaired the target in place
-    _, _, tick = parse_document(read_json(path))
-    assert tick == 2
-
-
-def test_load_rolls_back_torn_journal_write(tmp_path):
-    path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.test")
-    jpath = journal_path(path)
-    jpath.write_bytes(jpath.read_bytes()[: len(jpath.read_bytes())
-                                         // 2])
-    with telemetry.session() as sink:
-        assert load_checkpoint(path, "repro.test") == {"state": 1}
-    assert sink.counters["storage.corruption_detected"] == 1
-    assert (tmp_path / f"manifest.json.journal{CORRUPT_SUFFIX}"
-            ).exists()
+        manifest = _campaign(tmp_path)
+        assert sink.counters["storage.writes"] == 2   # record + save
+        manifest.jobs["b"].status = JobStatus.COMPLETED
+        manifest.save()
+    assert sink.counters["storage.writes"] == 3
+    assert sorted(path.name for path in manifest.directory.iterdir()) \
+        == [CREATION_RECORD_NAME, "manifest.json"]
+    payload = load_document(manifest.path, SCHEMA_TAG)
+    assert parse_document(read_json(manifest.path))[1:] == \
+        (SCHEMA_TAG, 1)
+    assert {job["status"] for job in payload["jobs"].values()} == \
+        {"COMPLETED"}
+    # the creation record is write-once: still the state at creation
+    record = load_document(
+        manifest.directory / CREATION_RECORD_NAME, SCHEMA_TAG)
+    assert {job["status"] for job in record["jobs"].values()} == \
+        {"PENDING"}
+    assert {job["shard"] for job in record["jobs"].values()} == \
+        {"s00", "s01"}
 
 
 def test_load_quarantines_corrupt_target_and_replays(tmp_path):
-    path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.test")
-    path.write_text("{ not json", encoding="utf-8")
+    """A corrupt manifest is quarantined and the load falls back to
+    the creation record, so the resume replays every job."""
+    manifest = _campaign(tmp_path)
+    manifest.path.write_text("{ not json", encoding="utf-8")
     with telemetry.session() as sink:
-        assert load_checkpoint(path, "repro.test") == {"state": 1}
+        loaded = RunManifest.load(tmp_path, "camp")
     assert sink.counters["storage.corruption_detected"] == 1
-    assert sink.counters["storage.journal_replays"] == 1
-    assert (tmp_path / f"manifest.json{CORRUPT_SUFFIX}").exists()
+    assert [record.status for record in loaded.records()] == \
+        [JobStatus.PENDING, JobStatus.PENDING]
+    assert {job_id: record.spec for job_id, record in
+            loaded.jobs.items()} == \
+        {job_id: record.spec for job_id, record in
+         manifest.jobs.items()}
+    assert [record.shard for record in loaded.records()] == \
+        [record.shard for record in manifest.records()]
     # the quarantined forensics hold the damaged bytes
-    assert (tmp_path / f"manifest.json{CORRUPT_SUFFIX}"
-            ).read_text(encoding="utf-8") == "{ not json"
+    quarantined = tmp_path / "camp" / f"manifest.json{CORRUPT_SUFFIX}"
+    assert quarantined.read_text(encoding="utf-8") == "{ not json"
+    assert not manifest.path.exists()
 
 
 def test_load_raises_when_both_copies_corrupt(tmp_path):
-    path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.test")
-    path.write_text("xxx", encoding="utf-8")
-    journal_path(path).write_text("yyy", encoding="utf-8")
+    manifest = _campaign(tmp_path)
+    record = manifest.directory / CREATION_RECORD_NAME
+    manifest.path.write_text("xxx", encoding="utf-8")
+    record.write_text("yyy", encoding="utf-8")
     with pytest.raises(ArtifactCorrupt) as excinfo:
-        load_checkpoint(path, "repro.test")
-    assert excinfo.value.quarantined
-    # both damaged copies moved aside for forensics
-    assert (tmp_path / f"manifest.json{CORRUPT_SUFFIX}").exists()
-    assert (tmp_path / f"manifest.json.journal{CORRUPT_SUFFIX}"
+        RunManifest.load(tmp_path, "camp")
+    assert excinfo.value.reason == "invalid-json"
+    assert excinfo.value.quarantined.endswith(
+        f"manifest.json{CORRUPT_SUFFIX}")
+    # the damaged manifest moved aside; the write-once record stays
+    assert (tmp_path / "camp" / f"manifest.json{CORRUPT_SUFFIX}"
             ).exists()
+    assert record.read_text(encoding="utf-8") == "yyy"
 
 
 def test_load_missing_checkpoint_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_checkpoint(tmp_path / "manifest.json")
+        load_document(tmp_path / "manifest.json", "repro.test")
 
 
 def test_schema_tag_mismatch_is_corruption(tmp_path):
     path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.other")
-    journal_path(path).unlink()
+    write_envelope(path, {"state": 1}, "repro.other")
     with pytest.raises(ArtifactCorrupt) as excinfo:
-        load_checkpoint(path, expect_schema="repro.test")
+        load_document(path, "repro.test")
     assert excinfo.value.reason == "schema-mismatch"
-
-
-def test_tick_survives_process_restart(tmp_path):
-    path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.test")
-    checkpoint(path, {"state": 2}, "repro.test")
-    reset_tick_cache()               # "new process"
-    checkpoint(path, {"state": 3}, "repro.test")
-    _, _, tick = parse_document(read_json(path))
-    assert tick == 3
 
 
 def test_quarantine_path_never_clobbers(tmp_path):
@@ -249,62 +245,68 @@ def test_torn_write_truncates_target_and_plays_dead(tmp_path):
                                  strike_after=2)
     install_disk_faults(injector)
     path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.test")   # writes 1+2 ok...
+    write_envelope(path, {"state": 1}, "repro.test")
     with pytest.raises(DiskFaultError):
-        checkpoint(path, {"state": 2}, "repro.test")
+        write_envelope(path, {"state": 2}, "repro.test")
     assert injector.dead
     kind, struck_path, offset = injector.events[0]
     assert kind == "torn-write" and offset > 0
-    assert struck_path.endswith("manifest.json") or \
-        struck_path.endswith("manifest.json.journal")
-    # every further matching write fails (dead disk)
+    assert struck_path == str(path)
+    # every further write fails (dead disk), artifacts included
     with pytest.raises(DiskFaultError):
-        checkpoint(path, {"state": 3}, "repro.test")
+        atomic_write(tmp_path / "artifact.txt", "late")
     clear_disk_faults()
-    # after "replacing the disk" the journal recovers the last good
-    # state: the strike hit either the journal or the target write
-    recovered = load_checkpoint(path, "repro.test")
-    assert recovered in ({"state": 1}, {"state": 2})
+    # the one copy on disk is the torn one: a typed error on load
+    assert len(path.read_bytes()) == offset
+    with pytest.raises(ArtifactCorrupt):
+        load_document(path, "repro.test")
 
 
 def test_bit_flip_is_silent_and_detected_on_load(tmp_path):
     injector = DiskFaultInjector(mode="bit-flip", seed=5,
-                                 strike_after=2, strikes=1)
+                                 strike_after=2)
     install_disk_faults(injector)
     path = tmp_path / "manifest.json"
-    checkpoint(path, {"state": 1}, "repro.test")
-    # journal writes don't match the default pattern, so the second
-    # checkpoint's *target* write is matching write #2: flipped
-    checkpoint(path, {"state": 2}, "repro.test")
+    write_envelope(path, {"state": 1}, "repro.test")
+    # the second manifest write is flipped; nothing raises
+    write_envelope(path, {"state": 2}, "repro.test")
+    write_envelope(path, {"state": 3}, "repro.test")   # one strike only
     clear_disk_faults()
-    assert len(injector.events) == 1               # silent, no raise
-    # one copy is damaged; the load must detect it via the checksum
-    # and still recover a consistent state from the other copy
-    recovered = load_checkpoint(path, "repro.test")
-    assert recovered in ({"state": 1}, {"state": 2})
+    assert len(injector.events) == 1
+    assert load_document(path, "repro.test") == {"state": 3}
+    flipped = tmp_path / "flipped" / "manifest.json"
+    injector = DiskFaultInjector(mode="bit-flip", seed=5,
+                                 strike_after=1)
+    install_disk_faults(injector)
+    write_envelope(flipped, {"state": 1}, "repro.test")
+    clear_disk_faults()
+    with pytest.raises(ArtifactCorrupt):
+        load_document(flipped, "repro.test")
 
 
-def test_enospc_and_fsync_fail_raise_with_errno(tmp_path):
-    for mode, expected in (("enospc", errno.ENOSPC),
-                           ("fsync-fail", errno.EIO)):
-        injector = DiskFaultInjector(mode=mode, seed=0,
-                                     strike_after=1)
-        install_disk_faults(injector)
-        with pytest.raises(DiskFaultError) as excinfo:
-            atomic_write(tmp_path / mode / "manifest.json", "{}")
-        clear_disk_faults()
-        assert excinfo.value.errno_ == expected
-        assert excinfo.value.kind == mode
+def test_enospc_raises_with_errno(tmp_path):
+    injector = DiskFaultInjector(mode="enospc", seed=0, strike_after=2)
+    install_disk_faults(injector)
+    path = tmp_path / "manifest.json"
+    write_envelope(path, {"state": 1}, "repro.test")
+    with pytest.raises(DiskFaultError) as excinfo:
+        write_envelope(path, {"state": 2}, "repro.test")
+    clear_disk_faults()
+    assert excinfo.value.errno_ == errno.ENOSPC
+    assert excinfo.value.kind == "enospc"
+    assert injector.dead
+    # nothing reached disk: the old target survives intact
+    assert load_document(path, "repro.test") == {"state": 1}
 
 
 def test_injector_match_scopes_the_blast_radius(tmp_path):
     injector = DiskFaultInjector(mode="enospc", seed=0,
-                                 strike_after=1,
-                                 match="manifest.json")
+                                 strike_after=1)
     install_disk_faults(injector)
-    # non-matching writes (artifacts, journals) pass through clean
+    # only manifest writes count and get struck: artifacts and the
+    # creation record pass through clean
     atomic_write(tmp_path / "artifact.txt", "fine")
-    atomic_write(tmp_path / "manifest.json.journal", "fine")
+    atomic_write(tmp_path / CREATION_RECORD_NAME, "fine")
     with pytest.raises(DiskFaultError):
         atomic_write(tmp_path / "manifest.json", "{}")
 
@@ -313,6 +315,7 @@ def test_injector_rejects_unknown_mode():
     with pytest.raises(DiskFaultError):
         DiskFaultInjector(mode="meteor-strike")
     assert disk_chaos("meteor-strike") is None
+    assert disk_chaos("fsync-fail") is None
     assert disk_chaos("torn-write", seed=1).mode == "torn-write"
 
 

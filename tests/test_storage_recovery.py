@@ -2,10 +2,11 @@
 torn-write and bit-flip chaos with resume convergence — for unsharded
 campaigns and for the one manifest of a sharded campaign.
 
-The contract under test: resuming from a corrupted checkpoint
-converges to the same per-job digests and the same layout-independent
-campaign digest as a clean run — never an unhandled exception, never
-a silent double-count.
+The contract under test: a corrupt manifest is quarantined and the
+campaign re-runs from its write-once creation record, converging to
+the same per-job digests and the same layout-independent campaign
+digest as a clean run — never an unhandled exception, never a silent
+double-count.
 """
 
 import pytest
@@ -13,19 +14,18 @@ import pytest
 from repro import telemetry
 from repro.errors import ArtifactCorrupt, CampaignError, DiskFaultError
 from repro.faults import DiskFaultInjector
-from repro.runner import CAMPAIGN_COMPLETED, RunManifest, run_campaign
+from repro.runner import (CAMPAIGN_COMPLETED, CREATION_RECORD_NAME,
+                          RunManifest, run_campaign)
 from repro.runner.jobs import KIND_SELFTEST, JobSpec
+from repro.runner.manifest import SCHEMA_TAG
 from repro.storage import (clear_disk_faults, install_disk_faults,
-                           journal_path, load_checkpoint,
-                           reset_tick_cache)
+                           load_document)
 
 
 @pytest.fixture(autouse=True)
 def _clean_storage_state():
-    reset_tick_cache()
     clear_disk_faults()
     yield
-    reset_tick_cache()
     clear_disk_faults()
 
 
@@ -39,53 +39,48 @@ def _specs(count=4):
 
 
 # ----------------------------------------------------------------------
-# property: a journaled checkpoint survives truncation at EVERY offset
+# property: a manifest torn at EVERY offset falls back to the record
 # ----------------------------------------------------------------------
 def test_manifest_survives_truncation_at_every_byte_offset(tmp_path):
-    """Truncate the manifest at every byte offset (journal intact —
-    the torn-write crash case): every single load must recover the
-    full checkpointed state via the journal, with the exact same
-    per-job digests as the untouched manifest."""
+    """Truncate a completed sharded campaign's manifest at every byte
+    offset (the torn-write crash case): every load quarantines the
+    torn copy and returns the creation record's jobs, specs and shards,
+    all PENDING, so the resume re-runs the campaign."""
     manifest = run_campaign(_specs(3), tmp_path / "runs",
-                            campaign_id="clean", seed=3)
+                            campaign_id="clean", seed=3, shards=2)
     assert manifest.all_completed()
-    clean_digests = manifest.digests()
-    target = manifest.path
-    good = target.read_bytes()
-    journal_bytes = journal_path(target).read_bytes()
+    good = manifest.path.read_bytes()
+    record_bytes = (manifest.directory / CREATION_RECORD_NAME
+                    ).read_bytes()
+    created = load_document(
+        manifest.directory / CREATION_RECORD_NAME, SCHEMA_TAG)
+    assert {job["status"] for job in created["jobs"].values()} == \
+        {"PENDING"}
+    assert {job["shard"] for job in created["jobs"].values()} == \
+        {"s00", "s01"}
 
     for offset in range(len(good)):
-        reset_tick_cache()
         work = tmp_path / "prop" / f"o{offset}" / "clean"
         work.mkdir(parents=True)
         (work / "manifest.json").write_bytes(good[:offset])
-        journal_path(work / "manifest.json").write_bytes(
-            journal_bytes)
-        recovered = RunManifest.load(work.parent, "clean")
-        assert recovered.digests() == clean_digests, \
+        (work / CREATION_RECORD_NAME).write_bytes(record_bytes)
+        if good[:offset].rstrip() == good.rstrip():
+            # only trailing whitespace lost: the document is whole
+            assert RunManifest.load(work.parent, "clean").digests() \
+                == manifest.digests()
+            continue
+        with telemetry.session() as sink:
+            try:
+                recovered = RunManifest.load(work.parent, "clean")
+            except ArtifactCorrupt as error:
+                pytest.fail(f"offset {offset}: {error}")
+        assert {job_id: record.to_dict() for job_id, record in
+                recovered.jobs.items()} == created["jobs"], \
             f"divergence at truncation offset {offset}"
-
-
-def test_journal_truncation_at_every_offset_rolls_back(tmp_path):
-    """Truncate the *journal* at every byte offset (a crash mid-WAL
-    write, target intact): the load must always return the target's
-    state — the torn journal never wins, never crashes the load."""
-    path = tmp_path / "manifest.json"
-    from repro.storage import checkpoint
-    checkpoint(path, {"state": "good"}, "repro.test")
-    good = path.read_bytes()
-    journal_bytes = journal_path(path).read_bytes()
-
-    for offset in range(len(journal_bytes)):
-        reset_tick_cache()
-        work = tmp_path / "jprop" / f"o{offset}"
-        work.mkdir(parents=True)
-        (work / "manifest.json").write_bytes(good)
-        journal_path(work / "manifest.json").write_bytes(
-            journal_bytes[:offset])
-        assert load_checkpoint(work / "manifest.json",
-                               "repro.test") == {"state": "good"}, \
-            f"divergence at journal truncation offset {offset}"
+        assert sink.counters["storage.corruption_detected"] == 1
+        assert (work / "manifest.json.corrupt").read_bytes() == \
+            good[:offset]
+        assert not (work / "manifest.json").exists()
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +97,6 @@ def test_torn_write_chaos_resume_converges_to_clean_digest(tmp_path):
         run_campaign(_specs(4), tmp_path / "runs",
                      campaign_id="drill", seed=9)
     clear_disk_faults()
-    reset_tick_cache()
 
     with telemetry.session() as sink:
         resumed = run_campaign([], tmp_path / "runs",
@@ -111,6 +105,7 @@ def test_torn_write_chaos_resume_converges_to_clean_digest(tmp_path):
     assert resumed.all_completed()
     # identical per-job digests: no lost work, no double-count
     assert resumed.digests() == clean.digests()
+    assert resumed.campaign_digest() == clean.campaign_digest()
     # the recovery really went through the corruption machinery
     assert sink.counters.get("storage.corruption_detected", 0) >= 1
     corrupt = list((tmp_path / "runs" / "drill").glob("*.corrupt*"))
@@ -119,13 +114,12 @@ def test_torn_write_chaos_resume_converges_to_clean_digest(tmp_path):
 
 def test_bit_flip_chaos_resume_never_crashes(tmp_path):
     install_disk_faults(DiskFaultInjector(
-        mode="bit-flip", seed=4, strike_after=2, strikes=1))
+        mode="bit-flip", seed=4, strike_after=2))
     first = run_campaign(_specs(3), tmp_path / "runs",
                          campaign_id="flip", seed=4)
     clear_disk_faults()
-    reset_tick_cache()
-    # the silent corruption must be *detected* on the next load and
-    # healed from the other copy — never an unhandled exception
+    # later manifest writes overwrote the flipped one, so the load
+    # serves the final manifest — never an unhandled exception
     recovered = RunManifest.load(tmp_path / "runs", "flip")
     resumed = run_campaign([], tmp_path / "runs", campaign_id="flip",
                            seed=4, resume=True)
@@ -135,12 +129,14 @@ def test_bit_flip_chaos_resume_never_crashes(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# sharded campaigns: the one manifest heals like any other
+# sharded campaigns: the one manifest recovers like any other
 # ----------------------------------------------------------------------
-def test_sharded_manifest_bit_flip_heals_from_journal(tmp_path):
+def test_sharded_manifest_bit_flip_reruns_from_creation_record(
+        tmp_path):
     """External bit rot in a completed sharded campaign's manifest:
-    the envelope checksum catches it, the journal heals it, and the
-    resume converges to the clean campaign digest."""
+    the envelope checksum catches it, the campaign re-runs from its
+    creation record, and the resume converges to the clean campaign
+    digest."""
     runs = tmp_path / "runs"
     manifest = run_campaign(_specs(6), runs, campaign_id="sharded",
                             seed=2, shards=2)
@@ -148,7 +144,6 @@ def test_sharded_manifest_bit_flip_heals_from_journal(tmp_path):
     data = bytearray(manifest.path.read_bytes())
     data[len(data) // 2] ^= 0x08
     manifest.path.write_bytes(bytes(data))
-    reset_tick_cache()
 
     with telemetry.session() as sink:
         resumed = run_campaign([], runs, campaign_id="sharded",
@@ -173,7 +168,6 @@ def test_sharded_torn_write_resume_converges_to_clean_digest(tmp_path):
         run_campaign(_specs(6), tmp_path / "runs", campaign_id="drill",
                      seed=5, shards=2)
     clear_disk_faults()
-    reset_tick_cache()
 
     resumed = run_campaign([], tmp_path / "runs", campaign_id="drill",
                            resume=True)
@@ -182,10 +176,41 @@ def test_sharded_torn_write_resume_converges_to_clean_digest(tmp_path):
     assert resumed.campaign_digest() == clean.campaign_digest()
 
 
-def test_corrupt_manifest_without_journal_raises_artifact_corrupt(
+def test_both_files_corrupt_resume_is_typed_and_exits_2(tmp_path,
+                                                          capsys):
+    from repro.cli import main
+    runs = tmp_path / "runs"
+    manifest = run_campaign(_specs(2), runs, campaign_id="gone", seed=1)
+    manifest.path.write_text("{ torn", encoding="utf-8")
+    (manifest.directory / CREATION_RECORD_NAME).write_text(
+        "[]", encoding="utf-8")
+    with pytest.raises(ArtifactCorrupt) as excinfo:
+        RunManifest.load(runs, "gone")
+    assert excinfo.value.quarantined
+    # a second resume finds no manifest, only the damaged record
+    code = main(["campaign", "--resume", "gone",
+                 "--runs-dir", str(runs)])
+    assert code == 2
+    assert "no valid manifest or creation record" in \
+        capsys.readouterr().err
+
+
+def test_create_refuses_campaign_whose_manifest_was_quarantined(
         tmp_path):
-    """A pre-durability manifest (no journal) damaged on disk is a
-    typed, quarantining error — not a JSONDecodeError crash."""
+    runs = tmp_path / "runs"
+    manifest = run_campaign(_specs(2), runs, campaign_id="camp", seed=1)
+    manifest.path.write_text("{ torn", encoding="utf-8")
+    RunManifest.load(runs, "camp")        # quarantines the manifest
+    assert not manifest.path.exists()
+    assert (manifest.directory / CREATION_RECORD_NAME).exists()
+    with pytest.raises(CampaignError, match="already exists"):
+        run_campaign(_specs(2), runs, campaign_id="camp", seed=1)
+
+
+def test_corrupt_manifest_without_creation_record_raises_artifact_corrupt(
+        tmp_path):
+    """A manifest with no creation record beside it, damaged on disk,
+    is a typed, quarantining error — not a JSONDecodeError crash."""
     directory = tmp_path / "runs" / "old"
     directory.mkdir(parents=True)
     (directory / "manifest.json").write_text("{ torn",

@@ -7,15 +7,17 @@ failing loudly if any guarantee breaks:
 1. **clean run** — a campaign completes; its per-job digests are the
    reference;
 2. **torn-write chaos** — the seeded disk-fault injector tears the
-   Nth checkpoint write mid-campaign (exit 3), leaving a truncated
-   ``manifest.json`` and an intact write-ahead journal on disk;
+   Nth manifest write mid-campaign (exit 3), leaving a truncated
+   ``manifest.json`` beside an intact write-once creation record
+   (``campaign.json``);
 3. **resume convergence** — ``--resume`` quarantines the torn copy to
-   ``*.corrupt``, replays the journal, and completes with per-job
-   digests **byte-identical** to the clean run;
+   ``*.corrupt``, re-runs the campaign from the creation record, and
+   completes with per-job digests **byte-identical** to the clean run;
 4. **external bit-flip** — one bit of the manifest of a completed
    sharded campaign is flipped from outside (bit rot); the envelope
-   checksum catches it on resume, the journal heals it, and the
-   campaign digest still matches the clean sharded run;
+   checksum catches it on resume, the campaign re-runs from its
+   creation record, and the campaign digest still matches the clean
+   sharded run;
 5. **evidence** — every drill leaves its quarantined ``*.corrupt``
    files in place for upload; the runs tree is kept with ``--keep``.
 
@@ -35,7 +37,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.runner import RunManifest  # noqa: E402
+from repro.errors import ArtifactCorrupt  # noqa: E402
+from repro.runner import CREATION_RECORD_NAME, RunManifest  # noqa: E402
+from repro.runner.manifest import SCHEMA_TAG  # noqa: E402
+from repro.storage import load_document  # noqa: E402
 
 #: small, fast experiment subset — the drill is about the checkpoints,
 #: not the physics
@@ -73,6 +78,19 @@ def _campaign_digest(runs_dir: Path, campaign_id: str) -> str:
     return RunManifest.load(runs_dir, campaign_id).campaign_digest()
 
 
+def _check_creation_record(runs_dir: Path, campaign_id: str) -> None:
+    """The write-once creation record must load and hold every job
+    PENDING — whatever happened to the manifest beside it."""
+    path = runs_dir / campaign_id / CREATION_RECORD_NAME
+    try:
+        payload = load_document(path, SCHEMA_TAG)
+    except (OSError, ArtifactCorrupt) as error:
+        _fail(f"{campaign_id}: creation record not intact: {error}")
+    statuses = {job["status"] for job in payload["jobs"].values()}
+    if statuses != {"PENDING"}:
+        _fail(f"{campaign_id}: creation record holds {statuses}")
+
+
 def _corrupt_files(runs_dir: Path) -> list:
     return sorted(str(p.relative_to(runs_dir))
                   for p in runs_dir.rglob("*.corrupt*"))
@@ -106,9 +124,7 @@ def main(argv=None) -> int:
         _fail(f"expected exit 3 (interrupted by storage fault), "
               f"got {code}")
     torn_manifest = runs_dir / "torn" / "manifest.json"
-    journal = torn_manifest.with_name("manifest.json.journal")
-    if not journal.exists():
-        _fail("no write-ahead journal left beside the torn manifest")
+    _check_creation_record(runs_dir, "torn")
     try:
         json.loads(torn_manifest.read_text())
         # a parseable torn manifest is possible (tear on a boundary)
@@ -116,7 +132,7 @@ def main(argv=None) -> int:
         # below proves that either way
     except (json.JSONDecodeError, OSError):
         pass
-    print("== checkpoint torn mid-write, journal intact")
+    print("== manifest torn mid-write, creation record intact")
 
     print("== resume after torn write")
     if _campaign(runs_dir, "--resume", "torn",
@@ -124,6 +140,7 @@ def main(argv=None) -> int:
         _fail("resume after torn write did not complete")
     if _job_digests(runs_dir, "torn") != clean:
         _fail("digests diverged after torn-write resume")
+    _check_creation_record(runs_dir, "torn")
     quarantined = _corrupt_files(runs_dir)
     if not any(q.startswith("torn/") for q in quarantined):
         _fail(f"torn checkpoint was not quarantined: {quarantined}")
@@ -157,8 +174,9 @@ def main(argv=None) -> int:
     quarantined = _corrupt_files(runs_dir)
     if not any(q.startswith("sharded/") for q in quarantined):
         _fail(f"flipped manifest was not quarantined: {quarantined}")
-    print("== bit-flip detected by envelope checksum, healed from "
-          "journal, campaign digest unchanged")
+    _check_creation_record(runs_dir, "sharded")
+    print("== bit-flip detected by envelope checksum, re-run from "
+          "creation record, campaign digest unchanged")
 
     print(f"== quarantine evidence: {quarantined}")
     if not args.keep:

@@ -26,7 +26,9 @@ paper describes modern Intel cores:
   single-step interrupt cannot split them (§7.3).
 * **Speculative look-ahead** — optionally, instructions past a retire
   stop keep updating the BTB before the pipeline drains (§6.3 "Impact
-  of Speculative Execution").
+  of Speculative Execution").  With the fast path on, its
+  straight-line stretches run on cached decoded windows; prediction
+  and control transfers stay on its per-instruction loop.
 
 The BTB, LBR and cycle counter are *core* state, shared by every
 process/enclave context-switched onto this core.  That sharing is the
@@ -41,8 +43,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import (
+    EnclaveAccessError,
     InvalidInstruction,
     PageFault,
+    ProtectionFault,
     SimulationTimeout,
 )
 from ..isa.instructions import Instruction, Kind
@@ -52,13 +56,19 @@ from .config import CpuGeneration, DEFAULT_GENERATION
 from .costs import EXTRA_ISSUE_COST
 from .decoded import (SuperblockLink, adopt_window, build_superblock,
                       build_window, decode_at, fast_path_enabled,
-                      raise_bad_opcode)
+                      get_window, raise_bad_opcode)
 from .fusion import can_fuse
 from .interp import (_DEADLINE_STRIDE, _check_deadline_now,
                      _effective_deadline)
 from .lbr import LBR
 from .semantics import Outcome, execute
 from .state import MachineState
+
+
+#: how a fetch is refused: the page table, or the memory's access
+#: filter (the EPC filter raises ``EnclaveAccessError``, others
+#: ``ProtectionFault``).  A speculative fetch refused this way stalls.
+_FETCH_REFUSALS = (PageFault, ProtectionFault, EnclaveAccessError)
 
 
 class StopReason(enum.Enum):
@@ -100,7 +110,9 @@ class _SpecMemory:
 
     Reads see speculative stores; writes never reach real memory.
     Exposes the subset of the :class:`VirtualMemory` interface the
-    semantics layer touches.
+    semantics layer and its compiled thunks touch.  It has no window
+    cache: the look-ahead takes decoded windows from the underlying
+    memory and runs their thunks against this overlay.
     """
 
     def __init__(self, memory):
@@ -891,8 +903,8 @@ class Core:
                 continue
             try:
                 instruction, length = self._decode(state, cur)
-            except PageFault:
-                return          # NX page: speculative fetch stalls
+            except _FETCH_REFUSALS:
+                return          # NX page or filter: the fetch stalls
             except InvalidInstruction:
                 # Junk bytes still flow through the decoders (real
                 # ISAs decode almost anything); a prediction claiming
@@ -939,15 +951,37 @@ class Core:
     # ------------------------------------------------------------------
     def _speculative_lookahead(self, state: MachineState) -> None:
         """Let the front end run ``spec_lookahead`` more instructions,
-        updating the BTB but never committing architectural state."""
-        depth = self.config.spec_lookahead
-        if depth <= 0:
+        updating the BTB but never committing architectural state.
+
+        With the fast path on, a window's straight-line prefix runs
+        through its cached thunks when the live prediction cannot
+        interact with it — a BTB miss, or a predicted end byte at/after
+        ``resume_pc``, the test of ``run``'s mid-bundle entry.  The
+        prefix is clipped to the depth left and stops before an
+        ``lfence``.  It keeps the fetch checks of the loop below: one
+        execute check per window (a 32-byte block never crosses a
+        page) and the access filter on every pc.  Window opens, false
+        hits, predictions inside a prefix and every terminator run on
+        that per-instruction loop, the reference.
+        """
+        left = self.config.spec_lookahead
+        if left <= 0:
             return
-        spec_state = MachineState(memory=_SpecMemory(state.memory),
-                                  rip=state.rip)
-        spec_state.regs = state.regs.copy()
+        memory = state.memory
+        spec_state = MachineState(memory=_SpecMemory(memory),
+                                  rip=state.rip, regs=state.regs.copy())
+        # Windows come from the real memory: the overlay has no cache.
+        fast = (fast_path_enabled()
+                and getattr(memory, "window_cache", None) is not None)
+        access_filter = memory.access_filter
+        context = memory.context
+        page_check = memory.page_table.check
+        # Where the last prefix stopped inside its block (an lfence, a
+        # terminator or an undecodable byte): no window there runs
+        # anything, so the step below takes that pc directly.
+        stop_pc: Optional[int] = None
         pw: Optional[_PredictionWindow] = None
-        for _ in range(depth):
+        while left > 0:
             pc = spec_state.rip
             if pw is None:
                 pw = self._open_window(pc)
@@ -955,10 +989,49 @@ class Core:
                 self._false_hit(pw, pc, charge=False)
             if pc >= pw.limit:
                 pw = self._open_window(pc)
+            if fast and pc != stop_pc:
+                try:
+                    window = get_window(memory, pc)
+                except _FETCH_REFUSALS:
+                    # A filter refused a byte the build read ahead; the
+                    # step below fetches only what it executes.
+                    window = None
+                if window is not None and window.count and (
+                        pw.pred_end is None
+                        or pw.pred_end >= window.resume_pc):
+                    pcs = window.pcs
+                    instructions = window.instructions
+                    thunks = window.thunks
+                    k = window.count if window.count < left else left
+                    i = 0
+                    while i < k:
+                        at = pcs[i]
+                        if instructions[i].spec.mnemonic == "lfence":
+                            break       # the step below drains on it
+                        try:
+                            if access_filter is not None:
+                                access_filter(at, 1, "execute", context)
+                            if not i:
+                                page_check(at, "execute")
+                        except _FETCH_REFUSALS:
+                            return      # speculative fetch stalls
+                        try:
+                            thunks[i](spec_state)
+                        except Exception:
+                            return      # spec-path trap: drain
+                        i += 1
+                    if i:
+                        left -= i
+                        spec_state.rip = (pcs[i] if i < window.count
+                                          else window.resume_pc)
+                        if spec_state.rip < window.limit:
+                            stop_pc = spec_state.rip
+                        continue
+            left -= 1
             try:
                 instruction, length = self._decode(spec_state, pc)
-            except (PageFault, InvalidInstruction):
-                return
+            except (InvalidInstruction, *_FETCH_REFUSALS):
+                return  # junk, NX page or filter: the fetch stalls
             if instruction.mnemonic == "lfence":
                 return  # serializing: speculation drains
             predicted_here = self._settle_prediction(

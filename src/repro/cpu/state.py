@@ -20,8 +20,8 @@ class MachineState:
     __slots__ = ("regs", "memory", "rip")
 
     def __init__(self, memory: Optional[VirtualMemory] = None,
-                 rip: int = 0):
-        self.regs = RegisterFile()
+                 rip: int = 0, regs: Optional[RegisterFile] = None):
+        self.regs = regs if regs is not None else RegisterFile()
         self.memory = memory if memory is not None else VirtualMemory()
         self.rip = rip
 

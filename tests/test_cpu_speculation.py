@@ -3,7 +3,9 @@ the behaviours NV-S single-stepping fundamentally relies on."""
 
 import pytest
 
-from repro.cpu import Core, MachineState, generation
+from repro.cpu import (Core, MachineState, StopReason, generation,
+                       set_fast_path)
+from repro.errors import EnclaveAccessError, ProtectionFault
 from repro.isa import Assembler, Kind
 from repro.memory import VirtualMemory
 
@@ -206,3 +208,92 @@ class TestSpeculativeExecution:
         core2 = Core(config2)
         core2.run(machine(program2), max_retired=2)
         assert core2.btb.occupancy() == 1
+
+
+class TestRefusedSpeculativeFetch:
+    """An access filter that refuses a fetch past the stepped unit
+    stalls the front end there, like an NX page: the refusal never
+    escapes ``Core.run`` (the unit already retired)."""
+
+    @pytest.fixture(params=[False, True], ids=["reference", "fast"])
+    def fast(self, request):
+        previous = set_fast_path(request.param)
+        yield request.param
+        set_fast_path(previous)
+
+    @staticmethod
+    def _host_code_before_a_refused_page(config):
+        def body(asm):
+            asm.org(0x400FF0)
+            asm.label("start")
+            asm.emit("movi", "rbx", 1)      # 0x400FF0..FF6 (stepped)
+            asm.emit("movi", "rcx", 2)      # 0x400FF7..FFD
+            asm.emit("nop")
+            asm.emit("nop")                 # 0x400FFF
+            asm.emit("hlt")                 # 0x401000 (refused page)
+        program = build(body)
+        state = machine(program, entry=program.address_of("start"))
+
+        def deny(address, size, access, context):
+            first, last = address >> 12, (address + size - 1) >> 12
+            if context is None and first <= 0x401 <= last:
+                raise EnclaveAccessError(f"{access} of {address:#x}")
+
+        state.memory.access_filter = deny
+        return Core(config), state
+
+    def test_lookahead_stalls_at_refused_page(self, fast):
+        core, state = self._host_code_before_a_refused_page(
+            generation("skylake"))
+        result = core.run(state, max_retired=1)
+        assert result.reason is StopReason.RETIRE_LIMIT
+        assert result.retired == 1
+        assert state.rip == 0x400FF7
+        assert state.regs["rbx"] == 1 and state.regs["rcx"] == 0
+        assert core.btb.occupancy() == 0
+
+    def test_drain_stalls_at_refused_page(self, fast):
+        core, state = self._host_code_before_a_refused_page(
+            generation("skylake", drain_windows=2, spec_lookahead=0))
+        result = core.run(state, max_retired=1)
+        assert result.reason is StopReason.RETIRE_LIMIT
+        assert state.rip == 0x400FF7
+        # the drain opened the refused block's window, then stalled
+        assert core.btb.stats.lookups == 2
+
+    @pytest.mark.parametrize("refusal", ["none", "nx", "filter"])
+    def test_cached_window_keeps_fetch_checks(self, fast, refusal):
+        """The look-ahead's windowed prefixes re-check every fetch: a
+        window cached while its page was executable and unfiltered
+        runs nothing once the page turns NX or the filter refuses a pc
+        inside it.  The speculative load's accessed bit shows whether
+        the prefix ran."""
+        def body(asm):
+            asm.org(0x400FF8)
+            asm.label("start")
+            asm.emit("movi", "rsi", 0x900000)   # 0x400FF8..FFE
+            asm.emit("nop")                     # 0x400FFF
+            asm.emit("nop")                     # 0x401000 (window)
+            asm.emit("load", "rax", "rsi", 0)   # 0x401001
+            asm.emit("hlt")
+        program = build(body)
+        start = program.address_of("start")
+        state = machine(program, entry=start)
+        memory = state.memory
+        memory.map_range(0x900000, 4096, "rw")
+        Core(generation("skylake")).run(state)  # warm the caches
+        assert (0x401000 in memory.window_cache) is fast
+        memory.page_table.clear_accessed_dirty()
+        if refusal == "nx":
+            memory.protect(0x401000, 4096, "r--")
+        elif refusal == "filter":
+            def deny(address, size, access, context):
+                if access == "execute" and address == 0x401001:
+                    raise ProtectionFault(f"filtered {address:#x}")
+            memory.access_filter = deny
+        state.rip = start
+        core = Core(generation("skylake"))
+        result = core.run(state, max_retired=2)
+        assert result.reason is StopReason.RETIRE_LIMIT
+        assert state.rip == 0x401000
+        assert memory.page_entry(0x900000).accessed is (refusal == "none")

@@ -9,17 +9,23 @@ on, and the complete observable state is compared.
 """
 
 import dataclasses
+import functools
 import random
 
 import pytest
 
 from repro.cpu import (Core, MachineState, StopReason, interpret,
                       run_function, set_fast_path)
-from repro.cpu.config import DEFAULT_GENERATION, generation
+from repro.cpu.config import (BTB_BACKENDS, DEFAULT_GENERATION,
+                              backend_generation, generation)
 from repro.isa import Assembler
 from repro.isa.instructions import Kind
+from repro.lang import CompileOptions
 from repro.memory import VirtualMemory
-from repro.victims.library import (build_bn_cmp_victim, build_gcd_victim)
+from repro.sgx import CodePageTracker, DataAccessMonitor, SgxStepper
+from repro.system.kernel import Kernel
+from repro.victims.library import (ENCLAVE_DATA_BASE, build_bn_cmp_victim,
+                                   build_gcd_victim)
 from repro.victims.rsa import generate_key
 
 
@@ -218,6 +224,77 @@ class TestTraversalGadget:
         config = generation("skylake")
         assert (run_program_core(program, fast=False, config=config)
                 == run_program_core(program, fast=True, config=config))
+
+
+# ----------------------------------------------------------------------
+# single-stepped enclave: the NV-S setting.  The EPC access filter, the
+# page tracker's NX code pages and the data monitor's A/D bits are all
+# live, so the cached executor stands aside and every step's
+# speculative look-ahead runs its windowed prefixes under those checks.
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def enclave_gcd_victim():
+    return build_gcd_victim("3.0", options=CompileOptions(opt_level=2),
+                            nlimbs=1, with_yield=False,
+                            data_base=ENCLAVE_DATA_BASE)
+
+
+def step_enclave_gcd(*, fast, config):
+    """Single-step the enclave GCD to its exit under the page tracker
+    and the data monitor; capture the observables after every step."""
+    previous = set_fast_path(fast)
+    try:
+        victim = enclave_gcd_victim()
+        host, enclave = victim.new_enclave({"ta": 27, "tb": 12})
+        kernel = Kernel(Core(config))
+        kernel.add_process(host)
+        stepper = SgxStepper(kernel, host, enclave)
+        tracker = CodePageTracker(kernel, host, enclave)
+        monitor = DataAccessMonitor(host, enclave)
+        tracker.install()
+        stepper.enter(entry=victim.compiled.start)
+        core = kernel.core
+        steps = []
+        for _ in range(5_000):
+            monitor.arm()
+            step = stepper.step()
+            # (Entry domains are process ids, which differ per run.)
+            btb = sorted((e.tag, e.set_index, e.offset, e.target,
+                          e.kind.value)
+                         for e in core.btb.valid_entries())
+            lbr = [(r.from_pc, r.to_pc, r.elapsed_cycles, r.mispredicted)
+                   for r in core.lbr.records()]
+            steps.append((step.retired, step.running, btb,
+                          dataclasses.astuple(core.btb.stats), lbr,
+                          list(tracker.page_trace),
+                          sorted(monitor.touched())))
+            if not step.running:
+                break
+        else:
+            pytest.fail("enclave did not exit")
+        final = (host.state.regs.snapshot(), host.state.rip, core.cycles,
+                 core.total_retired)
+        return steps, final, bool(host.memory.window_cache)
+    finally:
+        set_fast_path(previous)
+
+
+@pytest.mark.parametrize("spec_lookahead", [0, 1, 12])
+@pytest.mark.parametrize("backend", sorted(BTB_BACKENDS))
+def test_single_stepped_enclave_identical(backend, spec_lookahead):
+    config = backend_generation(backend, spec_lookahead=spec_lookahead)
+    slow_steps, slow_final, slow_windows = step_enclave_gcd(
+        fast=False, config=config)
+    fast_steps, fast_final, fast_windows = step_enclave_gcd(
+        fast=True, config=config)
+    assert len(slow_steps) > 100
+    assert len(slow_steps) == len(fast_steps)
+    for index, (slow, fast) in enumerate(zip(slow_steps, fast_steps)):
+        assert slow == fast, index
+    assert slow_final == fast_final
+    # Only the look-ahead uses windows under an access filter.
+    assert not slow_windows
+    assert fast_windows == (spec_lookahead > 0)
 
 
 # ----------------------------------------------------------------------
@@ -435,3 +512,51 @@ def test_preallocated_entry_at_every_offset_single_step_sweep():
             assert slow == run(True, offset, max_retired), (offset,
                                                             max_retired)
             assert slow["runs"][-1][0] is StopReason.HALT
+
+
+def test_lookahead_prediction_at_every_offset_sweep():
+    """Single-step a taken ``jmp`` into a block whose straight-line
+    prefix leads to another ``jmp``, with a BTB entry pre-allocated at
+    each byte offset of that block.  A taken step leaves nothing for
+    the fetch-ahead drain, so the speculative look-ahead is first to
+    meet the prediction: inside its prefix (a false hit the reference
+    loop must burn down), on the jump's anchor byte, or past it.  The
+    windowed look-ahead must leave every observable as the reference
+    loop does, at every depth."""
+    asm = Assembler(base=0x0040_0000)
+    asm.emit("jmp8", "body")            # the stepped unit
+    asm.align(32)
+    asm.label("body")
+    asm.emit("addi8", "rbx", 5)
+    asm.emit("xor", "rcx", "rbx")
+    asm.emit("shl", "rcx", 1)
+    asm.emit("inc", "rdx")
+    asm.emit("jmp8", "far")
+    asm.org(0x0040_0060)
+    asm.label("far")
+    asm.emit("movi", "rsi", 2)
+    asm.emit("hlt")
+    program = asm.assemble()
+    body = program.address_of("body")
+
+    def run(fast, offset, depth):
+        previous = set_fast_path(fast)
+        try:
+            memory = VirtualMemory()
+            program.load_into(memory)
+            state = MachineState(memory, rip=program.entry)
+            state.setup_stack(0x7FFF_0000)
+            core = Core(DEFAULT_GENERATION.with_(spec_lookahead=depth))
+            core.btb.allocate(body + offset, program.address_of("far"),
+                              Kind.DIRECT_JUMP)
+            result = core.run(state, collect_trace=True, max_retired=1)
+            observables = core_observables(core, state, [result])
+            observables["stats"] = dataclasses.astuple(core.btb.stats)
+            return observables
+        finally:
+            set_fast_path(previous)
+
+    for depth in (1, 3, 12):
+        for offset in range(32):
+            assert run(False, offset, depth) == run(True, offset, depth), (
+                depth, offset)

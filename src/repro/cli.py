@@ -431,10 +431,12 @@ def main(argv=None) -> int:
                                "--shards; default 2)")
     campaign.add_argument("--vectorize", type=int, default=1,
                           metavar="N",
-                          help="batch N jobs per worker process, "
-                               "amortizing fork + warm-up cost "
-                               "(default 1 = one process per job; "
-                               "incompatible with --chaos)")
+                          help="run N jobs back-to-back per worker "
+                               "process; saves only the per-process "
+                               "fork, pipe and join, so it pays off "
+                               "for many tiny jobs, not for real "
+                               "experiments (default 1 = one process "
+                               "per job; incompatible with --chaos)")
     campaign.add_argument("--timeout", type=float, default=300.0,
                           metavar="S",
                           help="per-job wall-clock budget, seconds")

@@ -4,8 +4,9 @@ The paper's results are *campaigns* — thousands of repeated probe runs
 per figure — and the resilient measurement policy only protects a
 single measurement.  This package protects the layer above it:
 
-* every job runs in a **subprocess-isolated worker** (a crash or hang
-  loses one attempt, never the campaign);
+* every job runs in a **subprocess-isolated worker**, one job per
+  process or ``vectorize`` of them back-to-back (a crash or hang loses
+  the attempts that worker had not reported, never the campaign);
 * a **watchdog** SIGKILLs workers that blow their wall-clock budget or
   stop heartbeating, marking the job ``TIMED_OUT`` — the heartbeat is
   the only health check;
@@ -14,8 +15,9 @@ single measurement.  This package protects the layer above it:
   per-job attempt budget — the only budget;
 * with ``shards=N`` every job record names its **fault domain**
   (:func:`partition_jobs`) and a shard's workers share one process
-  group.  :data:`BREAKER_THRESHOLD` consecutive *strikes* (failed
-  attempts the worker never reported) quarantine a shard of a
+  group.  :data:`BREAKER_THRESHOLD` consecutive *strikes* (worker
+  processes that died or were killed without reporting, one strike
+  each however many jobs they held) quarantine a shard of a
   campaign with two or more shards: its unfinished jobs move to the
   least-loaded healthy shard, each move costing one attempt, and a job
   that cannot move ends ``LOST`` (the campaign ends ``DEGRADED``);
@@ -44,22 +46,21 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import Callable, Dict, List, Optional, Set
 
 from .. import telemetry
-from ..errors import CampaignError, SimulationTimeout, WorkerCrashed
+from ..errors import CampaignError, SimulationTimeout
 from ..storage import atomic_write_text, digest_text
 from .jobs import (JobRecord, JobSpec, JobStatus, KIND_EXPERIMENT,
                    KIND_SELFTEST, experiment_jobs, partition_jobs)
 from .manifest import (CAMPAIGN_COMPLETED, CAMPAIGN_DEGRADED,
                        CAMPAIGN_FAILED, CAMPAIGN_INTERRUPTED,
                        CREATION_RECORD_NAME, MANIFEST_NAME, RunManifest)
-from .watchdog import BatchHandle, Watchdog, WorkerHandle
-from .worker import batch_main, execute_job, is_transient, worker_main
+from .watchdog import Watchdog, WorkerHandle
+from .worker import execute_job, is_transient, worker_main
 
 __all__ = [
     "BREAKER_THRESHOLD",
-    "BatchHandle",
     "CAMPAIGN_COMPLETED",
     "CAMPAIGN_DEGRADED",
     "CAMPAIGN_FAILED",
@@ -78,7 +79,6 @@ __all__ = [
     "RunManifest",
     "Watchdog",
     "WorkerHandle",
-    "batch_main",
     "execute_job",
     "experiment_jobs",
     "is_transient",
@@ -214,7 +214,7 @@ class CampaignRunner:
         if vectorize > 1 and chaos is not None:
             # Chaos drills model one box dying mid-job; a batch dying
             # is N boxes.  Keep the failure-injection semantics simple:
-            # chaos campaigns run solo workers.
+            # chaos campaigns run one job per worker.
             raise CampaignError(
                 "vectorize > 1 is incompatible with chaos mode")
         #: fault domains ("" alone = unsharded campaign)
@@ -226,7 +226,7 @@ class CampaignRunner:
                 f"chaos mode {chaos.mode!r} needs a sharded campaign "
                 f"(--shards N)")
         self.manifest = manifest
-        #: parallel workers per shard (batches count as one worker)
+        #: parallel worker processes per shard
         self.max_workers = max_workers
         self.vectorize = vectorize
         self.watchdog = Watchdog(stall_timeout=stall_timeout)
@@ -241,9 +241,8 @@ class CampaignRunner:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:              # pragma: no cover - non-POSIX
             self._ctx = multiprocessing.get_context("spawn")
+        #: in-flight workers, keyed by their first job's id
         self._inflight: Dict[str, WorkerHandle] = {}
-        self._batches: Dict[str, BatchHandle] = {}
-        self._batch_sequence = itertools.count()
         #: shard -> consecutive strikes, and the shards quarantined
         self._strikes: Dict[str, int] = {}
         self._quarantined: Set[str] = set()
@@ -259,9 +258,6 @@ class CampaignRunner:
                       self.backoff_base * (2 ** max(0, attempt - 1)))
         return ceiling * (0.5 + 0.5 * self._backoff_rng.random())
 
-    def _handles(self) -> List[Union[WorkerHandle, BatchHandle]]:
-        return [*self._inflight.values(), *self._batches.values()]
-
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
@@ -271,7 +267,7 @@ class CampaignRunner:
         Returns the group id (0 for unsharded campaigns)."""
         if not shard:
             return 0
-        group = next((handle.pgid for handle in self._handles()
+        group = next((handle.pgid for handle in self._inflight.values()
                       if handle.shard == shard), 0)
         for pgid in ((group, pid) if group else (pid,)):
             try:
@@ -283,42 +279,41 @@ class CampaignRunner:
                 continue
         return pid
 
-    def _launch(self, record: JobRecord) -> None:
-        attempt = record.attempts + 1
+    def _launch(self, records: List[JobRecord]) -> None:
+        """Fork one worker for ``records`` (one job, or a
+        ``--vectorize`` group), run back-to-back in that process."""
+        attempts = [record.attempts + 1 for record in records]
         heartbeat = self._ctx.Value("d", 0.0, lock=False)
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(record.spec.to_dict(), attempt, send_conn, heartbeat),
-            name=f"repro-job-{record.job_id}",
+            args=([record.spec.to_dict() for record in records],
+                  attempts, send_conn, heartbeat),
+            name=f"repro-job-{records[0].job_id}",
             daemon=True,
         )
         process.start()
-        pgid = self._join_group(record.shard, process.pid)
+        shard = records[0].shard
+        pgid = self._join_group(shard, process.pid)
         send_conn.close()
-        record.status = JobStatus.RUNNING
+        for record in records:
+            record.status = JobStatus.RUNNING
         self.manifest.save()
-        self._inflight[record.job_id] = WorkerHandle(
-            spec=record.spec, attempt=attempt, process=process,
-            conn=recv_conn, heartbeat=heartbeat, shard=record.shard,
-            pgid=pgid)
-        telemetry.count("runner.job.launches")
-        self._event(record.job_id, f"attempt {attempt} started "
-                                   f"(pid {process.pid})")
+        handle = WorkerHandle(
+            specs=[record.spec for record in records], attempts=attempts,
+            process=process, conn=recv_conn, heartbeat=heartbeat,
+            shard=shard, pgid=pgid)
+        self._inflight[handle.job_id] = handle
+        telemetry.count("runner.job.launches", len(records))
+        for record, attempt in zip(records, attempts):
+            self._event(record.job_id, f"attempt {attempt} started "
+                                       f"(pid {process.pid})")
 
     def _retry_or_fail(self, record: JobRecord, status: JobStatus,
-                       message: str, *, transient: bool,
-                       strike: bool = False) -> None:
-        """Settle a failed attempt.  ``strike`` marks an attempt the
-        worker never reported (crash without a result, watchdog kill):
-        it counts against the job's shard, and the strike that trips
-        the breaker hands the job to :meth:`_quarantine`."""
+                       message: str, *, transient: bool) -> None:
+        """Settle a failed attempt: back off and retry while the error
+        is transient and attempts remain, else end in ``status``."""
         record.error = message
-        if strike and self._strike(record.shard, message):
-            self._quarantine(record.shard)
-            return
-        if not strike:
-            self._strikes.pop(record.shard, None)
         record.attempts += 1
         if transient and record.attempts_left() > 0:
             delay = self._backoff(record.attempts)
@@ -353,104 +348,9 @@ class CampaignRunner:
                     f"COMPLETED in {duration:.2f}s "
                     f"(digest {record.digest[:12]})")
 
-    def _finalize(self, handle: WorkerHandle) -> None:
-        """The worker delivered a message or died; settle the record."""
-        record = self.manifest.jobs[handle.job_id]
-        message = None
-        try:
-            if handle.conn.poll(0):
-                message = handle.conn.recv()
-        except (EOFError, OSError):
-            message = None
-        handle.process.join(timeout=5.0)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        del self._inflight[handle.job_id]
-
-        if message is None:
-            exitcode = handle.process.exitcode
-            crash = WorkerCrashed(
-                f"worker for {handle.job_id!r} died without a result "
-                f"(exit code {exitcode})", exitcode=exitcode)
-            self._retry_or_fail(record, JobStatus.CRASHED, str(crash),
-                                transient=True, strike=True)
-            return
-        if message[0] == "ok":
-            _, output, duration, counters = message
-            self._complete(record, output, duration, counters)
-            return
-        _, error, text, transient, _duration = message
-        timed_out = isinstance(error, SimulationTimeout) and \
-            getattr(error, "deadline", False)
-        status = JobStatus.TIMED_OUT if timed_out else JobStatus.FAILED
-        self._retry_or_fail(record, status, text, transient=transient)
-
-    def _finalize_closed_pipe(self, handle: WorkerHandle) -> None:
-        """The result pipe is gone: no message can ever arrive, so the
-        attempt is settled as a crash *now* — even if the process is
-        still alive (wedged), waiting out the watchdog budget would buy
-        nothing."""
-        was_alive = handle.alive()
-        handle.kill()
-        del self._inflight[handle.job_id]
-        record = self.manifest.jobs[handle.job_id]
-        detail = ("result pipe closed with the worker still alive"
-                  if was_alive else "result pipe closed")
-        crash = WorkerCrashed(
-            f"worker for {handle.job_id!r} lost its result pipe "
-            f"({detail})", exitcode=handle.process.exitcode)
-        self._retry_or_fail(record, JobStatus.CRASHED, str(crash),
-                            transient=True, strike=True)
-
-    def _kill_timed_out(self, handle: WorkerHandle,
-                        reason: str) -> None:
-        handle.kill()
-        del self._inflight[handle.job_id]
-        record = self.manifest.jobs[handle.job_id]
-        telemetry.count("runner.watchdog.kills")
-        self._retry_or_fail(record, JobStatus.TIMED_OUT,
-                            f"watchdog: {reason}", transient=True,
-                            strike=True)
-
-    # ------------------------------------------------------------------
-    # batch workers (--vectorize)
-    # ------------------------------------------------------------------
-    def _launch_batch(self, records: List[JobRecord]) -> None:
-        attempts = {record.job_id: record.attempts + 1
-                    for record in records}
-        heartbeat = self._ctx.Value("d", 0.0, lock=False)
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        batch_id = f"batch-{next(self._batch_sequence)}"
-        process = self._ctx.Process(
-            target=batch_main,
-            args=([record.spec.to_dict() for record in records],
-                  [attempts[record.job_id] for record in records],
-                  send_conn, heartbeat),
-            name=f"repro-{batch_id}",
-            daemon=True,
-        )
-        process.start()
-        shard = records[0].shard
-        pgid = self._join_group(shard, process.pid)
-        send_conn.close()
-        for record in records:
-            record.status = JobStatus.RUNNING
-        self.manifest.save()
-        self._batches[batch_id] = BatchHandle(
-            specs=[record.spec for record in records],
-            attempts=attempts, process=process, conn=recv_conn,
-            heartbeat=heartbeat, shard=shard, pgid=pgid)
-        telemetry.count("runner.batch.launches")
-        telemetry.count("runner.job.launches", len(records))
-        self._event(batch_id,
-                    f"batch of {len(records)} started (pid "
-                    f"{process.pid}): "
-                    f"{', '.join(r.job_id for r in records)}")
-
-    def _settle_batch_message(self, handle: BatchHandle,
-                              message) -> None:
+    def _settle_message(self, handle: WorkerHandle, message) -> None:
+        """Settle the job a worker reported on.  A reported outcome,
+        success or failure, clears its shard's strikes."""
         job_id = message[0]
         if job_id not in handle.pending:
             return                          # duplicate/unknown: ignore
@@ -460,66 +360,84 @@ class CampaignRunner:
             _, _, output, duration, counters = message
             self._complete(record, output, duration, counters)
             return
+        self._strikes.pop(record.shard, None)
         _, _, error, text, transient, _duration = message
         timed_out = isinstance(error, SimulationTimeout) and \
             getattr(error, "deadline", False)
         status = JobStatus.TIMED_OUT if timed_out else JobStatus.FAILED
         self._retry_or_fail(record, status, text, transient=transient)
 
-    def _drain_batch(self, handle: BatchHandle) -> bool:
-        """Settle every message currently in the batch pipe.  Returns
-        False when the pipe is gone (no more messages can arrive)."""
+    def _drain(self, handle: WorkerHandle) -> Optional[str]:
+        """Settle every message currently in the worker's pipe.
+        Returns None while the pipe is open, else why no message can
+        arrive any more: ``"eof"`` (the worker closed its end) or
+        ``"closed"`` (our end is gone)."""
         try:
-            while handle.conn.poll(0):
-                self._settle_batch_message(handle, handle.conn.recv())
-        except (EOFError, OSError):
-            return False
-        return True
+            while handle.pending and handle.conn.poll(0):
+                self._settle_message(handle, handle.conn.recv())
+        except EOFError:
+            return "eof"
+        except OSError:
+            return "closed"
+        return None
 
-    def _retire_batch(self, batch_id: str, handle: BatchHandle,
-                      reason: Optional[str]) -> None:
-        """Reap a finished/dead/overdue batch worker; everything still
-        pending retries (all-unfinished-retry)."""
+    def _settle(self, handle: WorkerHandle, now: float) -> None:
+        """Drain the worker's messages, then settle whatever it still
+        holds if it died, lost its pipe, or is overdue; a busy, healthy
+        worker is left alone."""
+        lost = self._drain(handle)
+        if handle.pending and lost is None and not handle.alive():
+            # A just-exited worker's last messages may have landed
+            # after the first drain.
+            lost = self._drain(handle) or "eof"
+        reason = None
+        if handle.pending and lost is None:
+            reason = self.watchdog.overdue(handle, now)
+            if reason is None:
+                return
+        was_alive = handle.alive()
+        if lost == "eof" or not handle.pending:
+            # let a closing or fully reported worker exit with its own
+            # code
+            handle.process.join(timeout=5.0)
         handle.kill()
-        del self._batches[batch_id]
+        del self._inflight[handle.job_id]
         if not handle.pending:
             return
-        telemetry.count("runner.batch.interrupted")
-        for job_id in sorted(handle.pending):
-            record = self.manifest.jobs[job_id]
-            if record.status is not JobStatus.RUNNING:
-                continue        # a quarantine already moved it
-            if reason is not None:
-                telemetry.count("runner.watchdog.kills")
-                self._retry_or_fail(record, JobStatus.TIMED_OUT,
-                                    f"watchdog: {reason}",
-                                    transient=True, strike=True)
+        if reason is not None:
+            telemetry.count("runner.watchdog.kills")
+            status = JobStatus.TIMED_OUT
+            messages = {job_id: f"watchdog: {reason}"
+                        for job_id in handle.pending}
+        else:
+            if lost == "closed":
+                detail = ("result pipe closed with the worker still alive"
+                          if was_alive else "result pipe closed")
+                text = f"lost its result pipe ({detail})"
             else:
-                exitcode = handle.process.exitcode
-                crash = WorkerCrashed(
-                    f"batch worker for {job_id!r} died without a "
-                    f"result (exit code {exitcode})", exitcode=exitcode)
-                self._retry_or_fail(record, JobStatus.CRASHED,
-                                    str(crash), transient=True,
-                                    strike=True)
+                text = (f"died without a result "
+                        f"(exit code {handle.process.exitcode})")
+            status = JobStatus.CRASHED
+            messages = {job_id: f"worker for {job_id!r} {text}"
+                        for job_id in handle.pending}
+        self._settle_unreported(handle.shard, status, messages)
 
-    def _settle_batches(self, now: float) -> None:
-        for batch_id, handle in list(self._batches.items()):
-            if batch_id not in self._batches:
-                continue        # a quarantine already reaped it
-            pipe_open = self._drain_batch(handle)
-            if not handle.pending:
-                self._retire_batch(batch_id, handle, None)
-                continue
-            if not pipe_open or not handle.alive():
-                # Give a just-exited worker's final messages one more
-                # drain before declaring the rest crashed.
-                self._drain_batch(handle)
-                self._retire_batch(batch_id, handle, None)
-                continue
-            reason = self.watchdog.overdue_batch(handle, now)
-            if reason is not None:
-                self._retire_batch(batch_id, handle, reason)
+    def _settle_unreported(self, shard: str, status: JobStatus,
+                           messages: Dict[str, str]) -> None:
+        """A worker died or was killed holding the jobs in
+        ``messages`` unreported.  That is one strike against its shard,
+        however many jobs it held; the strike that trips the breaker
+        hands them to :meth:`_quarantine`, else every one of them
+        retries (all-unfinished-retry)."""
+        job_ids = sorted(messages)
+        for job_id in job_ids:
+            self.manifest.jobs[job_id].error = messages[job_id]
+        if self._strike(shard, messages[job_ids[0]]):
+            self._quarantine(shard)
+            return
+        for job_id in job_ids:
+            self._retry_or_fail(self.manifest.jobs[job_id], status,
+                                messages[job_id], transient=True)
 
     # ------------------------------------------------------------------
     # shards: strikes and quarantine
@@ -552,10 +470,6 @@ class CampaignRunner:
             if handle.shard == sick:
                 handle.kill()
                 del self._inflight[job_id]
-        for batch_id, batch in list(self._batches.items()):
-            if batch.shard == sick:
-                batch.kill()
-                del self._batches[batch_id]
         healthy = [shard for shard in self._shards
                    if shard not in self._quarantined]
         target = min(healthy, default=None,
@@ -592,19 +506,21 @@ class CampaignRunner:
         (attempt counted, retry/backoff policy applied), every other
         in-flight job rolls back to PENDING (their interrupted attempt
         never reported), and the manifest is flagged for resume."""
-        victim_record = self.manifest.jobs[chaos_victim.job_id]
         del self._inflight[chaos_victim.job_id]
         telemetry.count("runner.chaos.kills")
         self._event(chaos_victim.job_id, "chaos: worker SIGKILLed")
-        self._retry_or_fail(victim_record, JobStatus.CRASHED,
-                            "chaos: worker SIGKILLed mid-campaign",
-                            transient=True)
-        for handle in list(self._inflight.values()):
+        for job_id in sorted(chaos_victim.pending):
+            self._retry_or_fail(self.manifest.jobs[job_id],
+                                JobStatus.CRASHED,
+                                "chaos: worker SIGKILLed mid-campaign",
+                                transient=True)
+        for handle in self._inflight.values():
             handle.kill()
-            record = self.manifest.jobs[handle.job_id]
-            record.status = JobStatus.PENDING
-            record.eligible_at = 0.0
-            del self._inflight[handle.job_id]
+            for job_id in handle.pending:
+                record = self.manifest.jobs[job_id]
+                record.status = JobStatus.PENDING
+                record.eligible_at = 0.0
+        self._inflight.clear()
         self.manifest.interrupted = True
         self.manifest.save()
 
@@ -612,46 +528,28 @@ class CampaignRunner:
     # main loop
     # ------------------------------------------------------------------
     def _launch_pass(self, now: float) -> None:
-        """Launch runnable jobs, up to ``max_workers`` per shard; with
-        ``vectorize > 1`` in batches of that many, a batch occupying
-        one worker slot."""
+        """Launch runnable jobs in groups of ``vectorize`` (1 = one job
+        per worker), up to ``max_workers`` workers per shard."""
         runnable: Dict[str, List[JobRecord]] = {}
         for record in self.manifest.records():
-            if record.runnable(now):
+            # A job retrying while the worker keyed by its id still runs
+            # the rest of that worker's group waits for it to finish.
+            if record.runnable(now) and record.job_id not in self._inflight:
                 runnable.setdefault(record.shard, []).append(record)
-        busy = Counter(handle.shard for handle in self._handles())
+        busy = Counter(handle.shard for handle in self._inflight.values())
         for shard, records in runnable.items():
             slots = self.max_workers - busy[shard]
             for start in range(0, min(len(records),
                                       slots * self.vectorize),
                                self.vectorize):
-                group = records[start:start + self.vectorize]
-                if self.vectorize > 1:
-                    self._launch_batch(group)
-                else:
-                    self._launch(group[0])
+                self._launch(records[start:start + self.vectorize])
 
     def _settle_pass(self, now: float) -> None:
         """Settle finished, pipe-less, and overdue workers."""
-        self._settle_batches(now)
-        for handle in list(self._inflight.values()):
-            if self._inflight.get(handle.job_id) is not handle:
-                continue        # a quarantine already reaped it
-            try:
-                has_message = handle.conn.poll(0)
-            except OSError:
-                # The pipe is closed (chaos kill, or the worker's end
-                # died) — no result can ever arrive, so finalize as a
-                # crash immediately rather than waiting for the
-                # process to die or the watchdog budget to expire.
-                self._finalize_closed_pipe(handle)
-                continue
-            if has_message or not handle.alive():
-                self._finalize(handle)
-                continue
-            reason = self.watchdog.overdue(handle, now)
-            if reason is not None:
-                self._kill_timed_out(handle, reason)
+        for job_id, handle in list(self._inflight.items()):
+            if self._inflight.get(job_id) is handle:
+                # (else a quarantine already reaped it)
+                self._settle(handle, now)
 
     def _chaos_tick(self, campaign_age: float) -> bool:
         """Run the chaos drill for this tick; True when it interrupted
@@ -689,7 +587,7 @@ class CampaignRunner:
                         and self._chaos_tick(now - started):
                     return manifest
                 # ----- done? -------------------------------------------
-                if not self._inflight and not self._batches:
+                if not self._inflight:
                     waiting = [r for r in manifest.records()
                                if r.status is JobStatus.PENDING]
                     if not waiting:
@@ -701,10 +599,9 @@ class CampaignRunner:
                     continue
                 time.sleep(self.poll_interval)
         finally:
-            for handle in self._handles():
+            for handle in self._inflight.values():
                 handle.kill()
             self._inflight.clear()
-            self._batches.clear()
             manifest.save()
         return manifest
 
@@ -733,9 +630,13 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
     the campaign re-runs exactly what it recorded, in the shards it
     recorded, skipping COMPLETED jobs.  ``shards >= 1`` partitions the
     jobs into that many fault domains with ``max_workers`` workers
-    each.  ``vectorize > 1`` batches that many jobs per worker process
-    (amortizing fork/import/warm-up); results, artifacts and digests
-    are byte-identical to solo workers.
+    each.  ``vectorize > 1`` runs that many jobs back-to-back in each
+    worker process.  It shares no decodes between them, so under fork
+    it saves only the per-process fork, pipe and join: on a 2-CPU VM,
+    40 ``work:10`` selftest jobs take a median 0.38 s at 4 against
+    0.94 s at 1, while one full fast experiment campaign took 49 s at 4
+    and 55 s at 1.
+    Results, artifacts and digests do not depend on it.
     """
     runs_dir = Path(runs_dir)
     if resume:

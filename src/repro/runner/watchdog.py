@@ -2,18 +2,18 @@
 
 Two independent kill conditions, checked every poll tick:
 
-* **budget** — the attempt has been running longer than the job's
-  ``timeout_s`` (catches non-terminating victims whose busy loop never
-  misses a heartbeat: the GIL keeps the beat thread alive even while
-  the interpreter spins);
+* **budget** — the worker has been running longer than its jobs'
+  summed ``timeout_s`` (catches non-terminating victims whose busy
+  loop never misses a heartbeat: the GIL keeps the beat thread alive
+  even while the interpreter spins);
 * **stall** — the heartbeat timestamp (the launch time until the
   first beat lands) is older than ``stall_timeout`` (catches a
   frozen/deadlocked/SIGSTOPped worker whose clock no longer advances
   at all — including a whole ``--chaos stall-shard`` process group).
 
-Either way the worker is SIGKILLed and the job marked ``TIMED_OUT``.
-This heartbeat is the campaign's only health check: sharded campaigns
-add no shard-level lease on top of it.
+Either way the worker is SIGKILLed and every job it had not reported
+is marked ``TIMED_OUT``.  This heartbeat is the campaign's only health
+check: sharded campaigns add no shard-level lease on top of it.
 """
 
 from __future__ import annotations
@@ -29,55 +29,23 @@ from .jobs import JobSpec
 
 @dataclass
 class WorkerHandle:
-    """Parent-side view of one in-flight attempt."""
+    """Parent-side view of one in-flight worker process.
 
-    spec: JobSpec
-    attempt: int
+    The worker runs its jobs back-to-back (one job, or ``--vectorize``
+    many); ``pending`` shrinks as per-job messages arrive, and whatever
+    is left in it when the process dies, loses its pipe, or blows its
+    budget is what the runner retries.  The wall-clock budget is the
+    *sum* of the jobs' budgets — the jobs run sequentially, so one job
+    gets exactly its own ``timeout_s``.
+    """
+
+    specs: List[JobSpec]
+    #: attempt number of each spec, in order
+    attempts: List[int]
     process: object                       # multiprocessing.Process
     conn: object                          # receiving end of the pipe
     heartbeat: object                     # multiprocessing.Value("d")
     #: fault domain ("" = unsharded) and its process group (0 = none)
-    shard: str = ""
-    pgid: int = 0
-    started: float = field(default_factory=time.monotonic)
-
-    @property
-    def job_id(self) -> str:
-        return self.spec.job_id
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        """SIGKILL the worker and reap it (idempotent)."""
-        if self.process.is_alive():
-            try:
-                os.kill(self.process.pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):
-                pass
-        self.process.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-@dataclass
-class BatchHandle:
-    """Parent-side view of one in-flight batch attempt (``--vectorize``).
-
-    One subprocess runs several jobs back-to-back; ``pending`` shrinks
-    as per-job messages arrive, and whatever is left in it when the
-    process dies or blows its budget is what the runner retries.  The
-    wall-clock budget is the *sum* of the batched jobs' budgets — the
-    jobs run sequentially, so that is exactly the solo guarantee.
-    """
-
-    specs: List[JobSpec]
-    attempts: dict                        # job_id -> attempt number
-    process: object
-    conn: object
-    heartbeat: object
     shard: str = ""
     pgid: int = 0
     pending: Set[str] = field(default_factory=set)
@@ -88,6 +56,11 @@ class BatchHandle:
             self.pending = {spec.job_id for spec in self.specs}
 
     @property
+    def job_id(self) -> str:
+        """The first job's id: the handle's key in the runner."""
+        return self.specs[0].job_id
+
+    @property
     def budget_s(self) -> float:
         return sum(spec.timeout_s for spec in self.specs)
 
@@ -95,7 +68,7 @@ class BatchHandle:
         return self.process.is_alive()
 
     def kill(self) -> None:
-        """SIGKILL the batch worker and reap it (idempotent)."""
+        """SIGKILL the worker and reap it (idempotent)."""
         if self.process.is_alive():
             try:
                 os.kill(self.process.pid, signal.SIGKILL)
@@ -119,19 +92,10 @@ class Watchdog:
                 now: Optional[float] = None) -> Optional[str]:
         """A human-readable kill reason, or None if the worker is
         healthy."""
-        return self._overdue(handle, handle.spec.timeout_s, now)
-
-    def overdue_batch(self, handle: BatchHandle,
-                      now: Optional[float] = None) -> Optional[str]:
-        """Same policy for a batch worker, against the batch budget."""
-        return self._overdue(handle, handle.budget_s, now)
-
-    def _overdue(self, handle, budget_s: float,
-                 now: Optional[float]) -> Optional[str]:
         now = time.monotonic() if now is None else now
         elapsed = now - handle.started
-        if elapsed > budget_s:
-            return (f"exceeded {budget_s:.1f}s wall-clock "
+        if elapsed > handle.budget_s:
+            return (f"exceeded {handle.budget_s:.1f}s wall-clock "
                     f"budget (ran {elapsed:.1f}s)")
         last_beat = handle.heartbeat.value or handle.started
         if now - last_beat > self.stall_timeout:

@@ -1,27 +1,29 @@
-"""Subprocess worker: executes one job attempt in isolation.
+"""Subprocess worker: executes job attempts in isolation.
 
-The parent forks one process per attempt; the child
+The parent forks one process per group of jobs (one job, or
+``--vectorize N`` of them); the child
 
 1. starts a daemon heartbeat thread that stamps a shared
    ``multiprocessing.Value`` with ``time.monotonic()`` so the watchdog
    can tell a slow worker from a dead one;
-2. installs the ambient interpreter deadline
-   (:func:`repro.cpu.interp.set_ambient_deadline`) slightly inside the
-   job's wall-clock budget, so a non-terminating victim raises
-   :class:`SimulationTimeout` in-band before the watchdog has to
-   SIGKILL anything;
-3. runs the job inside a counters-only :func:`repro.telemetry.session`
-   and ships ``("ok", output, duration, counters)`` or
-   ``("error", exception, message, transient, duration)`` back over
-   the result pipe.  Exceptions cross the process boundary pickled
-   (see the ``__reduce__`` support in :mod:`repro.errors`); anything
+2. runs its jobs back-to-back.  Each job gets the ambient interpreter
+   deadline (:func:`repro.cpu.interp.set_ambient_deadline`) slightly
+   inside its own wall-clock budget, so a non-terminating victim
+   raises :class:`SimulationTimeout` in-band before the watchdog has
+   to SIGKILL anything, and its own counters-only
+   :func:`repro.telemetry.session`;
+3. ships one message per job as it settles, prefixed with its job id:
+   ``(job_id, "ok", output, duration, counters)`` or
+   ``(job_id, "error", exception, message, transient, duration)``.
+   Exceptions cross the process boundary pickled (see the
+   ``__reduce__`` support in :mod:`repro.errors`); anything
    unpicklable degrades to its message — and if even *that* send fails
    (broken pipe after a parent-side kill) the worker exits with
    :data:`SEND_FAILED_EXIT` instead of dying silently as a 0.
 
-Worker death without a message (SIGKILL, segfault) is detected by the
-parent from the exit code and treated as a transient
-:class:`WorkerCrashed`.
+Worker death before every job reported (SIGKILL, segfault) is detected
+by the parent and treated as a transient :class:`WorkerCrashed` for
+each unreported job.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ import signal
 import threading
 import time
 from hashlib import sha256
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .. import telemetry
 from ..errors import (CalibrationError, CampaignError, MeasurementError,
-                      MeasurementUnstable, ReproError, SimulationTimeout)
+                      MeasurementUnstable, SimulationTimeout)
 from .jobs import KIND_EXPERIMENT, KIND_SELFTEST, JobSpec
 
 #: seconds between heartbeat stamps
@@ -136,8 +138,9 @@ def _beat(heartbeat, stop: threading.Event) -> None:
         stop.wait(HEARTBEAT_INTERVAL)
 
 
-def _send_error(conn, error: BaseException, duration: float) -> None:
-    payload: Tuple = ("error", error, str(error) or repr(error),
+def _send_error(conn, job_id: str, error: BaseException,
+                duration: float) -> None:
+    payload: Tuple = (job_id, "error", error, str(error) or repr(error),
                       is_transient(error), duration)
     try:
         conn.send(payload)
@@ -148,7 +151,8 @@ def _send_error(conn, error: BaseException, duration: float) -> None:
         # degrade to the message-only payload.
         pass
     try:
-        conn.send(("error", None, f"{type(error).__name__}: {error}",
+        conn.send((job_id, "error", None,
+                   f"{type(error).__name__}: {error}",
                    is_transient(error), duration))
     except Exception:
         # The fallback send failed too — typically a broken pipe after
@@ -158,65 +162,11 @@ def _send_error(conn, error: BaseException, duration: float) -> None:
         os._exit(SEND_FAILED_EXIT)
 
 
-def worker_main(spec_dict: dict, attempt: int, conn, heartbeat) -> None:
-    """Entry point of the worker subprocess."""
-    spec = JobSpec.from_dict(spec_dict)
-    stop = threading.Event()
-    thread = threading.Thread(target=_beat, args=(heartbeat, stop),
-                              daemon=True)
-    thread.start()
-    started = time.monotonic()
-    from ..cpu.interp import set_ambient_deadline
-    set_ambient_deadline(started + spec.timeout_s * _DEADLINE_FRACTION)
-    try:
-        # Counters only (no trace): the snapshot rides back with the
-        # result and lands in the manifest's per-job record.
-        with telemetry.session() as sink:
-            output = execute_job(spec, attempt)
-    except ReproError as error:
-        _send_error(conn, error, time.monotonic() - started)
-    except BaseException as error:      # noqa: BLE001 - report, don't die
-        _send_error(conn, error, time.monotonic() - started)
-    else:
-        conn.send(("ok", output, time.monotonic() - started,
-                   sink.snapshot()))
-    finally:
-        set_ambient_deadline(None)
-        stop.set()
-        conn.close()
-
-
-def _send_batch_error(conn, job_id: str, error: BaseException,
-                      duration: float) -> None:
-    """Per-job error send for batch workers, with the same pickle
-    degradation ladder as :func:`_send_error`."""
-    try:
-        conn.send((job_id, "error", error, str(error) or repr(error),
-                   is_transient(error), duration))
-        return
-    except Exception:
-        pass
-    try:
-        conn.send((job_id, "error", None,
-                   f"{type(error).__name__}: {error}",
-                   is_transient(error), duration))
-    except Exception:
-        os._exit(SEND_FAILED_EXIT)
-
-
-def batch_main(spec_dicts: list, attempts: list, conn,
-               heartbeat) -> None:
-    """Entry point of a **batch** worker (``--vectorize N``).
-
-    Runs N jobs back-to-back in one subprocess, amortizing the fork +
-    import + simulator warm-up cost that dominates short campaign
-    jobs.  One message is sent *per job as it settles* — prefixed with
-    its job id — so a mid-batch crash loses only the unfinished jobs:
-    the parent retries exactly the jobs it never heard about.  Each
-    job still gets its own ambient deadline and its own counters-only
-    telemetry session, so per-job records are indistinguishable from
-    solo-worker runs.
-    """
+def worker_main(spec_dicts: list, attempts: list, conn,
+                heartbeat) -> None:
+    """Entry point of the worker subprocess: run each job attempt in
+    turn and report it as it settles, so a mid-group crash loses only
+    the jobs the parent never heard about."""
     stop = threading.Event()
     thread = threading.Thread(target=_beat, args=(heartbeat, stop),
                               daemon=True)
@@ -229,11 +179,13 @@ def batch_main(spec_dicts: list, attempts: list, conn,
             set_ambient_deadline(
                 started + spec.timeout_s * _DEADLINE_FRACTION)
             try:
+                # Counters only (no trace): the snapshot rides back
+                # with the result and lands in the job's record.
                 with telemetry.session() as sink:
                     output = execute_job(spec, attempt)
-            except BaseException as error:  # noqa: BLE001
-                _send_batch_error(conn, spec.job_id, error,
-                                  time.monotonic() - started)
+            except BaseException as error:  # noqa: BLE001 - report, don't die
+                _send_error(conn, spec.job_id, error,
+                            time.monotonic() - started)
             else:
                 conn.send((spec.job_id, "ok", output,
                            time.monotonic() - started, sink.snapshot()))

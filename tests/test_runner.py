@@ -16,12 +16,14 @@ import time
 
 import pytest
 
+import repro.runner as runner_module
 from repro.errors import (CampaignError, MeasurementUnstable, PageFault,
                           SimulationTimeout, WorkerCrashed)
 from repro.runner import (CREATION_RECORD_NAME, MANIFEST_NAME,
                           ChaosMonkey, JobRecord, JobSpec, JobStatus,
-                          KIND_SELFTEST, RunManifest, execute_job,
-                          experiment_jobs, is_transient, run_campaign)
+                          KIND_SELFTEST, RunManifest, WorkerHandle,
+                          execute_job, experiment_jobs, is_transient,
+                          run_campaign)
 from repro.storage import (atomic_write_json, atomic_write_text,
                            digest_text, read_json)
 
@@ -460,9 +462,10 @@ class _DeadConn:
 def test_send_error_falls_back_to_message_only():
     from repro.runner.worker import _send_error
     conn = _DeadConn(failures=1)
-    _send_error(conn, ValueError("boom"), 0.5)
+    _send_error(conn, "job", ValueError("boom"), 0.5)
     assert len(conn.sent) == 1
-    kind, error, text, transient, duration = conn.sent[0]
+    job_id, kind, error, text, transient, duration = conn.sent[0]
+    assert job_id == "job"
     assert kind == "error"
     assert error is None                  # degraded: message only
     assert "ValueError: boom" in text
@@ -481,8 +484,8 @@ def test_send_error_double_failure_exits_nonzero(monkeypatch):
 
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(SystemExit):
-        worker._send_error(_DeadConn(failures=2), ValueError("boom"),
-                           0.1)
+        worker._send_error(_DeadConn(failures=2), "job",
+                           ValueError("boom"), 0.1)
     assert exits == [worker.SEND_FAILED_EXIT]
     assert worker.SEND_FAILED_EXIT != 0
 
@@ -510,7 +513,7 @@ def test_worker_without_reader_exits_send_failed(tmp_path):
     recv_conn.close()                     # nobody will ever read
     spec = _selftest("orphan", "fail:99", max_attempts=1)
     process = ctx.Process(target=worker_main,
-                          args=(spec.to_dict(), 1, send_conn,
+                          args=([spec.to_dict()], [1], send_conn,
                                 heartbeat))
     process.start()
     send_conn.close()
@@ -740,6 +743,50 @@ def test_vectorized_batch_retries_only_the_failed_job(tmp_path):
     assert manifest.jobs["a"].attempts == 1
     assert manifest.jobs["b"].attempts == 2
     assert manifest.jobs["c"].attempts == 1
+
+
+def test_retry_of_a_groups_first_job_waits_for_its_worker(tmp_path):
+    # The worker is keyed by its first job's id.  That job reports a
+    # transient failure while the same worker still runs the rest of
+    # the group; its retry must not launch over the live worker's key.
+    specs = [_selftest("a", "fail:1", max_attempts=3),
+             _selftest("b", "sleep:1"),
+             _selftest("c", "sleep:1")]
+    manifest = run_campaign(specs, tmp_path, campaign_id="vk", seed=0,
+                            vectorize=3, max_workers=2,
+                            backoff_base=0.01, backoff_cap=0.05)
+    assert manifest.all_completed()
+    assert not [record.job_id for record in manifest.records()
+                if record.status is JobStatus.RUNNING]
+    assert manifest.jobs["a"].attempts == 2
+    assert manifest.jobs["b"].attempts == 1
+    assert manifest.jobs["c"].attempts == 1
+
+
+def test_reported_worker_exits_with_its_own_code(tmp_path, monkeypatch):
+    # A worker that lingers after its last message is joined, not
+    # SIGKILLed, so a normal exit reads 0 and a kill reads -9.
+    main = runner_module.worker_main
+
+    def lingering_main(*args):
+        main(*args)
+        time.sleep(0.3)
+
+    monkeypatch.setattr(runner_module, "worker_main", lingering_main)
+    exitcodes = []
+    kill = WorkerHandle.kill
+
+    def recording_kill(handle):
+        kill(handle)
+        exitcodes.append(handle.process.exitcode)
+
+    monkeypatch.setattr(WorkerHandle, "kill", recording_kill)
+    specs = [_selftest("a", "work:10"), _selftest("b", "work:10"),
+             _selftest("c", "work:10")]
+    manifest = run_campaign(specs, tmp_path, campaign_id="ve", seed=0,
+                            vectorize=2)
+    assert manifest.all_completed()
+    assert exitcodes == [0, 0]
 
 
 def test_vectorized_batch_crash_loses_only_unfinished_jobs(tmp_path):

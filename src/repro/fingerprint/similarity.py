@@ -18,6 +18,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .slicing import FunctionTrace
 
+#: ``(victim, frozenset(victim))`` of the last exact-tuple victim
+#: scored; replaced in one assignment, so the pair is always consistent
+_last_victim: Tuple[object, frozenset] = (object(), frozenset())
+
 
 def set_similarity(victim: Iterable[int],
                    reference: Iterable[int]) -> float:
@@ -25,8 +29,23 @@ def set_similarity(victim: Iterable[int],
 
     Only the victim is hashed into a set; the reference is walked once
     against it, so a reference tuple or list is never copied.
+
+    The set of the last exact-``tuple`` victim is kept and reused while
+    the same object comes back (an ``is`` compare), so a caller that
+    scores one victim tuple against every reference hashes it once.
+    Only exact tuples are kept: lists and sets can change in place,
+    iterators are one-shot and tuple subclasses may override
+    iteration.  At most one victim is held, and scores are
+    bit-identical to hashing every call.
     """
-    victim_set = frozenset(victim)
+    global _last_victim
+    last = _last_victim
+    if last[0] is victim:
+        victim_set = last[1]
+    else:
+        victim_set = frozenset(victim)
+        if type(victim) is tuple:
+            _last_victim = (victim, victim_set)
     if not victim_set:
         return 0.0
     return len(victim_set.intersection(reference)) / len(victim_set)

@@ -58,7 +58,9 @@ def slice_trace(pcs: Sequence[int],
 
     ``data_access[i]`` says whether step ``i`` touched a data page
     (from the accessed-bit controlled channel); when ``None`` every
-    suspected transfer is treated as confirmed (lower fidelity).
+    suspected transfer is treated as confirmed (lower fidelity).  A
+    ``data_access`` whose length differs from ``pcs`` raises
+    ``ValueError``.
 
     ``aligned_entries`` exploits the compiler convention that function
     entries are 16-byte aligned: a far transfer that is not a return
@@ -67,6 +69,10 @@ def slice_trace(pcs: Sequence[int],
     """
     if data_access is None:
         data_access = [True] * len(pcs)
+    elif len(data_access) != len(pcs):
+        raise ValueError(
+            f"data_access has {len(data_access)} flags for "
+            f"{len(pcs)} pcs")
     traces: List[FunctionTrace] = []
     if not pcs:
         return traces
@@ -83,7 +89,7 @@ def slice_trace(pcs: Sequence[int],
         previous = current.pcs[-1]
         delta = pc - previous
         is_far = delta > JUMP_THRESHOLD or delta < 0
-        confirmed = is_far and data_access[min(index, len(data_access) - 1)]
+        confirmed = is_far and data_access[index]
         if confirmed and _matches_return(stack, pc):
             # ret: unwind to the matching frame
             while len(stack) > 1:

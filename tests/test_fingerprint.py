@@ -62,6 +62,61 @@ class TestSetSimilarity:
         assert set_similarity((), (pc for pc in (1, 2))) == 0.0
         assert set_similarity(iter(()), ()) == 0.0
 
+    _REFERENCES = ((1, 2, 3), [2, 4, 6, 8], frozenset({3, 5, 7}), (),
+                   (9, 1, 1, 2))
+
+    def test_memo_interleaved_tuple_victims(self):
+        a, b = (1, 2, 2, 3, 5), (4, 6, 7, 8, 8, 9)
+        for victim in (a, b, a, b, a, a, b, b):
+            for reference in self._REFERENCES:
+                assert set_similarity(victim, reference) == \
+                    self._reference_formula(victim, reference)
+
+    def test_memo_list_mutated_in_place_scores_new_contents(self):
+        victim = [1, 2, 3]
+        reference = (1, 2, 3, 4)
+        assert set_similarity(victim, reference) == \
+            self._reference_formula(victim, reference) == 1.0
+        victim[:] = [4, 5, 6, 7]
+        assert set_similarity(victim, reference) == \
+            self._reference_formula(victim, reference) == 0.25
+
+    def test_memo_equal_but_distinct_tuples(self):
+        first = tuple(range(0, 40, 3))
+        second = tuple(list(first))
+        assert first == second and first is not second
+        for victim in (first, second, first):
+            for reference in self._REFERENCES:
+                assert set_similarity(victim, reference) == \
+                    self._reference_formula(victim, reference)
+
+    def test_memo_empty_generator_and_frozenset_victims(self):
+        warm = (1, 2, 3)
+        for reference in self._REFERENCES:
+            set_similarity(warm, reference)
+            assert set_similarity((), reference) == 0.0
+            generator = (pc for pc in (2, 3, 9))
+            assert set_similarity(generator, reference) == \
+                self._reference_formula((2, 3, 9), reference)
+            victim = frozenset({1, 3, 8})
+            assert set_similarity(victim, reference) == \
+                self._reference_formula(victim, reference)
+            assert set_similarity(warm, reference) == \
+                self._reference_formula(warm, reference)
+
+    def test_memo_corpus_identification_and_fig12_orders(self):
+        """Each victim against every reference (identification), then
+        each reference against every victim (the Fig. 12 view)."""
+        corpus = generate_corpus(size=60, seed=5)
+        identification = [(victim, reference) for victim in corpus
+                          for reference in corpus]
+        fig12 = [(victim, reference) for reference in corpus
+                 for victim in corpus]
+        for victim, reference in identification + fig12:
+            assert set_similarity(victim.measured, reference.static_pcs) \
+                == self._reference_formula(victim.measured,
+                                           reference.static_pcs)
+
 
 class TestSlicing:
     def test_straightline_single_trace(self):
@@ -117,6 +172,14 @@ class TestSlicing:
 
     def test_empty_trace(self):
         assert slice_trace([]) == []
+
+    @pytest.mark.parametrize("flags", [[False], [], [True, True],
+                                       [True, True, True, True]])
+    def test_data_access_length_must_match_pcs(self, flags):
+        """A short flag list used to reuse its last flag for every
+        later step (or raise a bare IndexError when empty)."""
+        with pytest.raises(ValueError, match="data_access"):
+            slice_trace([0x10, 0x100, 0x104], flags)
 
 
 class TestMeasurementModel:

@@ -157,11 +157,6 @@ class CFG:
             return None
         return self.function_names.get(entry, f"sub_{entry:#x}")
 
-    def control_pcs(self) -> List[int]:
-        """Reachable control-transfer instruction addresses."""
-        return sorted(pc for pc, inst in self.instrs.items()
-                      if inst.is_control)
-
     def successors(self, pc: int) -> Optional[FrozenSet[int]]:
         """Statically predicted successor set of the instruction at
         ``pc`` — ``None`` means ⊤ (an unresolved indirect)."""

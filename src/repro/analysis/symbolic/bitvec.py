@@ -4,11 +4,12 @@ A *bit* is either a Python int ``0``/``1`` (concrete) or a
 :class:`Node` (symbolic).  A *word* is either a Python int (fully
 concrete, the fast path) or a 64-tuple of bits, LSB first.
 
-Every arithmetic helper mirrors the flag math of
-:mod:`repro.cpu.semantics` exactly (same ``_add``/``_sub``/``_logic``
+Every arithmetic helper mirrors the flag math of the thunk compilers
+in :mod:`repro.cpu.semantics` exactly (same ``_add``/``_sub``/``_logic``
 formulas, bit-blasted), so a path predicate built here and a concrete
-interpreter run agree bit-for-bit — the property tests in
-``tests/test_symbolic_bitvec.py`` enforce this on random vectors.
+run agree bit-for-bit.  ``tests/test_symbolic_bitvec.py`` checks the
+helpers on random vectors; ``tests/test_semantics_agreement.py`` checks
+each instruction handler of the executor against the compiled thunk.
 
 Construction-time folding (constants, idempotence, complements,
 double negation) plus hash-consing keeps DAGs compact: values whose
@@ -150,10 +151,6 @@ class BitCtx:
                         self.and_(self.not_(cond), if_false))
 
     # -- word plumbing ------------------------------------------------
-    @staticmethod
-    def is_concrete(word: Word) -> bool:
-        return isinstance(word, int)
-
     @staticmethod
     def bits_of(word: Word) -> Tuple[Bit, ...]:
         if isinstance(word, int):
@@ -309,7 +306,7 @@ class BitCtx:
 
     def imul(self, a: Word, b: Word) -> Tuple[Word, Bit]:
         """Signed multiply → (low 64 bits, overflow); exactly the
-        ``imul`` handler (cf == of == overflow)."""
+        ``imul`` thunk (cf == of == overflow)."""
         if isinstance(a, int) and isinstance(b, int):
             product = to_signed(a) * to_signed(b)
             result = product & MASK64
@@ -331,7 +328,7 @@ class BitCtx:
 
     def mul(self, a: Word, b: Word) -> Tuple[Word, Word]:
         """Unsigned widening multiply → (low, high); the ``mul``
-        handler's rax/rdx pair."""
+        thunk's rax/rdx pair."""
         if isinstance(a, int) and isinstance(b, int):
             product = a * b
             return product & MASK64, (product >> _WIDTH) & MASK64

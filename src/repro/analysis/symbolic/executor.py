@@ -226,6 +226,15 @@ class _Engine:
             raise SymbolicExecError(
                 f"unreadable address {address:#x}: {exc}") from exc
 
+    def _write_mem(self, path: _Path, address: int, word: Word) -> None:
+        """Overlay store; refuses what the concrete store faults on."""
+        try:
+            self.backing.page_table.check(address, "write")
+        except Exception as exc:
+            raise SymbolicExecError(
+                f"unwritable address {address:#x}: {exc}") from exc
+        path.mem[address] = word
+
     def _set_zs(self, flags: Dict[str, Bit], result: Word) -> None:
         flags["zf"] = self.ctx.is_zero(result)
         flags["sf"] = self.ctx.sign(result)
@@ -423,7 +432,7 @@ class _Engine:
             raise SymbolicExecError(f"symbolic rsp at {pc:#x}")
         rsp = (rsp - 8) & MASK64
         path.regs[4] = rsp
-        path.mem[rsp] = value
+        self._write_mem(path, rsp, value)
 
     def _pop(self, path: _Path, pc: int, work: List[_Path]) -> Word:
         rsp = path.regs[4]
@@ -433,7 +442,9 @@ class _Engine:
         path.regs[4] = (rsp + 8) & MASK64
         return value
 
-    # -- sequential handlers (mirror cpu.semantics handlers) ----------
+    # -- sequential handlers: the bit-level copy of the thunk compilers
+    # in cpu.semantics; tests/test_semantics_agreement.py checks each
+    # mnemonic against them on concrete inputs -----------------------
     def _h_nop(self, path, inst, pc):
         path.pc = pc + inst.length
 
@@ -473,7 +484,7 @@ class _Engine:
     def _h_store(self, path, inst, pc):
         base, src, disp = inst.operands
         address = self._address(path, base, disp, pc, self._work)
-        path.mem[address] = path.regs[src]
+        self._write_mem(path, address, path.regs[src])
         path.pc = pc + inst.length
 
     _h_storew = _h_store

@@ -117,11 +117,5 @@ def replay_result_arrays(victim, inputs: Dict[str, int], *,
     return arrays
 
 
-def streams_diverge(first: Sequence[BtbEvent],
-                    second: Sequence[BtbEvent]) -> bool:
-    """True when two ordered BTB event streams differ anywhere."""
-    return tuple(first) != tuple(second)
-
-
 # re-exported for the certify report's summary counters
 btb_insertions = differential.btb_insertions

@@ -198,12 +198,6 @@ class TaintReport:
     #: that lost stack-pointer shape, ...)
     warnings: List[str] = field(default_factory=list)
 
-    def by_function(self) -> Dict[str, List[LeakFinding]]:
-        grouped: Dict[str, List[LeakFinding]] = {}
-        for finding in self.findings:
-            grouped.setdefault(finding.function, []).append(finding)
-        return grouped
-
     def flagged_functions(self) -> FrozenSet[str]:
         return frozenset(f.function for f in self.findings)
 

@@ -461,6 +461,3 @@ class NvCore:
         """Build, map and calibrate a probe for ``ranges``."""
         return ProbeSession(self, self.builder.build(ranges),
                             policy=policy)
-
-    def monitor_range(self, start: int, end: int) -> ProbeSession:
-        return self.monitor([PwRange(start, end)])

@@ -58,20 +58,6 @@ def btb_fields(pc: int, *, tag_keep_bits: int,
                           btb_sets=btb_sets, index_shift=BLOCK_SHIFT)
 
 
-def btb_aliases(a: int, b: int, *, tag_keep_bits: int,
-                btb_sets: int) -> bool:
-    """Do two PCs map to the same (tag, set, offset) triple?"""
-    return (btb_fields(a, tag_keep_bits=tag_keep_bits, btb_sets=btb_sets)
-            == btb_fields(b, tag_keep_bits=tag_keep_bits,
-                          btb_sets=btb_sets))
-
-
-def pw_range_hit(fetch_offset: int, entry_offset: int) -> bool:
-    """Takeaway 2's range predicate: an entry is eligible for a lookup
-    from ``fetch_offset`` iff its offset is greater or equal."""
-    return entry_offset >= fetch_offset
-
-
 def reconstruct_end_byte(fetch_pc: int, entry_offset: int) -> int:
     """Address of the predicted branch's last byte, assuming (as the
     front end does) that the entry's branch lives in ``fetch_pc``'s

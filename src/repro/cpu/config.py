@@ -80,10 +80,6 @@ class CpuGeneration:
     btb_partitioning: bool = False
 
     @property
-    def btb_entries(self) -> int:
-        return self.btb_sets * self.btb_ways
-
-    @property
     def collision_distance(self) -> int:
         """Smallest address distance at which two PCs can alias in the
         BTB: 2**tag_keep_bits (8 GiB for SkyLake-family, 16 for ICL)."""

@@ -165,7 +165,6 @@ class Core:
         #: match the generic loop exactly.
         self._extra_cost = dict(EXTRA_ISSUE_COST)
         self._issue_cost = 1.0 / self.config.issue_width
-        self._enclave_mode = False
         #: Telemetry sink captured at construction (None → disabled).
         #: Rare events (false hits, squashes) emit directly; per-run
         #: totals fold in once at each :meth:`run` return.
@@ -193,12 +192,7 @@ class Core:
 
     def set_enclave_mode(self, enabled: bool) -> None:
         """Enclave entry disables LBR recording (SGX behaviour)."""
-        self._enclave_mode = enabled
         self.lbr.enabled = not enabled
-
-    @property
-    def enclave_mode(self) -> bool:
-        return self._enclave_mode
 
     # ------------------------------------------------------------------
     # decode

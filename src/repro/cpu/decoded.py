@@ -5,8 +5,9 @@ confined to one 32-byte-aligned block) gives the simulator a natural
 decode-cache granularity.  A :class:`DecodedWindow` captures, for one
 window entry PC, the full straight-line decode up to the block boundary
 or the first control transfer: per-instruction compiled thunks
-(:func:`repro.cpu.semantics.compile_straightline`), issue-cost extras,
-and the fall-through layout.  Both execution engines use it:
+(:func:`repro.cpu.semantics.compile_straightline`, the one concrete
+semantics of straight-line instructions, which :func:`execute` also
+runs), issue-cost extras, and the fall-through layout.  Both execution engines use it:
 
 * :meth:`repro.cpu.core.Core.run` hands windows to its one cached
   executor (``Core._run_superblock``): chained into superblocks at a

@@ -1,18 +1,32 @@
 """Architectural instruction semantics.
 
-This module is shared by the cycle-accounted front-end model
-(:mod:`repro.cpu.core`) and the fast functional interpreter
-(:mod:`repro.cpu.interp`): both call :func:`execute` so there is a
-single source of truth for what each instruction *does*.  Timing,
-prediction and BTB effects are deliberately absent here.
+This module is the one definition of what each instruction *does*.
+Timing, prediction and BTB effects are deliberately absent here.
+
+Straight-line (``Kind.SEQUENTIAL``) instructions have exactly one
+concrete semantics: the thunk compilers below.
+:func:`compile_straightline` specialises an instruction into a bare
+``state -> None`` callable; the decoded-window fast path, superblocks
+and the speculative look-ahead (:mod:`repro.cpu.decoded`) cache those
+thunks, and :func:`execute` (the reference loop of
+:mod:`repro.cpu.core` and the :mod:`repro.cpu.interp` oracle) runs a
+freshly compiled one.  Control transfers, ``syscall`` and ``hlt`` have
+handlers instead, because they produce an :class:`Outcome` the caller
+acts on.
+
+The symbolic executor (:mod:`repro.analysis.symbolic.executor`) is the
+only other copy, at bit level; ``tests/test_semantics_agreement.py``
+runs every sequential mnemonic through :func:`execute`, the compiled
+thunk and one symbolic step on the same concrete inputs and compares
+registers, flags, memory and traps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from ..errors import CpuError, DivideError, HaltError
+from ..errors import CpuError, DivideError
 from ..isa.instructions import Instruction, Kind, evaluate_cond
 from ..isa.registers import MASK64, SIGN64, to_signed
 from .state import MachineState
@@ -42,10 +56,6 @@ def _register(*mnemonics: str):
             _HANDLERS[mnemonic] = function
         return function
     return wrap
-
-
-def _seq(state: MachineState, pc: int, length: int) -> Outcome:
-    return Outcome(next_pc=pc + length)
 
 
 # ----------------------------------------------------------------------
@@ -80,288 +90,6 @@ def _logic(flags, result: int) -> int:
     flags.of = False
     _set_zs(flags, result)
     return result
-
-
-# ----------------------------------------------------------------------
-# sequential instructions
-# ----------------------------------------------------------------------
-@_register("nop", "lfence")
-def _h_nop(state, inst, pc):
-    return _seq(state, pc, inst.length)
-
-
-@_register("cmc")
-def _h_cmc(state, inst, pc):
-    state.regs.flags.cf = not state.regs.flags.cf
-    return _seq(state, pc, inst.length)
-
-
-@_register("mov")
-def _h_mov(state, inst, pc):
-    dst, src = inst.operands
-    state.regs.write(dst, state.regs.read(src))
-    return _seq(state, pc, inst.length)
-
-
-@_register("xchg")
-def _h_xchg(state, inst, pc):
-    dst, src = inst.operands
-    a, b = state.regs.read(dst), state.regs.read(src)
-    state.regs.write(dst, b)
-    state.regs.write(src, a)
-    return _seq(state, pc, inst.length)
-
-
-@_register("movi")
-def _h_movi(state, inst, pc):
-    dst, imm = inst.operands
-    state.regs.write(dst, imm & MASK64)  # sign-extended by decode
-    return _seq(state, pc, inst.length)
-
-
-@_register("movabs")
-def _h_movabs(state, inst, pc):
-    dst, imm = inst.operands
-    state.regs.write(dst, imm & MASK64)
-    return _seq(state, pc, inst.length)
-
-
-@_register("load")
-def _h_load(state, inst, pc):
-    dst, base, disp = inst.operands
-    address = (state.regs.read(base) + disp) & MASK64
-    state.regs.write(dst, state.memory.read_u64(address))
-    return _seq(state, pc, inst.length)
-
-
-@_register("loadw")
-def _h_loadw(state, inst, pc):
-    return _h_load(state, inst, pc)
-
-
-@_register("store")
-def _h_store(state, inst, pc):
-    base, src, disp = inst.operands
-    address = (state.regs.read(base) + disp) & MASK64
-    state.memory.write_u64(address, state.regs.read(src))
-    return _seq(state, pc, inst.length)
-
-
-@_register("storew")
-def _h_storew(state, inst, pc):
-    return _h_store(state, inst, pc)
-
-
-@_register("lea")
-def _h_lea(state, inst, pc):
-    dst, base, disp = inst.operands
-    state.regs.write(dst, (state.regs.read(base) + disp) & MASK64)
-    return _seq(state, pc, inst.length)
-
-
-@_register("push")
-def _h_push(state, inst, pc):
-    state.push(state.regs.read(inst.operands[0]))
-    return _seq(state, pc, inst.length)
-
-
-@_register("pop")
-def _h_pop(state, inst, pc):
-    state.regs.write(inst.operands[0], state.pop())
-    return _seq(state, pc, inst.length)
-
-
-# ----------------------------------------------------------------------
-# ALU
-# ----------------------------------------------------------------------
-def _alu_rr(op):
-    def handler(state, inst, pc):
-        dst, src = inst.operands
-        flags = state.regs.flags
-        result = op(flags, state.regs.read(dst), state.regs.read(src))
-        if result is not None:
-            state.regs.write(dst, result)
-        return _seq(state, pc, inst.length)
-    return handler
-
-
-def _alu_ri(op):
-    def handler(state, inst, pc):
-        dst, imm = inst.operands
-        flags = state.regs.flags
-        result = op(flags, state.regs.read(dst), imm & MASK64)
-        if result is not None:
-            state.regs.write(dst, result)
-        return _seq(state, pc, inst.length)
-    return handler
-
-
-_register("add")(_alu_rr(lambda f, a, b: _add(f, a, b)))
-_register("sub")(_alu_rr(lambda f, a, b: _sub(f, a, b)))
-_register("adc")(_alu_rr(lambda f, a, b: _add(f, a, b, int(f.cf))))
-_register("sbb")(_alu_rr(lambda f, a, b: _sub(f, a, b, int(f.cf))))
-_register("and")(_alu_rr(lambda f, a, b: _logic(f, a & b)))
-_register("or")(_alu_rr(lambda f, a, b: _logic(f, a | b)))
-_register("xor")(_alu_rr(lambda f, a, b: _logic(f, a ^ b)))
-_register("cmp")(_alu_rr(lambda f, a, b: (_sub(f, a, b), None)[1]))
-_register("test")(_alu_rr(lambda f, a, b: (_logic(f, a & b), None)[1]))
-
-_register("addi", "addi8")(_alu_ri(lambda f, a, b: _add(f, a, b)))
-_register("subi", "subi8")(_alu_ri(lambda f, a, b: _sub(f, a, b)))
-_register("cmpi", "cmpi8")(_alu_ri(lambda f, a, b: (_sub(f, a, b), None)[1]))
-_register("andi", "andi8")(_alu_ri(lambda f, a, b: _logic(f, a & b)))
-_register("ori", "ori8")(_alu_ri(lambda f, a, b: _logic(f, a | b)))
-_register("xori", "xori8")(_alu_ri(lambda f, a, b: _logic(f, a ^ b)))
-_register("testi")(_alu_ri(lambda f, a, b: (_logic(f, a & b), None)[1]))
-
-
-@_register("imul")
-def _h_imul(state, inst, pc):
-    dst, src = inst.operands
-    flags = state.regs.flags
-    product = to_signed(state.regs.read(dst)) * to_signed(
-        state.regs.read(src))
-    result = product & MASK64
-    overflow = to_signed(result) != product
-    flags.cf = overflow
-    flags.of = overflow
-    _set_zs(flags, result)
-    state.regs.write(dst, result)
-    return _seq(state, pc, inst.length)
-
-
-@_register("shl")
-def _h_shl(state, inst, pc):
-    dst, imm = inst.operands
-    count = imm & 63
-    flags = state.regs.flags
-    value = state.regs.read(dst)
-    if count:
-        flags.cf = bool((value >> (64 - count)) & 1)
-        value = (value << count) & MASK64
-        flags.of = False
-        _set_zs(flags, value)
-        state.regs.write(dst, value)
-    return _seq(state, pc, inst.length)
-
-
-@_register("shr")
-def _h_shr(state, inst, pc):
-    dst, imm = inst.operands
-    count = imm & 63
-    flags = state.regs.flags
-    value = state.regs.read(dst)
-    if count:
-        flags.cf = bool((value >> (count - 1)) & 1)
-        value >>= count
-        flags.of = False
-        _set_zs(flags, value)
-        state.regs.write(dst, value)
-    return _seq(state, pc, inst.length)
-
-
-@_register("sar")
-def _h_sar(state, inst, pc):
-    dst, imm = inst.operands
-    count = imm & 63
-    flags = state.regs.flags
-    value = state.regs.read(dst)
-    if count:
-        signed = to_signed(value)
-        flags.cf = bool((value >> (count - 1)) & 1)
-        value = (signed >> count) & MASK64
-        flags.of = False
-        _set_zs(flags, value)
-        state.regs.write(dst, value)
-    return _seq(state, pc, inst.length)
-
-
-@_register("inc")
-def _h_inc(state, inst, pc):
-    dst = inst.operands[0]
-    flags = state.regs.flags
-    carry = flags.cf                      # inc preserves CF
-    result = _add(flags, state.regs.read(dst), 1)
-    flags.cf = carry
-    state.regs.write(dst, result)
-    return _seq(state, pc, inst.length)
-
-
-@_register("dec")
-def _h_dec(state, inst, pc):
-    dst = inst.operands[0]
-    flags = state.regs.flags
-    carry = flags.cf                      # dec preserves CF
-    result = _sub(flags, state.regs.read(dst), 1)
-    flags.cf = carry
-    state.regs.write(dst, result)
-    return _seq(state, pc, inst.length)
-
-
-@_register("neg")
-def _h_neg(state, inst, pc):
-    dst = inst.operands[0]
-    flags = state.regs.flags
-    value = state.regs.read(dst)
-    result = _sub(flags, 0, value)
-    flags.cf = value != 0
-    state.regs.write(dst, result)
-    return _seq(state, pc, inst.length)
-
-
-@_register("not")
-def _h_not(state, inst, pc):
-    dst = inst.operands[0]
-    state.regs.write(dst, ~state.regs.read(dst) & MASK64)
-    return _seq(state, pc, inst.length)
-
-
-@_register("mul")
-def _h_mul(state, inst, pc):
-    src = inst.operands[0]
-    flags = state.regs.flags
-    product = state.regs.read(0) * state.regs.read(src)   # rax * src
-    low = product & MASK64
-    high = (product >> 64) & MASK64
-    state.regs.write(0, low)      # rax
-    state.regs.write(2, high)     # rdx
-    flags.cf = high != 0
-    flags.of = high != 0
-    _set_zs(flags, low)
-    return _seq(state, pc, inst.length)
-
-
-@_register("div")
-def _h_div(state, inst, pc):
-    src = inst.operands[0]
-    divisor = state.regs.read(src)
-    if divisor == 0:
-        raise DivideError(f"divide by zero at {pc:#x}")
-    numerator = (state.regs.read(2) << 64) | state.regs.read(0)
-    quotient = numerator // divisor
-    if quotient > MASK64:
-        raise DivideError(f"divide overflow at {pc:#x}")
-    state.regs.write(0, quotient)
-    state.regs.write(2, numerator % divisor)
-    return _seq(state, pc, inst.length)
-
-
-# ----------------------------------------------------------------------
-# conditional data movement
-# ----------------------------------------------------------------------
-def _h_cmov(state, inst, pc):
-    dst, src = inst.operands
-    if evaluate_cond(inst.spec.cond, state.regs.flags):
-        state.regs.write(dst, state.regs.read(src))
-    return _seq(state, pc, inst.length)
-
-
-def _h_set(state, inst, pc):
-    dst = inst.operands[0]
-    state.regs.write(
-        dst, 1 if evaluate_cond(inst.spec.cond, state.regs.flags) else 0
-    )
-    return _seq(state, pc, inst.length)
 
 
 # ----------------------------------------------------------------------
@@ -424,48 +152,19 @@ def _register_conditionals() -> None:
         name = COND_NAMES[cond]
         _HANDLERS[f"j{name}"] = _h_jcc
         _HANDLERS[f"j{name}8"] = _h_jcc
-        _HANDLERS[f"cmov{name}"] = _h_cmov
-        _HANDLERS[f"set{name}"] = _h_set
 
 
 _register_conditionals()
 
 
-def execute(state: MachineState, instruction: Instruction,
-            pc: int) -> Outcome:
-    """Architecturally execute ``instruction`` fetched from ``pc``.
-
-    Mutates ``state`` (registers, flags, memory) and returns an
-    :class:`Outcome` describing control flow and traps.  ``state.rip``
-    is *not* updated — the caller owns the program counter.
-    """
-    handler = _HANDLERS.get(instruction.mnemonic)
-    if handler is None:  # pragma: no cover - table covers every opcode
-        raise CpuError(f"no semantics for {instruction.mnemonic}")
-    return handler(state, instruction, pc)
-
-
-def covered_mnemonics() -> frozenset:
-    """The set of mnemonics with semantics (for exhaustiveness tests)."""
-    return frozenset(_HANDLERS)
-
-
 # ======================================================================
-# straight-line thunk compilers (decoded-window fast path)
+# straight-line thunk compilers
 # ======================================================================
-# :func:`compile_straightline` specialises one *sequential* instruction
-# into a bare ``state -> None`` callable with its operands, condition
-# code and immediates bound at compile time, so the decoded-window fast
-# path (:mod:`repro.cpu.decoded`) executes cached code without the
-# per-instruction mnemonic lookup, operand unpacking and
-# :class:`Outcome` allocation of :func:`execute`.
-#
-# Every compiler below MUST be architecturally identical to the handler
-# of the same mnemonic (same flag math — the helpers ``_add``/``_sub``/
-# ``_logic`` are shared on purpose — same masking, same trap behaviour).
-# The differential suite in ``tests/test_fastpath_diff.py`` enforces
-# this for the whole victim corpus; any mnemonic without a compiler
-# transparently falls back to its generic handler.
+# Each compiler binds one sequential instruction's operands, condition
+# code and immediates at compile time, so a cached thunk runs without
+# the mnemonic lookup, operand unpacking and :class:`Outcome`
+# allocation of a dispatch.  Only ``_c_div`` reads ``pc`` (for its
+# error text).
 
 ThunkCompiler = Callable[[Instruction, int], Callable[[MachineState], None]]
 
@@ -867,23 +566,40 @@ def _register_conditional_compilers() -> None:
 _register_conditional_compilers()
 
 
-def _c_generic(instruction: Instruction, pc: int):
-    """Fallback thunk: the generic handler, Outcome discarded."""
-    handler = _HANDLERS[instruction.mnemonic]
-
-    def thunk(state):
-        handler(state, instruction, pc)
-    return thunk
-
-
 def compile_straightline(instruction: Instruction,
                          pc: int) -> Callable[[MachineState], None]:
     """Compile one *sequential* instruction into a specialised thunk.
 
-    The caller (the decoded-window builder) guarantees
-    ``instruction.kind is Kind.SEQUENTIAL``; control transfers,
-    ``syscall`` and ``hlt`` terminate windows and always go through
-    :func:`execute`.
+    Control transfers, ``syscall`` and ``hlt`` have no compiler: they
+    terminate windows and always go through :func:`execute`.
     """
-    compiler = _COMPILERS.get(instruction.mnemonic, _c_generic)
+    compiler = _COMPILERS.get(instruction.mnemonic)
+    if compiler is None:
+        raise CpuError(f"no semantics for {instruction.mnemonic}")
     return compiler(instruction, pc)
+
+
+def execute(state: MachineState, instruction: Instruction,
+            pc: int) -> Outcome:
+    """Architecturally execute ``instruction`` fetched from ``pc``.
+
+    Mutates ``state`` (registers, flags, memory) and returns an
+    :class:`Outcome` describing control flow and traps.  ``state.rip``
+    is *not* updated — the caller owns the program counter.
+    """
+    spec = instruction.spec
+    # exactly the Kind.SEQUENTIAL specs have compilers (pinned by
+    # tests/test_isa_encoding.py), so this lookup is the kind test
+    compiler = _COMPILERS.get(spec.mnemonic)
+    if compiler is not None:
+        compiler(instruction, pc)(state)
+        return Outcome(pc + spec.length)
+    handler = _HANDLERS.get(spec.mnemonic)
+    if handler is None:
+        raise CpuError(f"no semantics for {spec.mnemonic}")
+    return handler(state, instruction, pc)
+
+
+def covered_mnemonics() -> frozenset:
+    """The set of mnemonics with semantics (for exhaustiveness tests)."""
+    return frozenset(_HANDLERS) | frozenset(_COMPILERS)

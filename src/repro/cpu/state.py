@@ -8,7 +8,7 @@ same core — that sharing is the side channel.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..isa.registers import RSP, RegisterFile
 from ..memory.memory import VirtualMemory
@@ -49,19 +49,6 @@ class MachineState:
         """Map a stack region ending at ``top`` and point RSP at it."""
         self.memory.map_range(top - size, size, "rw")
         self.rsp = top
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore (deterministic replay for multi-pass attacks)
-    # ------------------------------------------------------------------
-    def snapshot_registers(self) -> Dict[str, int]:
-        snap = self.regs.snapshot()
-        snap["__rip__"] = self.rip
-        return snap
-
-    def restore_registers(self, snapshot: Dict[str, int]) -> None:
-        clean = dict(snapshot)
-        self.rip = clean.pop("__rip__")
-        self.regs.restore(clean)
 
     def __repr__(self) -> str:
         return f"MachineState(rip={self.rip:#x})"

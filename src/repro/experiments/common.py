@@ -10,7 +10,7 @@ name without importing :mod:`repro.cli`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..cpu.config import CpuGeneration
@@ -83,10 +83,6 @@ def register_experiment(name: str, artefact: str):
         EXPERIMENTS[name] = ExperimentSpec(name, artefact, runner)
         return runner
     return wrap
-
-
-def experiment_names() -> Tuple[str, ...]:
-    return tuple(EXPERIMENTS)
 
 
 def run_experiment(name: str, request: RunRequest) -> str:
@@ -171,9 +167,3 @@ class FigureResult:
     name: str
     series: List[Series] = field(default_factory=list)
     findings: Dict[str, object] = field(default_factory=dict)
-
-    def series_by_label(self, label: str) -> Series:
-        for entry in self.series:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)

@@ -49,10 +49,6 @@ class CorpusFunction:
     measured: Tuple[int, ...]
     opt_level: int
 
-    @property
-    def measured_set(self) -> frozenset:
-        return frozenset(self.measured)
-
 
 class _FunctionSynthesizer:
     """Generates one random, guaranteed-terminating DSL function."""

@@ -75,17 +75,6 @@ class FingerprintIndex:
         (already relative to the function entry)."""
         self._references[name] = frozenset(static_pcs)
 
-    def add_compiled_function(self, name: str, compiled,
-                              function: str) -> None:
-        """Convenience: pull a function's static PCs out of a
-        :class:`CompiledModule` and normalize to its entry."""
-        info = compiled.info(function)
-        entry = info.entry
-        self.add_reference(name, (
-            pc - entry for pc in compiled.static_pcs(function)
-            if pc >= entry
-        ))
-
     def __len__(self) -> int:
         return len(self._references)
 

@@ -327,9 +327,6 @@ class VirtualMemory:
             address, struct.pack("<Q", value & _U64_MASK), check=check
         )
 
-    def read_u8(self, address: int, *, check: bool = True) -> int:
-        return self.read_bytes(address, 1, check=check)[0]
-
     def fetch(self, address: int, size: int) -> bytes:
         """Instruction fetch: execute-permission-checked read."""
         return self.read_bytes(address, size, access="execute")
@@ -337,10 +334,6 @@ class VirtualMemory:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def load_program(self, program, perms: str = "rx") -> None:
-        """Map and copy an :class:`AssembledProgram` into this space."""
-        program.load_into(self, perms)
-
     def protect(self, start: int, size: int, perms: str) -> None:
         """Change permissions for every page in ``[start, start+size)``."""
         first = page_number(start)

@@ -10,7 +10,7 @@ accessed bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..errors import PageFault
 from .address import PAGE_SIZE, page_number
@@ -118,9 +118,6 @@ class PageTable:
 
     def dirty_pages(self) -> Set[int]:
         return {vpn for vpn, entry in self._entries.items() if entry.dirty}
-
-    def mapped_pages(self) -> Iterator[int]:
-        return iter(sorted(self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)

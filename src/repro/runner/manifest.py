@@ -48,7 +48,6 @@ SCHEMA_TAG = "repro.runner.manifest"
 
 MANIFEST_NAME = "manifest.json"
 CREATION_RECORD_NAME = "campaign.json"
-ARTIFACT_DIR = "artifacts"
 
 #: campaign outcomes (:attr:`RunManifest.status`)
 CAMPAIGN_COMPLETED = "COMPLETED"
@@ -123,10 +122,6 @@ class RunManifest:
     @property
     def path(self) -> Path:
         return self.directory / MANIFEST_NAME
-
-    @property
-    def artifact_dir(self) -> Path:
-        return self.directory / ARTIFACT_DIR
 
     def save(self) -> None:
         write_envelope(self.path, self._payload(), SCHEMA_TAG)

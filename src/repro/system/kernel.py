@@ -157,15 +157,6 @@ class Kernel:
                               collect_trace=collect_trace,
                               speculate_on_stop=speculate)
 
-    def run_to_completion(self, process: Process,
-                          **kwargs) -> RunResult:
-        """Run (handling yields by continuing) until the process exits
-        or halts."""
-        while True:
-            result = self.run_slice(process, **kwargs)
-            if not process.alive or result.reason is StopReason.HALT:
-                return result
-
     # ------------------------------------------------------------------
     # simple round-robin (for multi-process tests)
     # ------------------------------------------------------------------

@@ -140,8 +140,14 @@ class TestTables:
         assert spec_for("jmp8").is_control
 
     def test_semantics_cover_every_mnemonic(self):
-        from repro.cpu.semantics import covered_mnemonics
+        from repro.cpu.semantics import _COMPILERS, covered_mnemonics
+        from repro.isa import Kind
         assert set(ALL_MNEMONICS) <= covered_mnemonics()
+        # straight-line code has no fallback: every sequential spec has a
+        # thunk compiler, and no control spec has one
+        assert set(_COMPILERS) == {
+            name for name, spec in SPECS_BY_NAME.items()
+            if spec.kind is Kind.SEQUENTIAL}
 
 
 class TestPlainRegByteValidation:

@@ -29,7 +29,7 @@ from .. import telemetry
 from ..cpu.config import CpuGeneration, DEFAULT_GENERATION
 from ..cpu.core import Core, StopReason
 from ..cpu.state import MachineState
-from .aliasing import AliasMap, Coord, build_alias_map
+from .aliasing import Coord, build_alias_map
 from .cfg import CFG, CodeImage, linear_sweep, recover_module_cfg
 
 _STACK_TOP = 0x7FFF_0000_0000

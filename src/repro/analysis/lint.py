@@ -16,7 +16,7 @@ CI diffs it against a committed golden copy (``reports/lint_golden.txt``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..cpu.config import CpuGeneration, DEFAULT_GENERATION
 from .aliasing import AliasMap, build_alias_map

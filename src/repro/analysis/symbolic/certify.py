@@ -32,7 +32,7 @@ copy exactly like ``repro lint``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..report import ascii_table
 from .executor import ExploreBudget, Exploration, explore_victim

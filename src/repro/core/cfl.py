@@ -27,7 +27,6 @@ from ..errors import AttackError
 from ..lang.codegen import ArmRegion
 from ..memory.address import block_end
 from ..system.kernel import Kernel
-from ..system.process import Process
 from ..victims.library import VictimProgram
 from .measurement import MeasurementPolicy
 from .nv_core import NvCore

@@ -29,7 +29,7 @@ tagging the range low-confidence rather than guessing silently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 

@@ -22,7 +22,7 @@ demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AttackError, BudgetExhausted
 from ..memory.address import PAGE_SIZE
@@ -35,8 +35,7 @@ from ..victims.library import VictimProgram
 from .measurement import MeasurementPolicy
 from .nv_core import NvCore, ProbeSession
 from .pw import PwRange
-from .traversal import (PwTraversal, StepSearch,
-                        disambiguate_values, suspicious_steps)
+from .traversal import PwTraversal, disambiguate_values, suspicious_steps
 from .trace import ExtractedTrace, StepRecord
 
 

@@ -23,12 +23,12 @@ ranges are the PW terminators themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import AttackError
 from ..isa.assembler import Assembler, Ref
-from ..memory.address import BLOCK_SIZE, block_base, same_block, truncate
+from ..memory.address import BLOCK_SIZE, same_block, truncate
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ the repeated candidates", §6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..errors import AttackError
 from ..memory.address import BLOCK_SIZE, PAGE_SIZE

@@ -25,7 +25,6 @@ from .interp import InterpResult, InterpStop, interpret, run_function
 from .lbr import LBR, LbrRecord
 from .semantics import Outcome, execute
 from .state import MachineState
-from .vector import VectorGroup, VectorLane, run_many_seeds
 
 __all__ = [
     "BTB",
@@ -38,8 +37,6 @@ __all__ = [
     "GENERATIONS",
     "Superblock",
     "SuperblockLink",
-    "VectorGroup",
-    "VectorLane",
     "build_superblock",
     "build_window",
     "fast_path_enabled",
@@ -58,5 +55,4 @@ __all__ = [
     "generation",
     "interpret",
     "run_function",
-    "run_many_seeds",
 ]

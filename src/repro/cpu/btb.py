@@ -27,7 +27,7 @@ impossible and NightVision is defeated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry

@@ -13,7 +13,7 @@ Figures 2 and 4 rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 

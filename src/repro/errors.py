@@ -123,11 +123,6 @@ class InvalidInstruction(CpuError):
     """The core fetched bytes that do not decode (usually a wild jump)."""
 
 
-class VectorizationError(CpuError):
-    """A lockstep many-seeds group was set up wrongly (no lanes, a
-    stride below 1).  See :mod:`repro.cpu.vector`."""
-
-
 class SystemError_(ReproError):
     """Base class for kernel/scheduler errors."""
 

@@ -10,7 +10,7 @@ name without importing :mod:`repro.cli`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from .. import telemetry
 from ..cpu.config import CpuGeneration

@@ -16,14 +16,14 @@ End-to-end use case 2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis import pct
 from ..cpu.config import CpuGeneration, generation
 from ..cpu.core import Core
 from ..core.measurement import MeasurementPolicy
 from ..core.nv_supervisor import NvSupervisor
-from ..fingerprint.corpus import CorpusFunction, generate_corpus
+from ..fingerprint.corpus import generate_corpus
 from ..fingerprint.similarity import set_similarity
 from ..fingerprint.slicing import (function_traces_of_length,
                                    slice_trace)

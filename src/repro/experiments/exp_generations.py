@@ -10,7 +10,7 @@ generation's distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..analysis import ascii_table
 from ..cpu.config import GENERATIONS, generation

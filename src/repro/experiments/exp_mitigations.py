@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.nv_core import NvCore
 from ..core.nv_user import NvUser
@@ -29,7 +29,6 @@ from ..memory.address import block_end
 from ..system.kernel import Kernel
 from ..analysis import ascii_table, pct
 from ..victims.library import build_gcd_victim
-from ..victims.rsa import generate_keys
 from .common import RunRequest, register_experiment
 from .exp_cfl import LeakResult, _attack_gcd
 

@@ -16,7 +16,7 @@ monitored range:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..cpu.config import CpuGeneration, generation
 from ..cpu.core import Core

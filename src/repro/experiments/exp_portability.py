@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..cpu.btb_backends import BACKEND_CLASSES, make_backend
+from ..cpu.btb_backends import make_backend
 from ..cpu.config import CpuGeneration, backend_generation, generation
 from ..isa.assembler import Assembler
 from .common import CallHarness, RunRequest, register_experiment

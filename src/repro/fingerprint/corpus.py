@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..cpu.interp import run_function
 from ..cpu.state import MachineState

@@ -20,7 +20,7 @@ NV-S-extracted traces agree (tested in the integration suite).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..cpu.fusion import can_fuse
 from ..isa.instructions import Instruction

@@ -12,7 +12,7 @@ Nodes are plain frozen dataclasses.  Programs can be built directly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import struct
 from typing import Callable, Dict, List, Optional
 
-from ..errors import PageFault, ProtectionFault
 from .address import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_number
 from .paging import PageEntry, PageTable
 

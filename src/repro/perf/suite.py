@@ -8,21 +8,23 @@ Five workloads cover the simulator's hot loops:
   (fast path plus full BTB/LBR/fusion machinery);
 * ``core_traversal_e2e`` — a complete GCD-victim run through
   ``Core.run`` with trace collection, the paper's Figure 10/12 shape;
-* ``many_seeds`` — N seeds of the GCD victim: vectorized lockstep with
-  shared decode state (:mod:`repro.cpu.vector`) on the fast side, N×1
-  sequential private-cache runs on the slow side;
+* ``many_seeds`` — N seeds of the GCD victim run one after another,
+  each a plain ``Core.run`` loop; on the fast side the seeds share the
+  victim's decodes and windows through its code images;
 * ``campaign_smoke`` — one registered experiment end-to-end
   (``fig2``), i.e. the unit of work campaigns multiply.
 
-Each workload runs both sides — decoded-window fast path forced *off*,
-then forced *on* — so every report carries its own control.  Every
-side takes one untimed warmup run and then best-of-K timed runs
-(recorded as ``{median, min, runs}``); the **speedup ratio** (slow
-``min`` over fast ``min``, same machine, same process) is the number
-the CI gate enforces.  Minima are compared because timing noise on a
-shared box is one-sided — preemption and thermal throttling only ever
-add time — so the single-timing ratios the gate used to compare
-flapped by 25%+ purely from variance.
+Each workload runs both sides — decoded-window fast path forced *off*
+and forced *on* — so every report carries its own control.  Every
+side takes one untimed warmup run; then the timed runs alternate
+between the sides (slow, fast, slow, fast, ...) so both sample the
+same stretch of host speed, and each side keeps best-of-K (recorded
+as ``{median, min, runs}``).  The **speedup ratio** (slow ``min`` over
+fast ``min``, same machine, same process) is the number the CI gate
+enforces.  Minima are compared because timing noise on a shared box
+is one-sided — preemption and thermal throttling only ever add time —
+so the single-timing ratios the gate used to compare flapped by 25%+
+purely from variance.
 
 ``run_suite`` returns a JSON-ready payload; ``write_report`` persists
 it through the crash-safe atomic writer; ``compare_to_baseline``
@@ -49,7 +51,7 @@ from ..memory.memory import VirtualMemory
 
 #: bump when the payload layout changes incompatibly.
 #: v2: per-side ``{median, min, runs}`` timing records (best-of-K with
-#: warmup) and the ``many_seeds`` vectorized workload.
+#: warmup) and the ``many_seeds`` workload.
 SCHEMA_VERSION = 2
 
 #: default regression threshold for baseline comparison (25%)
@@ -115,28 +117,32 @@ class BenchResult:
 
 def _measure(workload: Callable[[], int], *,
              rounds: int) -> Tuple[int, List[float], List[float]]:
-    """Time ``workload`` with the fast path forced off, then on.
+    """Time ``workload`` with the fast path forced off and on.
 
     Each side runs once untimed (cache warmup — the steady state is
     what the ratio gate tracks, and the first run's build cost is the
-    noisiest sample of all) and then ``rounds`` timed runs.  Returns
-    ``(work, slow_runs, fast_runs)``; consumers reduce the run lists
-    (the suite's gate ratio uses the minima — noise is one-sided).
+    noisiest sample of all); then ``rounds`` timed rounds each time the
+    slow side and then the fast side, so a host-speed swing lands on
+    both.  Returns ``(work, slow_runs, fast_runs)``; consumers reduce
+    the run lists (the suite's gate ratio uses the minima — noise is
+    one-sided).
     """
     work = 0
-    slow_runs: List[float] = []
-    fast_runs: List[float] = []
-    for enabled, samples in ((False, slow_runs), (True, fast_runs)):
-        previous = set_fast_path(enabled)
-        try:
+    sides = ((False, []), (True, []))
+    previous = fast_path_enabled()
+    try:
+        for enabled, _ in sides:
+            set_fast_path(enabled)
             workload()                      # warmup, untimed
-            for _ in range(rounds):
+        for _ in range(rounds):
+            for enabled, samples in sides:
+                set_fast_path(enabled)
                 started = time.perf_counter()
                 work = workload()
                 samples.append(time.perf_counter() - started)
-        finally:
-            set_fast_path(previous)
-    return work, slow_runs, fast_runs
+    finally:
+        set_fast_path(previous)
+    return work, sides[0][1], sides[1][1]
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +207,27 @@ def _bench_core_loop(quick: bool) -> BenchResult:
     return BenchResult("core_loop", "instructions", work, slow, fast)
 
 
+def _run_victim(victim, inputs: Dict[str, int]) -> int:
+    """Run ``victim`` on ``inputs`` to ``HALT`` through ``Core.run``
+    with trace collection; returns the instructions executed."""
+    memory = victim.new_memory(inputs)
+    state = MachineState(memory)
+    state.setup_stack(0x7FFF_0000_0000)
+    state.rip = victim.compiled.start
+    core = Core(DEFAULT_GENERATION)
+    executed = 0
+    while True:
+        result = core.run(state, collect_trace=True,
+                          max_instructions=5_000_000)
+        executed += result.instructions
+        if result.reason is StopReason.SYSCALL:
+            state.regs["rax"] = 0          # yields are no-ops
+            continue
+        if result.reason is StopReason.HALT:
+            return executed
+        raise RuntimeError(f"unexpected stop: {result.reason}")
+
+
 def _bench_core_traversal(quick: bool) -> BenchResult:
     from ..victims.library import build_gcd_victim
 
@@ -212,45 +239,29 @@ def _bench_core_traversal(quick: bool) -> BenchResult:
     }
 
     def workload() -> int:
-        memory = victim.new_memory(inputs)
-        state = MachineState(memory)
-        state.setup_stack(0x7FFF_0000_0000)
-        state.rip = victim.compiled.start
-        core = Core(DEFAULT_GENERATION)
-        executed = 0
-        while True:
-            result = core.run(state, collect_trace=True,
-                              max_instructions=5_000_000)
-            executed += result.instructions
-            if result.reason is StopReason.SYSCALL:
-                state.regs["rax"] = 0          # yields are no-ops
-                continue
-            if result.reason is StopReason.HALT:
-                return executed
-            raise RuntimeError(f"unexpected stop: {result.reason}")
+        return _run_victim(victim, inputs)
 
     work, slow, fast = _measure(workload, rounds=2 if quick else 3)
     return BenchResult("core_traversal_e2e", "instructions", work,
                        slow, fast)
 
 
-#: lanes in the ``many_seeds`` workload (the paper's campaigns sweep
+#: seeds in the ``many_seeds`` workload (the paper's campaigns sweep
 #: seeds by the thousand; eight is enough to amortize shared decode)
-MANY_SEEDS_LANES = 8
+MANY_SEEDS_COUNT = 8
 
 
 def _bench_many_seeds(quick: bool) -> BenchResult:
-    """N seeds of the GCD victim, vectorized vs N×1 sequential.
+    """N seeds of the GCD victim, one after another.
 
-    The fast side runs :class:`repro.cpu.vector.VectorGroup` — eight
-    lanes in lockstep through shared icache/window state with the fast
-    path on.  The slow side (fast path forced off by ``_measure``)
-    runs the same eight lanes sequentially with private caches: the
-    N×1 reference a campaign without ``--vectorize`` executes.
-    Architectural results are bit-identical either way (pinned by
-    ``tests/test_vector.py``); only the wall-clock differs.
+    Each seed is a fresh address space and core run to ``HALT`` by the
+    same ``Core.run`` loop as ``core_traversal_e2e``.  With the fast
+    path on, the seeds share the victim's decodes and windows through
+    its code images, so a seed builds only what no earlier seed
+    reached; the slow side (fast path forced off by ``_measure``) runs
+    the same seeds on the reference loop.  The two sides differ only
+    in the fast path.
     """
-    from ..cpu.vector import VectorLane, run_many_seeds
     from ..victims.library import build_gcd_victim
 
     victim = build_gcd_victim(nlimbs=2 if quick else 4)
@@ -263,27 +274,9 @@ def _bench_many_seeds(quick: bool) -> BenchResult:
             "tb": rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1,
         }
 
-    def make_lane(index: int, seed: int) -> VectorLane:
-        memory = victim.new_memory(inputs_for(seed))
-        state = MachineState(memory)
-        state.setup_stack(0x7FFF_0000_0000)
-        state.rip = victim.compiled.start
-        return VectorLane(index=index, seed=seed,
-                          core=Core(DEFAULT_GENERATION), state=state,
-                          max_instructions=5_000_000)
-
-    def on_syscall(lane: VectorLane, result) -> bool:
-        lane.state.regs["rax"] = 0         # yields are no-ops
-        return True
-
     def workload() -> int:
-        lanes = run_many_seeds(make_lane, list(range(MANY_SEEDS_LANES)),
-                               collect_trace=True, on_syscall=on_syscall,
-                               vectorize=fast_path_enabled())
-        for lane in lanes:
-            if lane.reason is not StopReason.HALT:
-                raise RuntimeError(f"unexpected stop: {lane.reason}")
-        return sum(lane.instructions for lane in lanes)
+        return sum(_run_victim(victim, inputs_for(seed))
+                   for seed in range(MANY_SEEDS_COUNT))
 
     work, slow, fast = _measure(workload, rounds=2)
     return BenchResult("many_seeds", "instructions", work, slow, fast)

@@ -19,7 +19,7 @@ leaves the LBR usable by the attacker in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ..cpu.core import StopReason
 from ..errors import SgxError

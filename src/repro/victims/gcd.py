@@ -18,7 +18,7 @@ omit it).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..errors import CompileError
 from ..lang import ast as A

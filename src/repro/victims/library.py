@@ -9,7 +9,7 @@ SGX enclave (fingerprinting, §6), or run under the fast interpreter
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cpu.interp import InterpResult, run_function

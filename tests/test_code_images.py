@@ -7,7 +7,8 @@ checks), a second address space turns window sharing on, a changing
 write detaches the image from the writer only, and the fast/slow and
 private-build references stay bit-identical.  Also pins the cached
 "no instruction here" verdict: a hit raises exactly what the miss
-raised, in every consumer.
+raised, in every consumer, and that address spaces sharing an image
+and run interleaved each match a run alone.
 """
 
 import pytest
@@ -17,13 +18,16 @@ from repro.core import NvCore, PwRange
 from repro.core.pw import PwBuilder
 from repro.cpu import (Core, MachineState, StopReason, interpret,
                        set_fast_path)
+from repro.cpu import core as core_mod
+from repro.cpu import decoded as decoded_mod
+from repro.cpu.config import DEFAULT_GENERATION
 from repro.cpu.decoded import (BAD_OPCODE, build_window, fast_path_enabled,
                                get_window)
 from repro.cpu.interp import _fetch
 from repro.errors import InvalidInstruction, PageFault, ProtectionFault
 from repro.experiments.common import RunRequest, run_experiment
 from repro.fingerprint.corpus import generate_corpus
-from repro.isa import AssembledProgram, Assembler, decode, relocate
+from repro.isa import AssembledProgram, Assembler, abs_, decode, relocate
 from repro.isa.instructions import SPECS_BY_OPCODE
 from repro.lang import CompileOptions
 from repro.memory import VirtualMemory
@@ -557,3 +561,181 @@ def test_drain_and_lookahead_hit_verdicts_like_misses():
             again = steps(warm)
         assert again == cold == steps(load(program))
         assert "cpu.decode.misses" not in sink.snapshot()
+
+
+# ----------------------------------------------------------------------
+# interleaved address spaces run as they would alone
+# ----------------------------------------------------------------------
+class Lane:
+    """One address space's run: a private core and machine state."""
+
+    def __init__(self, state):
+        self.core = Core(DEFAULT_GENERATION)
+        self.state = state
+        self.reason = None
+        self.instructions = 0
+
+    @property
+    def memory(self):
+        return self.state.memory
+
+
+def run_interleaved(lanes, slice_retired=1_000):
+    """Round-robin ``lanes`` in ``slice_retired``-retire ``Core.run``
+    slices until each stops; a ``SYSCALL`` is a no-op yield."""
+    active = list(lanes)
+    while active:
+        waiting = []
+        for lane in active:
+            result = lane.core.run(lane.state, max_retired=slice_retired,
+                                   max_instructions=5_000_000)
+            lane.instructions += result.instructions
+            lane.reason = result.reason
+            if result.reason is StopReason.SYSCALL:
+                lane.state.regs["rax"] = 0
+            if result.reason in (StopReason.RETIRE_LIMIT,
+                                 StopReason.SYSCALL):
+                waiting.append(lane)
+        active = waiting
+    return lanes
+
+
+def lane_observables(lane, regions):
+    """Everything a run exposes: registers, flags, rip, cycles,
+    retires, BTB, LBR and the bytes of ``regions``."""
+    core, state = lane.core, lane.state
+    btb = sorted((e.tag, e.set_index, e.offset, e.target, e.kind.value,
+                  e.domain) for e in core.btb.valid_entries())
+    lbr = [(r.from_pc, r.to_pc, r.elapsed_cycles, r.mispredicted)
+           for r in core.lbr.records()]
+    data = [state.memory.read_bytes(address, size, check=False)
+            for address, size in regions]
+    return (lane.reason, lane.instructions, state.regs.snapshot(),
+            state.regs.flags.as_tuple(), state.rip, core.cycles,
+            core.total_retired, btb, lbr, data)
+
+
+GCD_INPUTS = [
+    {"ta": 0x3B9AC9FF, "tb": 0x2540BE3F},
+    {"ta": 0x1000003, "tb": 0x5F5E107},
+]
+
+
+def gcd_lane(victim, inputs):
+    state = MachineState(victim.new_memory(inputs))
+    state.setup_stack(0x7FFF_0000_0000)
+    state.rip = victim.compiled.start
+    return Lane(state)
+
+
+def gcd_regions(victim):
+    return [(spec.address, spec.size)
+            for spec in victim.layout.arrays.values()]
+
+
+def test_only_the_first_address_space_builds_windows(monkeypatch):
+    """Interleaved address spaces on one program and one input share
+    its code images: the lead builds every window, its siblings adopt
+    them, each keeps private caches, and each runs as it would alone."""
+    victim = build_gcd_victim(nlimbs=2)     # fresh images, no windows
+    builders = []
+    real_build = decoded_mod.build_window
+
+    def recording_build(memory, pc):
+        builders.append(memory)
+        return real_build(memory, pc)
+
+    monkeypatch.setattr(core_mod, "build_window", recording_build)
+    monkeypatch.setattr(decoded_mod, "build_window", recording_build)
+    set_fast_path(True)
+    with telemetry.session() as sink:
+        lanes = run_interleaved([gcd_lane(victim, GCD_INPUTS[0])
+                                 for _ in range(4)])
+    counters = sink.snapshot()
+    lead = lanes[0].memory
+    assert builders and all(memory is lead for memory in builders)
+    assert counters["cpu.decode.window_adoptions"] > 0
+    assert counters["cpu.decode.image_hits"] > 0
+    for lane in lanes[1:]:
+        assert lane.memory.icache is not lead.icache
+        assert lane.memory.window_cache is not lead.window_cache
+        assert lane.memory.superblock_cache is not lead.superblock_cache
+        assert lane.memory.window_cache
+    regions = gcd_regions(victim)
+    solo, = run_interleaved([gcd_lane(victim, GCD_INPUTS[0])])
+    for lane in lanes:
+        assert lane.reason is StopReason.HALT
+        assert lane_observables(lane, regions) == \
+            lane_observables(solo, regions)
+
+
+def test_spaces_with_different_generations_match_running_alone():
+    """An address space whose paging epoch moved (so its code
+    generation differs from its sibling's) still shares the image and
+    runs as it would alone."""
+    victim = build_gcd_victim(nlimbs=2)
+
+    def make_lane(index):
+        lane = gcd_lane(victim, GCD_INPUTS[index])
+        if index == 1:
+            lane.memory.map_range(0x6000_0000, 0x1000, perms="rw")
+        return lane
+
+    set_fast_path(True)
+    lanes = [make_lane(0), make_lane(1)]
+    assert lanes[0].memory.code_generation != \
+        lanes[1].memory.code_generation
+    run_interleaved(lanes)
+    regions = gcd_regions(victim)
+    for index, lane in enumerate(lanes):
+        assert lane.reason is StopReason.HALT
+        solo, = run_interleaved([make_lane(index)])
+        assert lane_observables(lane, regions) == \
+            lane_observables(solo, regions)
+
+
+DATA = 0x0060_0000
+
+
+def _self_modifying_program():
+    """Patch the immediate of a later ``movabs`` with a value read
+    from the data page, then execute it: each address space rewrites
+    its own copy of the shared code differently."""
+    asm = Assembler(base=BASE)
+    asm.emit("movi", "rbx", abs_("patch", 2))   # the imm64 field
+    asm.emit("movi", "rdx", DATA)
+    asm.emit("load", "rsi", "rdx", 0)
+    asm.emit("store", "rbx", "rsi", 0)
+    asm.label("patch")
+    asm.emit("movabs", "rax", 0)
+    asm.emit("hlt")
+    return asm.assemble()
+
+
+SELF_MODIFYING = _self_modifying_program()
+
+
+def self_modifying_lane(seed):
+    memory = load(SELF_MODIFYING, "rwx")
+    memory.write_u64(DATA, 0x5A00 + seed + 1)
+    return Lane(fresh_state(memory))
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_self_modifying_spaces_match_running_alone(fast):
+    """Each address space's code write detaches the image from that
+    space only: every one executes its own patched bytes, exactly as
+    it would alone."""
+    set_fast_path(fast)
+    lanes = [self_modifying_lane(seed) for seed in (0, 1, 2)]
+    patch = SELF_MODIFYING.address_of("patch")
+    assert all(lane.memory.image_at(patch) is not None for lane in lanes)
+    run_interleaved(lanes)
+    regions = [(BASE, 64), (DATA, 8)]
+    for seed, lane in enumerate(lanes):
+        assert lane.reason is StopReason.HALT
+        assert lane.state.regs["rax"] == 0x5A00 + seed + 1
+        assert lane.memory.image_at(patch) is None
+        solo, = run_interleaved([self_modifying_lane(seed)])
+        assert lane_observables(lane, regions) == \
+            lane_observables(solo, regions)

@@ -1,6 +1,6 @@
 """PW traversal state machine (driven with synthetic measurements)."""
 
-from repro.core import PwRange, PwTraversal
+from repro.core import PwTraversal
 from repro.core.traversal import disambiguate_values, suspicious_steps
 from repro.memory import BLOCK_SIZE, PAGE_SIZE
 

@@ -6,7 +6,7 @@ import pytest
 from repro.cpu import (Core, MachineState, StopReason, generation,
                        set_fast_path)
 from repro.errors import EnclaveAccessError, ProtectionFault
-from repro.isa import Assembler, Kind
+from repro.isa import Assembler
 from repro.memory import VirtualMemory
 
 

@@ -4,8 +4,6 @@ Each figure/table harness must run end-to-end and report the paper's
 qualitative finding.  The benchmarks run the full-size versions.
 """
 
-import pytest
-
 from repro.cpu import generation
 from repro.experiments import (run_bncmp_leak, run_defense_grid,
                                run_figure2, run_figure4, run_figure5,

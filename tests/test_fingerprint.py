@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fingerprint import (FingerprintIndex, FunctionTrace,
                                apply_measurement_noise, downsample,
                                function_traces_of_length,
-                               generate_corpus, local_alignment_score,
-                               measured_trace, rank_victims,
+                               generate_corpus, rank_victims,
                                retire_unit_starts, sequence_similarity,
                                set_similarity, slice_trace)
 

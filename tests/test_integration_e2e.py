@@ -3,8 +3,7 @@ small instances, plus invariants tying the layers together."""
 
 import pytest
 
-from repro.core import NvSupervisor
-from repro.cpu import Core, generation
+from repro.cpu import generation
 from repro.experiments import extract_victim_function
 from repro.experiments.exp_versions import (measured_function_pcs,
                                             reference_pcs,
@@ -13,7 +12,6 @@ from repro.experiments.exp_versions import (measured_function_pcs,
                                             version_groups)
 from repro.fingerprint import generate_corpus, set_similarity
 from repro.lang import CompileOptions
-from repro.system import Kernel
 from repro.victims import build_gcd_victim
 from repro.victims.library import ENCLAVE_DATA_BASE
 

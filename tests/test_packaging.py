@@ -1,5 +1,6 @@
-"""Repository-level hygiene: public surface, examples, docs."""
+"""Repository-level hygiene: public surface, examples, docs, imports."""
 
+import ast
 import pathlib
 import py_compile
 
@@ -60,3 +61,68 @@ def test_every_public_module_has_docstring():
         if not (module.__doc__ or "").strip():
             missing.append(module_info.name)
     assert not missing, f"modules without docstrings: {missing}"
+
+
+def _annotation_names(node):
+    """Names in an annotation, string forward references included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                yield from _annotation_names(
+                    ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and \
+                node.annotation is not None:
+            used.update(_annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            used.update(_annotation_names(node.returns))
+        elif isinstance(node, ast.Subscript):
+            used.update(_annotation_names(node.slice))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(element.value for element in ast.walk(node.value)
+                        if isinstance(element, ast.Constant))
+    return used
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0]
+                     for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names
+                     if alias.name != "*"]
+        else:
+            continue
+        for name in bound:
+            if name not in used:
+                yield node.lineno, name
+
+
+def test_no_unused_imports():
+    """Every imported name is referenced in its module; ``__init__``
+    files re-export, so they are exempt."""
+    unused = []
+    for top in ("src/repro", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                       for line, name in _unused_imports(path)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

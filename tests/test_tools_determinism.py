@@ -1,7 +1,6 @@
 """tools/lint_determinism.py: the simulator core stays seeded-only."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

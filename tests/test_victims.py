@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu import MachineState, run_function
 from repro.lang import CompileOptions, Compiler, parse_module
 from repro.memory import VirtualMemory
-from repro.victims import (BIGNUM_SOURCE, GCD_VERSIONS, RsaKey,
+from repro.victims import (BIGNUM_SOURCE, GCD_VERSIONS,
                            VERSION_GROUPS, binary_gcd,
                            binary_gcd_branch_trace, build_bn_cmp_victim,
                            build_gcd_victim, bytes_to_limbs, from_limbs,

@@ -105,45 +105,37 @@ class CflResult:
 class ControlFlowLeakAttack:
     """End-to-end §5 attack against a :class:`VictimProgram`."""
 
+    #: fragments one attacked run may take before NV-U stops
+    MAX_FRAGMENTS = 10_000
+
     def __init__(self, kernel: Kernel, victim_program: VictimProgram, *,
-                 arm_index: Optional[int] = None,
                  detector: str = "hybrid",
-                 monitor_both_arms: bool = True,
                  policy: Optional[MeasurementPolicy] = None):
         self.kernel = kernel
         self.victim_program = victim_program
-        if (policy is not None and policy.constraint is None
-                and monitor_both_arms):
+        if policy is not None and policy.constraint is None:
             # Both arms are monitored and exactly one runs per
             # fragment — the strongest unknown-resolution prior the
             # policy supports.
             policy = policy.with_(constraint="exactly_one")
         self.nv = NvCore(kernel, detector=detector, policy=policy)
         self.nv_user = NvUser(self.nv)
-        self.monitor_both_arms = monitor_both_arms
-        self.arm = self._select_arm(arm_index)
+        self.arm = self._select_arm()
         self.then_pw = arm_pw(self.arm.then_start, self.arm.then_end)
         self.else_pw = arm_pw(self.arm.else_start, self.arm.else_end)
-        ranges = ([self.then_pw, self.else_pw]
-                  if monitor_both_arms else [self.else_pw])
-        self.session = self.nv.monitor(ranges)
+        self.session = self.nv.monitor([self.then_pw, self.else_pw])
 
-    def _select_arm(self, arm_index: Optional[int]) -> ArmRegion:
+    def _select_arm(self) -> ArmRegion:
+        """The secret branch: the if/else with the largest arms (the
+        GCD reduce step); ties break to the first."""
         compiled = self.victim_program.compiled
         arms = compiled.arms_in(self.victim_program.secret_function)
         if not arms:
             raise AttackError(
                 f"no if/else in {self.victim_program.secret_function}")
-        if arm_index is None:
-            # The secret branch is the if/else with the largest arms
-            # (the GCD reduce step); ties break to the first.
-            arm_index = max(
-                range(len(arms)),
-                key=lambda i: min(
-                    arms[i].then_end - arms[i].then_start,
-                    arms[i].else_end - arms[i].else_start),
-            )
-        return arms[arm_index]
+        return max(arms, key=lambda arm: min(
+            arm.then_end - arm.then_start,
+            arm.else_end - arm.else_start))
 
     # ------------------------------------------------------------------
     def ground_truth(self, inputs: dict) -> List[bool]:
@@ -164,15 +156,14 @@ class ControlFlowLeakAttack:
                 truth.append(False)
         return truth
 
-    def attack(self, inputs: dict, *,
-               max_fragments: int = 10_000) -> CflResult:
+    def attack(self, inputs: dict) -> CflResult:
         """Run one victim instance to completion and classify every
         fragment."""
         victim = self.victim_program.new_process(inputs)
         self.kernel.add_process(victim)
         try:
             outcome = self.nv_user.run(victim, self.session,
-                                       max_fragments=max_fragments)
+                                       max_fragments=self.MAX_FRAGMENTS)
         finally:
             # Release the finished victim (and its address space).
             if victim in self.kernel.processes:
@@ -181,11 +172,7 @@ class ControlFlowLeakAttack:
         raw: List[Tuple[bool, bool]] = []
         confidence: List[float] = []
         for observation in outcome.observations:
-            if self.monitor_both_arms:
-                then_hit, else_hit = observation.matched
-            else:
-                else_hit = observation.matched[0]
-                then_hit = not else_hit
+            then_hit, else_hit = observation.matched
             raw.append((then_hit, else_hit))
             confidence.append(min(observation.confidence)
                               if observation.confidence else 1.0)

@@ -8,8 +8,12 @@ out one-off anomalies, retrying unstable reads with a bounded budget,
 and surfacing *partial* results instead of crashing.  This module is
 that engineering, factored out of the NV-Core probe path:
 
-* :class:`MeasurementPolicy` — the knobs (calibration depth, outlier
-  rejection, votes, retry budget, step-back, constraint hints);
+* the fixed effort levels (:data:`CALIBRATION_ROUNDS` and its retry
+  factor, outlier rejection, threshold widening, :data:`VOTES`,
+  :data:`MAX_RETRIES` with exponential step-back) — module constants,
+  tuned for the acceptance fault plan;
+* :class:`MeasurementPolicy` — switches the resilient path on and
+  carries the one per-attack choice, the structural constraint hint;
 * :class:`RangeStatus` — per-range classification of one probe
   reading, including the honest ``UNKNOWN`` state for a dropped LBR
   record (the naive path silently coerces that to "hit");
@@ -67,55 +71,41 @@ CONFIDENCE = {
 }
 
 
+# The resilient path's effort levels, tuned for the acceptance fault
+# plan (5 % LBR drops, 2 % spurious evictions, 5 % multi-steps); a
+# clean substrate pays at most the extra calibration rounds.
+
+#: no-victim prime→probe rounds used to learn baselines
+CALIBRATION_ROUNDS = 5
+#: a range must contribute at least this many clean samples; extra
+#: rounds (up to ``CALIBRATION_ROUNDS * CALIBRATION_RETRY_FACTOR``
+#: total) are spent chasing ranges whose records were dropped
+MIN_CALIBRATION_SAMPLES = 2
+CALIBRATION_RETRY_FACTOR = 3
+#: calibration samples beyond this many stddevs from the median are
+#: rejected as outliers (jitter spikes)
+OUTLIER_SIGMA = 3.0
+#: detection threshold is raised to this many stddevs of the
+#: calibration samples when that exceeds the static default
+THRESHOLD_SIGMA = 4.0
+#: total readings participating in the weak-hit majority vote
+VOTES = 3
+#: bounded retry budget for unstable reads, per probe call
+MAX_RETRIES = 3
+#: settle primes before the first retry; doubles every retry
+#: (exponential step-back)
+BACKOFF_BASE = 1
+
+
 @dataclass(frozen=True)
 class MeasurementPolicy:
-    """How hard the attacker works for each measurement.
+    """Turns on the resilient measurement path for a probe session."""
 
-    The defaults are tuned for the acceptance fault plan (5 % LBR
-    drops, 2 % spurious evictions, 5 % multi-steps); a clean substrate
-    pays at most the extra calibration rounds.
-    """
-
-    # ----- calibration -------------------------------------------------
-    #: no-victim prime→probe rounds used to learn baselines
-    calibration_rounds: int = 5
-    #: a range must contribute at least this many clean samples; extra
-    #: rounds (up to ``calibration_rounds * calibration_retry_factor``
-    #: total) are spent chasing ranges whose records were dropped
-    min_calibration_samples: int = 2
-    calibration_retry_factor: int = 3
-    #: calibration samples beyond this many stddevs from the median
-    #: are rejected as outliers (jitter spikes)
-    outlier_sigma: float = 3.0
-    #: detection threshold is raised to this many stddevs of the
-    #: calibration samples when that exceeds the static default
-    threshold_sigma: float = 4.0
-
-    # ----- per-probe resilience ---------------------------------------
-    #: total readings participating in the weak-hit majority vote
-    #: (1 disables voting)
-    votes: int = 3
-    #: bounded retry budget for unstable reads, per probe call
-    max_retries: int = 3
-    #: settle primes before the first retry; doubles every retry
-    #: (exponential step-back)
-    backoff_base: int = 1
     #: structural prior used to resolve unknowns: None, "exactly_one"
     #: (e.g. one branch arm per fragment) or "at_most_one"
     constraint: Optional[str] = None
-    #: raise :class:`repro.errors.MeasurementUnstable` instead of
-    #: degrading when the budget runs out
-    fail_hard: bool = False
 
     def __post_init__(self) -> None:
-        if self.calibration_rounds < 1:
-            raise ValueError("calibration_rounds must be >= 1")
-        if self.votes < 1:
-            raise ValueError("votes must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 1:
-            raise ValueError("backoff_base must be >= 1")
         if self.constraint not in (None, "exactly_one", "at_most_one"):
             raise ValueError(
                 f"unknown constraint {self.constraint!r}")

@@ -34,11 +34,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..cpu.core import StopReason
-from ..errors import AttackError, CalibrationError, MeasurementUnstable
+from ..errors import AttackError, CalibrationError
 from ..system.kernel import Kernel
 from ..system.process import Process
-from .measurement import (MeasuredProbe, MeasurementPolicy, RangeStatus,
-                          apply_constraint, summarize)
+from .measurement import (BACKOFF_BASE, CALIBRATION_RETRY_FACTOR,
+                          CALIBRATION_ROUNDS, MAX_RETRIES,
+                          MIN_CALIBRATION_SAMPLES, OUTLIER_SIGMA,
+                          THRESHOLD_SIGMA, VOTES, MeasuredProbe,
+                          MeasurementPolicy, RangeStatus, apply_constraint,
+                          summarize)
 from .pw import ProbeCode, PwBuilder, PwRange
 
 
@@ -82,22 +86,20 @@ def _reject_outliers(samples: Sequence[int],
 class ProbeSession:
     """One monitored PW set: snippet mapped, baselines calibrated.
 
-    With a :class:`~repro.core.measurement.MeasurementPolicy` attached
-    (either here or on the owning :class:`NvCore`) the session
-    calibrates robustly — dropped records are re-sampled instead of
-    aborting, jitter outliers are rejected, thresholds widen with
-    observed noise — and exposes :meth:`probe_measured`, the
+    With a :class:`~repro.core.measurement.MeasurementPolicy` on the
+    owning :class:`NvCore` the session calibrates robustly — dropped
+    records are re-sampled instead of aborting, jitter outliers are
+    rejected, thresholds widen with observed noise — and exposes :meth:`probe_measured`, the
     confidence-tagged resilient probe path.
     """
 
     #: resumptions tolerated per snippet run before giving up
     MAX_PREEMPTIONS = 32
 
-    def __init__(self, nv_core: "NvCore", probe_code: ProbeCode,
-                 policy: Optional[MeasurementPolicy] = None):
+    def __init__(self, nv_core: "NvCore", probe_code: ProbeCode):
         self.nv = nv_core
         self.code = probe_code
-        self.policy = policy if policy is not None else nv_core.policy
+        self.policy = nv_core.policy
         self.baseline_own: List[float] = []
         self.baseline_next: List[float] = []
         #: per-range detection thresholds (uniform without a policy,
@@ -108,7 +110,7 @@ class ProbeSession:
         self.attempts = 0
         probe_code.program.load_into(self.nv.attacker.memory)
         if self.policy is not None:
-            self._calibrate_robust(self.policy)
+            self._calibrate_robust()
         else:
             self._calibrate()
 
@@ -243,14 +245,14 @@ class ProbeSession:
         self.delta_own = [delta] * len(self.code.ranges)
         self.delta_next = [delta] * len(self.code.ranges)
 
-    def _calibrate_robust(self, policy: MeasurementPolicy) -> None:
+    def _calibrate_robust(self) -> None:
         """Policy-driven calibration that survives fault injection.
 
         Dropped records are simply re-sampled (up to
-        ``calibration_rounds * calibration_retry_factor`` total rounds)
+        ``CALIBRATION_ROUNDS * CALIBRATION_RETRY_FACTOR`` total rounds)
         instead of aborting the session, jitter spikes are rejected as
         outliers around the per-range median, and the detection
-        threshold is widened to ``threshold_sigma`` standard deviations
+        threshold is widened to ``THRESHOLD_SIGMA`` standard deviations
         whenever the substrate is noisier than the static default
         assumes.
         """
@@ -258,8 +260,7 @@ class ProbeSession:
         self.prime()                      # cold run: allocations
         samples_own: List[List[int]] = [[] for _ in range(count)]
         samples_next: List[List[int]] = [[] for _ in range(count)]
-        max_rounds = (policy.calibration_rounds
-                      * policy.calibration_retry_factor)
+        max_rounds = CALIBRATION_ROUNDS * CALIBRATION_RETRY_FACTOR
         for round_index in range(max_rounds):
             own, nxt, _, _, _ = self._probe_raw()
             for index in range(count):
@@ -267,10 +268,9 @@ class ProbeSession:
                     samples_own[index].append(own[index])
                 if nxt[index] is not None:
                     samples_next[index].append(nxt[index])
-            if round_index + 1 >= policy.calibration_rounds and all(
-                    len(samples_own[i]) >= policy.min_calibration_samples
-                    and len(samples_next[i])
-                    >= policy.min_calibration_samples
+            if round_index + 1 >= CALIBRATION_ROUNDS and all(
+                    len(samples_own[i]) >= MIN_CALIBRATION_SAMPLES
+                    and len(samples_next[i]) >= MIN_CALIBRATION_SAMPLES
                     for i in range(count)):
                 break
         static_delta = self.nv.threshold_delta
@@ -282,17 +282,17 @@ class ProbeSession:
                      self.delta_own),
                     (samples_next[index], self.baseline_next,
                      self.delta_next)):
-                if len(samples) < policy.min_calibration_samples:
+                if len(samples) < MIN_CALIBRATION_SAMPLES:
                     raise CalibrationError(
                         f"range {self.code.ranges[index]} produced "
                         f"{len(samples)} usable LBR records in "
                         f"{max_rounds} calibration rounds "
-                        f"(needed {policy.min_calibration_samples})")
-                kept = _reject_outliers(samples, policy.outlier_sigma)
+                        f"(needed {MIN_CALIBRATION_SAMPLES})")
+                kept = _reject_outliers(samples, OUTLIER_SIGMA)
                 mean = sum(kept) / len(kept)
                 baselines.append(mean)
                 deltas.append(max(static_delta,
-                                  policy.threshold_sigma * _stddev(kept)))
+                                  THRESHOLD_SIGMA * _stddev(kept)))
 
     # ------------------------------------------------------------------
     # resilient measurement (policy path)
@@ -317,9 +317,7 @@ class ProbeSession:
                 statuses.append(RangeStatus.MISS)
         return statuses
 
-    def probe_measured(self,
-                       policy: Optional[MeasurementPolicy] = None
-                       ) -> MeasuredProbe:
+    def probe_measured(self) -> MeasuredProbe:
         """Resilient probe: classify, vote, constrain, retry, degrade.
 
         The victim's signal is one-shot — the first probe run consumes
@@ -327,21 +325,19 @@ class ProbeSession:
 
         1. classify the first reading honestly (absent record =
            UNKNOWN, not the naive path's implicit hit);
-        2. vote down *weak* hits that recur across ``votes`` follow-up
-           readings (a consumed real signal cannot recur; ambient
-           jitter does);
+        2. vote down *weak* hits that recur across ``VOTES - 1``
+           follow-up readings (a consumed real signal cannot recur;
+           ambient jitter does);
         3. resolve UNKNOWNs from the structural ``constraint`` (e.g.
            exactly one branch arm ran);
-        4. spend the bounded ``max_retries`` budget (with exponential
+        4. spend the bounded ``MAX_RETRIES`` budget (with exponential
            step-back re-primes) confirming the measurement path is
            healthy again, degrading leftover UNKNOWNs to
            low-confidence misses;
-        5. if records are *still* missing: ``fail_hard`` raises
-           :class:`~repro.errors.MeasurementUnstable`, otherwise the
-           ranges stay UNKNOWN with rock-bottom confidence and the
-           probe is flagged unstable.
+        5. if records are *still* missing, the ranges stay UNKNOWN with
+           rock-bottom confidence and the probe is flagged unstable.
         """
-        policy = policy if policy is not None else self.policy
+        policy = self.policy
         if policy is None:
             raise AttackError(
                 "probe_measured requires a MeasurementPolicy")
@@ -363,9 +359,9 @@ class ProbeSession:
         # -- 2: majority-vote ambient jitter out of weak hits ----------
         weak = [i for i, s in enumerate(statuses)
                 if s is RangeStatus.HIT_WEAK]
-        if weak and policy.votes > 1:
+        if weak:
             recurrences = [0] * len(statuses)
-            extra = policy.votes - 1
+            extra = VOTES - 1
             for _ in range(extra):
                 follow = self.probe_detailed()
                 follow_statuses = self._classify(follow)
@@ -385,8 +381,8 @@ class ProbeSession:
         unresolved = [i for i, s in enumerate(statuses)
                       if s is RangeStatus.UNKNOWN]
         retries = 0
-        while unresolved and retries < policy.max_retries:
-            for _ in range(policy.backoff_base << retries):
+        while unresolved and retries < MAX_RETRIES:
+            for _ in range(BACKOFF_BASE << retries):
                 self.prime()              # settle the substrate
             retries += 1
             follow = self.probe_detailed()
@@ -416,48 +412,30 @@ class ProbeSession:
                 tel.count("core.probe.inferred", inferred)
             if unresolved:
                 tel.count("core.probe.unstable")
-        if unresolved:
-            if policy.fail_hard:
-                raise MeasurementUnstable(
-                    f"{len(unresolved)} range(s) unresolved after "
-                    f"{attempts} probe attempts",
-                    attempts=attempts, unresolved=unresolved)
-            return summarize(statuses, attempts, stable=False)
-        return summarize(statuses, attempts, stable=True)
+        return summarize(statuses, attempts, stable=not unresolved)
 
 
 class NvCore:
     """Factory/owner of probe sessions for one attacker process."""
 
-    def __init__(self, kernel: Kernel,
-                 attacker: Optional[Process] = None, *,
-                 alias_index: int = 2,
+    def __init__(self, kernel: Kernel, *,
                  calibration_rounds: int = 3,
-                 threshold_delta: Optional[float] = None,
                  detector: str = "hybrid",
                  policy: Optional[MeasurementPolicy] = None):
         if detector not in ("hybrid", "cycles"):
             raise AttackError(f"unknown detector {detector!r}")
         self.kernel = kernel
         config = kernel.core.config
-        if attacker is None:
-            attacker = Process(name="nv-attacker")
-            kernel.add_process(attacker)
-        self.attacker = attacker
-        self.builder = PwBuilder(config.tag_keep_bits,
-                                 alias_index=alias_index)
+        self.attacker = Process(name="nv-attacker")
+        kernel.add_process(self.attacker)
+        self.builder = PwBuilder(config.tag_keep_bits)
         self.calibration_rounds = calibration_rounds
         self.detector = detector
-        #: default measurement policy inherited by new sessions;
-        #: ``None`` keeps the historical fail-fast behaviour
+        #: measurement policy of every session; ``None`` keeps the
+        #: historical fail-fast behaviour
         self.policy = policy
-        self.threshold_delta = (
-            threshold_delta if threshold_delta is not None
-            else config.squash_penalty * 0.5)
+        self.threshold_delta = config.squash_penalty * 0.5
 
-    def monitor(self, ranges: Sequence[PwRange], *,
-                policy: Optional[MeasurementPolicy] = None
-                ) -> ProbeSession:
+    def monitor(self, ranges: Sequence[PwRange]) -> ProbeSession:
         """Build, map and calibrate a probe for ``ranges``."""
-        return ProbeSession(self, self.builder.build(ranges),
-                            policy=policy)
+        return ProbeSession(self, self.builder.build(ranges))

@@ -57,23 +57,19 @@ class _EnclaveRun:
 class NvSupervisor:
     """Drives full dynamic-PC-trace extraction from an enclave."""
 
+    #: runaway guard: an enclave that single-steps this far without
+    #: exiting aborts discovery with :class:`AttackError`
+    MAX_STEPS = 200_000
+
     def __init__(self, kernel: Kernel, *,
                  pws_per_call: int = 8,
-                 detector: str = "hybrid",
                  strategy: str = "adaptive",
-                 speculate: Optional[bool] = None,
-                 max_steps: int = 200_000,
                  policy: Optional[MeasurementPolicy] = None,
                  probe_budget: Optional[int] = None):
         self.kernel = kernel
-        self.nv = NvCore(kernel, detector=detector,
-                         calibration_rounds=1, policy=policy)
+        self.nv = NvCore(kernel, calibration_rounds=1, policy=policy)
         self.pws_per_call = pws_per_call
         self.strategy = strategy
-        #: run the exhaustive second sweep over suspicious steps
-        self.second_round = True
-        self.speculate = speculate
-        self.max_steps = max_steps
         #: total prime+probe invocations allowed; when it runs out,
         #: :meth:`extract_trace` returns a *partial* trace instead of
         #: finishing the traversal
@@ -126,11 +122,11 @@ class NvSupervisor:
         resilient = self.nv.policy is not None
         try:
             index = 0
-            while index < self.max_steps:
+            while index < self.MAX_STEPS:
                 page_before = run.tracker.current_page
                 faults_before = len(run.tracker.page_trace)
                 run.monitor.arm()
-                step = run.stepper.step(speculate=self.speculate)
+                step = run.stepper.step()
                 if step.retired:
                     pages = []
                     if page_before is not None:
@@ -158,7 +154,7 @@ class NvSupervisor:
                 if not step.running:
                     return records
             raise AttackError(
-                f"enclave exceeded {self.max_steps} steps")
+                f"enclave exceeded {self.MAX_STEPS} steps")
         finally:
             run.close(self.kernel)
 
@@ -176,7 +172,7 @@ class NvSupervisor:
                 session = self._session_for(queries)
                 if session is not None:
                     session.prime()
-                step = run.stepper.step(speculate=self.speculate)
+                step = run.stepper.step()
                 if step.retired and session is not None:
                     if (self.probe_budget is not None
                             and self.probes >= self.probe_budget):
@@ -265,7 +261,7 @@ class NvSupervisor:
         confidence = [traversal.confidence_for(i)
                       for i in range(len(records))]
         retry = suspicious_steps(chosen, values)
-        if retry and self.second_round and not partial:
+        if retry and not partial:
             second = PwTraversal(
                 num_steps=len(records),
                 page_bases=page_bases,

@@ -15,12 +15,11 @@ paper and simulated there exactly as it is here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 from ..cpu.core import StopReason
 from ..system.process import Process
 from .nv_core import NvCore, ProbeSession
-from .pw import PwRange
 
 
 @dataclass
@@ -58,14 +57,8 @@ class NvUser:
         self.nv = nv_core
         self.kernel = nv_core.kernel
 
-    def monitor(self, ranges: Sequence[PwRange]) -> ProbeSession:
-        return self.nv.monitor(ranges)
-
     def run(self, victim: Process, session: ProbeSession, *,
-            max_fragments: int = 100_000,
-            on_fragment: Optional[
-                Callable[[FragmentObservation], None]] = None
-            ) -> NvUserResult:
+            max_fragments: int = 100_000) -> NvUserResult:
         """Interleave with ``victim`` until it exits.
 
         Per fragment: prime -> victim runs to its next ``sched_yield``
@@ -89,8 +82,6 @@ class NvUser:
                     index=index, matched=session.probe(),
                     victim_retired=run.retired)
             result.observations.append(observation)
-            if on_fragment is not None:
-                on_fragment(observation)
             if run.reason is StopReason.HALT or not victim.alive:
                 result.victim_exited = True
                 break

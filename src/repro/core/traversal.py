@@ -64,10 +64,6 @@ class StepSearch:
     matched_blocks: Set[int] = field(default_factory=set)
     #: candidate lanes (populated when the sweep finishes; <= 2)
     lanes: List[_Lane] = field(default_factory=list)
-    #: every PW that matched, by pass (diagnostics)
-    matched_history: List[List[PwRange]] = field(default_factory=list)
-    #: final disambiguated base PC
-    resolved: Optional[int] = None
     #: sweep finished for this step (confirmed or exhausted)
     sweep_done: bool = False
 
@@ -87,8 +83,12 @@ class PwTraversal:
 
     The orchestrator (NV-S) repeatedly asks :meth:`queries_for` what to
     monitor at each step of the *next* run, performs the run, and feeds
-    measurements back via :meth:`record`.
+    measurements back via :meth:`record`; :meth:`value_sets` then
+    holds each step's lane resolutions for :func:`disambiguate_values`.
     """
+
+    #: hard cap on narrowing rounds (noise could stall a step)
+    MAX_NARROW_ROUNDS = 16
 
     def __init__(self, num_steps: int,
                  page_bases: Sequence[Sequence[int]], *,
@@ -118,17 +118,11 @@ class PwTraversal:
         # phases: sweep -> narrow -> final0 -> final1 -> done
         self._phase = "sweep"
         self._narrow_rounds = 0
-        #: hard cap on narrowing rounds (noise could stall a step)
-        self.max_narrow_rounds = 16
         #: blocks that matched for any step (locality prior)
         self._hot_blocks: Dict[int, int] = {}
         self._last_hit_block: Optional[int] = None
 
     # ------------------------------------------------------------------
-    @property
-    def phase(self) -> str:
-        return self._phase
-
     @property
     def finished(self) -> bool:
         return self._phase == "done"
@@ -230,7 +224,6 @@ class PwTraversal:
                matched: List[bool]) -> None:
         search = self.steps[step]
         hits = [pw for pw, hit in zip(queries, matched) if hit]
-        search.matched_history.append(hits)
         if self._phase in ("final0", "final1"):
             index = 0 if self._phase == "final0" else 1
             if index < len(search.lanes):
@@ -308,7 +301,7 @@ class PwTraversal:
             return
         if self._phase == "narrow":
             self._narrow_rounds += 1
-            stalled = self._narrow_rounds >= self.max_narrow_rounds
+            stalled = self._narrow_rounds >= self.MAX_NARROW_ROUNDS
             if stalled or all(
                     lane.candidate.size <= 2
                     for s in self._active_steps() for lane in s.lanes):
@@ -318,11 +311,9 @@ class PwTraversal:
             if any(len(s.lanes) > 1 for s in self.steps):
                 self._phase = "final1"
             else:
-                self._disambiguate()
                 self._phase = "done"
             return
         if self._phase == "final1":
-            self._disambiguate()
             self._phase = "done"
             return
 
@@ -333,41 +324,6 @@ class PwTraversal:
         self._phase = "narrow"
 
     # ------------------------------------------------------------------
-    # §6.3 cross-step disambiguation
-    # ------------------------------------------------------------------
-    def _disambiguate(self) -> None:
-        """Pick each step's base among its lane resolutions.
-
-        A lower-lane value that reappears as a *later* nearby step's
-        resolution is the PC of an instruction fetched speculatively at
-        a predicted branch target — i.e. the later step's PC, not this
-        one's.  Process back-to-front so later choices are final."""
-        chosen: List[Optional[int]] = [None] * self.num_steps
-        for index in range(self.num_steps - 1, -1, -1):
-            search = self.steps[index]
-            values = [lane.resolved for lane in search.lanes
-                      if lane.resolved is not None]
-            if not values:
-                continue
-            if len(values) == 1:
-                chosen[index] = values[0]
-                continue
-            low, high = sorted(values)[0], sorted(values)[-1]
-            upcoming = {
-                chosen[j]
-                for j in range(index + 1,
-                               min(index + 1 + DISAMBIGUATION_WINDOW,
-                                   self.num_steps))
-                if chosen[j] is not None
-            }
-            chosen[index] = high if low in upcoming else low
-        for search, value in zip(self.steps, chosen):
-            search.resolved = value
-
-    # ------------------------------------------------------------------
-    def bases(self) -> List[Optional[int]]:
-        return [s.resolved for s in self.steps]
-
     def confidence_for(self, index: int) -> float:
         """How far step ``index``'s search progressed, as a confidence
         in [0, 1] — graceful-degradation metadata for partial

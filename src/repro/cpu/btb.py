@@ -33,29 +33,8 @@ from typing import Dict, List, Optional, Tuple
 from .. import telemetry
 from ..memory.address import BLOCK_SHIFT
 from ..isa.instructions import INDIRECT_KINDS, Kind
-from .btb_backends import (BTBBackend, backend_fields, btb_set_bits,
-                           make_backend)
+from .btb_backends import BTBBackend, btb_set_bits, make_backend
 from .config import CpuGeneration, DEFAULT_GENERATION
-
-
-# ----------------------------------------------------------------------
-# pure indexing functions
-# ----------------------------------------------------------------------
-# The BTB's address math, exposed as stateless module-level functions so
-# the static analyzer (:mod:`repro.analysis.aliasing`) can predict
-# collisions without instantiating a BTB.  :class:`BTB` delegates to
-# the same implementation through its backend strategy
-# (:mod:`repro.cpu.btb_backends`) — there is exactly one implementation
-# of each organisation.
-
-def btb_fields(pc: int, *, tag_keep_bits: int,
-               btb_sets: int) -> Tuple[int, int, int]:
-    """Split ``pc`` into ``(tag, set_index, offset)`` after truncating
-    away address bits at and above ``tag_keep_bits`` (§2.1) — the
-    Intel-backend specialisation of
-    :func:`repro.cpu.btb_backends.backend_fields`."""
-    return backend_fields(pc, tag_keep_bits=tag_keep_bits,
-                          btb_sets=btb_sets, index_shift=BLOCK_SHIFT)
 
 
 def reconstruct_end_byte(fetch_pc: int, entry_offset: int) -> int:

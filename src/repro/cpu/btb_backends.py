@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple, Type
 
 from ..errors import CpuError
-from ..memory.address import BLOCK_SHIFT, block_offset, truncate
+from ..memory.address import BLOCK_SHIFT
 
 
 def btb_set_bits(btb_sets: int) -> int:
@@ -57,21 +57,6 @@ def btb_set_bits(btb_sets: int) -> int:
     if btb_sets <= 0 or btb_sets & (btb_sets - 1):
         raise CpuError(f"btb_sets must be a power of two: {btb_sets}")
     return btb_sets.bit_length() - 1
-
-
-def backend_fields(pc: int, *, tag_keep_bits: int, btb_sets: int,
-                   index_shift: int = BLOCK_SHIFT) -> Tuple[int, int, int]:
-    """Generalised field split: truncate ``pc`` to ``tag_keep_bits``,
-    take the set index from bits ``[index_shift, index_shift +
-    log2(btb_sets))`` and the tag from everything above; the offset is
-    always the byte within the 32-byte fetch block (a front-end
-    property — prediction windows are 32-byte bundles regardless of how
-    the BTB indexes them)."""
-    truncated = truncate(pc, tag_keep_bits)
-    offset = block_offset(truncated)
-    set_index = (truncated >> index_shift) & (btb_sets - 1)
-    tag = truncated >> (index_shift + btb_set_bits(btb_sets))
-    return tag, set_index, offset
 
 
 class BTBBackend:
@@ -107,7 +92,11 @@ class BTBBackend:
     # indexing
     # ------------------------------------------------------------------
     def split(self, pc: int) -> Tuple[int, int, int]:
-        """``(tag, set_index, offset)`` of ``pc`` under this design."""
+        """``(tag, set_index, offset)`` of ``pc`` under this design,
+        after truncating away address bits at and above
+        ``tag_keep_bits`` (§2.1).  The offset is always the byte within
+        the 32-byte fetch block, a front-end property: prediction
+        windows are 32-byte bundles whatever the BTB indexes by."""
         truncated = pc & self._keep_mask
         return (truncated >> self._tag_shift,
                 (truncated >> self.index_shift) & self._set_mask,

@@ -220,8 +220,7 @@ class Core:
     def run(self, state: MachineState, *,
             max_retired: Optional[int] = None,
             max_instructions: Optional[int] = None,
-            collect_trace: bool = False,
-            speculate_on_stop: Optional[bool] = None) -> RunResult:
+            collect_trace: bool = False) -> RunResult:
         """Execute from ``state.rip`` until a stop condition.
 
         ``max_retired`` counts *retire units* (a macro-fused pair is
@@ -251,12 +250,10 @@ class Core:
                 # decoding the in-flight prediction window(s), firing
                 # decode-time BTB deallocations for instructions that
                 # will never retire (§6.3).
+                # Then it runs ``spec_lookahead`` instructions further
+                # (none when the generation sets it to 0).
                 self._drain_fetch_ahead(state, pw)
-                do_spec = (self.config.spec_lookahead > 0
-                           if speculate_on_stop is None
-                           else speculate_on_stop)
-                if do_spec:
-                    self._speculative_lookahead(state)
+                self._speculative_lookahead(state)
             elif reason in (StopReason.HALT, StopReason.SYSCALL):
                 # Fetch ran ahead of the halting/trapping instruction
                 # too: the rest of its prediction window was decoded,

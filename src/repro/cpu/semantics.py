@@ -27,20 +27,20 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from ..errors import CpuError, DivideError
-from ..isa.instructions import Instruction, Kind, evaluate_cond
+from ..isa.instructions import Instruction, evaluate_cond
 from ..isa.registers import MASK64, SIGN64, to_signed
 from .state import MachineState
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """Result of architecturally executing one instruction."""
+    """Result of architecturally executing one instruction (the
+    instruction's ``kind`` says which of its fields are meaningful)."""
 
+    #: the architectural successor (the resolved target when taken)
     next_pc: int
     #: for control transfers: did it take? (None for sequential insts)
     taken: Optional[bool] = None
-    #: resolved target for taken transfers (== next_pc when taken)
-    kind: Kind = Kind.SEQUENTIAL
     syscall: bool = False
     halt: bool = False
 
@@ -98,52 +98,51 @@ def _logic(flags, result: int) -> int:
 @_register("jmp", "jmp8")
 def _h_jmp(state, inst, pc):
     target = (pc + inst.length + inst.operands[0]) & MASK64
-    return Outcome(next_pc=target, taken=True, kind=inst.kind)
+    return Outcome(next_pc=target, taken=True)
 
 
 def _h_jcc(state, inst, pc):
     taken = evaluate_cond(inst.spec.cond, state.regs.flags)
     if taken:
         target = (pc + inst.length + inst.operands[0]) & MASK64
-        return Outcome(next_pc=target, taken=True, kind=inst.kind)
-    return Outcome(next_pc=pc + inst.length, taken=False, kind=inst.kind)
+        return Outcome(next_pc=target, taken=True)
+    return Outcome(next_pc=pc + inst.length, taken=False)
 
 
 @_register("call")
 def _h_call(state, inst, pc):
     target = (pc + inst.length + inst.operands[0]) & MASK64
     state.push(pc + inst.length)
-    return Outcome(next_pc=target, taken=True, kind=inst.kind)
+    return Outcome(next_pc=target, taken=True)
 
 
 @_register("callr")
 def _h_callr(state, inst, pc):
     target = state.regs.read(inst.operands[0])
     state.push(pc + inst.length)
-    return Outcome(next_pc=target, taken=True, kind=inst.kind)
+    return Outcome(next_pc=target, taken=True)
 
 
 @_register("jmpr")
 def _h_jmpr(state, inst, pc):
     target = state.regs.read(inst.operands[0])
-    return Outcome(next_pc=target, taken=True, kind=inst.kind)
+    return Outcome(next_pc=target, taken=True)
 
 
 @_register("ret")
 def _h_ret(state, inst, pc):
     target = state.pop()
-    return Outcome(next_pc=target, taken=True, kind=inst.kind)
+    return Outcome(next_pc=target, taken=True)
 
 
 @_register("syscall")
 def _h_syscall(state, inst, pc):
-    return Outcome(next_pc=pc + inst.length, syscall=True,
-                   kind=Kind.SYSCALL)
+    return Outcome(next_pc=pc + inst.length, syscall=True)
 
 
 @_register("hlt")
 def _h_hlt(state, inst, pc):
-    return Outcome(next_pc=pc + inst.length, halt=True, kind=Kind.HALT)
+    return Outcome(next_pc=pc + inst.length, halt=True)
 
 
 def _register_conditionals() -> None:

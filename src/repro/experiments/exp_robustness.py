@@ -128,12 +128,10 @@ def run_leak_robustness(*, base_plan: FaultPlan = ACCEPTANCE_PLAN,
                         factors: Sequence[float] = DEFAULT_FACTORS,
                         runs: int = 8,
                         timing_noise: float = 2.0,
-                        seed: int = 7,
-                        policy: Optional[MeasurementPolicy] = None
-                        ) -> RobustnessResult:
+                        seed: int = 7) -> RobustnessResult:
     """Sweep the §7.2 GCD leak across fault-plan multiples."""
     config = generation("coffeelake", timing_noise=timing_noise)
-    policy = policy if policy is not None else MeasurementPolicy()
+    policy = MeasurementPolicy()
     result = RobustnessResult(
         label="GCD leak accuracy vs fault scale",
         plan_name=base_plan.name, factors=list(factors))
@@ -181,9 +179,7 @@ def run_fingerprint_robustness(
         *, base_plan: FaultPlan = ACCEPTANCE_PLAN,
         factors: Sequence[float] = (0.0, 1.0, 2.0),
         inputs: Optional[dict] = None,
-        seed: int = 7,
-        policy: Optional[MeasurementPolicy] = None
-        ) -> RobustnessResult:
+        seed: int = 7) -> RobustnessResult:
     """Sweep NV-S fingerprint self-similarity across fault multiples.
 
     Uses a small GCD instance (extraction re-executes the enclave
@@ -192,7 +188,7 @@ def run_fingerprint_robustness(
     config = generation("coffeelake")
     if inputs is None:
         inputs = {"ta": 2 * 3 * 17, "tb": 2 * 3 * 5}
-    policy = policy if policy is not None else MeasurementPolicy()
+    policy = MeasurementPolicy()
     result = RobustnessResult(
         label="fingerprint self-similarity vs fault scale",
         plan_name=base_plan.name, factors=list(factors))

@@ -49,6 +49,13 @@ _CMP_COND = {
     "<": "b", "<=": "be", ">": "a", ">=": "ae",        # unsigned
     "s<": "l", "s<=": "le", "s>": "g", "s>=": "ge",     # signed
 }
+#: load address of every compiled module
+CODE_BASE = 0x40_0000
+#: where CFR trampolines are randomized into
+CFR_REGION = 0x5000_0000
+#: O3 inlines leaf functions with at most this many statements
+INLINE_LIMIT = 8
+
 _COND_NEGATION = {
     "e": "ne", "ne": "e", "b": "ae", "ae": "b", "be": "a", "a": "be",
     "l": "ge", "ge": "l", "le": "g", "g": "le",
@@ -64,11 +71,6 @@ class CompileOptions:
     align_jumps: int = 0                # 0 or 16
     cfr: bool = False
     cfr_seed: int = 1234
-    base: int = 0x40_0000
-    #: where CFR trampolines are randomized into
-    cfr_region: int = 0x5000_0000
-    #: inline leaf functions with at most this many statements (O3)
-    inline_limit: int = 8
 
     def __post_init__(self):
         if self.opt_level not in (0, 2, 3):
@@ -693,7 +695,7 @@ class Compiler:
 
     def __init__(self, options: Optional[CompileOptions] = None):
         self.options = options if options is not None else CompileOptions()
-        self.asm = Assembler(base=self.options.base)
+        self.asm = Assembler(base=CODE_BASE)
         self._trampolines: List[str] = []
         self._arm_markers: List[Tuple[str, Tuple[str, str, str, str]]] = []
         self._rng = random.Random(self.options.cfr_seed)
@@ -719,7 +721,7 @@ class Compiler:
         """Compile every function; optionally emit a ``_start`` stub
         that calls ``start`` and halts."""
         if self.options.opt_level >= 3:
-            module = inline_leaf_calls(module, self.options.inline_limit)
+            module = inline_leaf_calls(module, INLINE_LIMIT)
         boundaries: List[Tuple[str, str, str]] = []
         if start is not None:
             module.function(start)   # fail fast on unknown start
@@ -770,7 +772,7 @@ class Compiler:
             while True:
                 page = self._rng.randrange(0, 1 << 16)
                 offset = self._rng.randrange(0, 4096 - 16)
-                address = self.options.cfr_region + page * 4096 + offset
+                address = CFR_REGION + page * 4096 + offset
                 if address not in used:
                     used.add(address)
                     break

@@ -9,7 +9,9 @@ paper reports:
 * a macro-fused ALU+Jcc pair retires as a single unit, so one "step"
   silently covers two instructions (§7.3);
 * instructions beyond the interrupted one may have speculatively
-  executed and touched the BTB before the pipeline drained (§6.3).
+  executed and touched the BTB before the pipeline drained (§6.3);
+  how many is the core generation's ``spec_lookahead``, the only
+  switch for it.
 
 Every step performs the AEX / ERESUME dance: enclave mode (and with it
 LBR suppression) is entered before the step and exited after, which
@@ -67,7 +69,7 @@ class SgxStepper:
         self.enclave.entered = True
         self._finished = False
 
-    def step(self, *, speculate: Optional[bool] = None) -> StepResult:
+    def step(self) -> StepResult:
         """Run exactly one retire unit inside the enclave.
 
         With a fault injector attached to the kernel, the APIC timer
@@ -96,9 +98,7 @@ class SgxStepper:
         core = self.kernel.core
         core.set_enclave_mode(True)
         try:
-            result = self.kernel.run_slice(
-                self.host, max_retired=budget,
-                speculate_on_stop=speculate)
+            result = self.kernel.run_slice(self.host, max_retired=budget)
         finally:
             core.set_enclave_mode(False)   # AEX
         if result.reason in (StopReason.HALT, StopReason.SYSCALL):

@@ -3,15 +3,15 @@
 Two usage styles:
 
 * **Cooperative alternation** (the user-level attacker, §4.2/§7.2):
-  :meth:`run_until_yield` runs a process until it calls
-  ``sched_yield`` (or exits).  The NV-U experiments ping-pong between
-  victim and attacker exactly the way the paper's proof-of-concept
-  does.
+  :meth:`run_slice` runs a process until it calls ``sched_yield`` (or
+  exits).  The NV-U experiments ping-pong between victim and attacker
+  exactly the way the paper's proof-of-concept does.
 
 * **Supervisor control** (§4.3): :meth:`single_step` delivers a timer
   interrupt after exactly one retire unit — the SGX-Step model — and
   the page-fault hook gives the controlled-channel attack its
-  page-granular view.
+  page-granular view.  How far the front end speculates past the
+  interrupt is the core's ``spec_lookahead`` alone (§6.3).
 
 Context switches call :meth:`Core.context_switch`, which applies
 whatever mitigation the :class:`CpuGeneration` enables (IBRS/IBPB
@@ -84,8 +84,7 @@ class Kernel:
 
     def run_slice(self, process: Process, *,
                   max_retired: Optional[int] = None,
-                  collect_trace: bool = False,
-                  speculate_on_stop: Optional[bool] = None) -> RunResult:
+                  collect_trace: bool = False) -> RunResult:
         """Run ``process`` until yield/exit/interrupt.
 
         Returns the *last* :class:`RunResult`; syscalls other than
@@ -112,7 +111,6 @@ class Kernel:
                 process.state,
                 max_retired=remaining,
                 collect_trace=collect_trace,
-                speculate_on_stop=speculate_on_stop,
             )
             process.retired += result.retired
             if collect_trace and result.trace:
@@ -143,19 +141,12 @@ class Kernel:
             result.unit_starts = merged_units
         return result
 
-    def run_until_yield(self, process: Process,
-                        **kwargs) -> RunResult:
-        """Cooperative slice: run until sched_yield or exit."""
-        return self.run_slice(process, **kwargs)
-
     def single_step(self, process: Process, *,
-                    speculate: Optional[bool] = None,
                     collect_trace: bool = False) -> RunResult:
         """Deliver a timer interrupt after exactly one retire unit —
         the SGX-Step / supervisor-attacker primitive (§4.3)."""
         return self.run_slice(process, max_retired=1,
-                              collect_trace=collect_trace,
-                              speculate_on_stop=speculate)
+                              collect_trace=collect_trace)
 
     # ------------------------------------------------------------------
     # simple round-robin (for multi-process tests)

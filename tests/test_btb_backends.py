@@ -13,8 +13,8 @@ from repro import telemetry
 from repro.cpu import (BTB, Core, MachineState, StopReason, generation,
                        set_fast_path)
 from repro.cpu.btb import reconstruct_end_byte
-from repro.cpu.btb_backends import (BACKEND_CLASSES, backend_fields,
-                                    btb_set_bits, make_backend)
+from repro.cpu.btb_backends import (BACKEND_CLASSES, btb_set_bits,
+                                    make_backend)
 from repro.cpu.config import BTB_BACKENDS, backend_generation
 from repro.cpu.decoded import (Superblock, build_superblock,
                                fast_path_enabled)
@@ -83,14 +83,11 @@ class TestFieldProperties:
     def test_8_and_16_gib_boundaries(self, address):
         """The paper's generation split: SkyLake-family keeps 33 bits
         (8 GiB aliases), IceLake 34 (16 GiB)."""
-        sky = dict(tag_keep_bits=33, btb_sets=512)
-        icl = dict(tag_keep_bits=34, btb_sets=512)
-        assert (backend_fields(address, **sky)
-                == backend_fields(address + (1 << 33), **sky))
-        assert (backend_fields(address, **icl)
-                != backend_fields(address + (1 << 33), **icl))
-        assert (backend_fields(address, **icl)
-                == backend_fields(address + (1 << 34), **icl))
+        sky = make_backend(generation("skylake")).split
+        icl = make_backend(generation("icelake")).split
+        assert sky(address) == sky(address + (1 << 33))
+        assert icl(address) != icl(address + (1 << 33))
+        assert icl(address) == icl(address + (1 << 34))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(address=_addr)

@@ -543,7 +543,7 @@ def test_drain_and_lookahead_hit_verdicts_like_misses():
         state = fresh_state(memory)
         out = []
         for _ in range(3):
-            result = core.run(state, max_retired=1, speculate_on_stop=True)
+            result = core.run(state, max_retired=1)
             out.append((result.reason, result.retired, result.cycles,
                         state.rip))
             if result.reason is not StopReason.RETIRE_LIMIT:

@@ -50,7 +50,7 @@ class TestByteResolution:
             page_bases=[[PAGE]] * len(starts),
             pws_per_call=8, strategy="adaptive")
         _drive(traversal, _fetch_oracle(starts, span=40))
-        assert traversal.bases() == starts
+        assert disambiguate_values(traversal.value_sets()) == starts
 
     def test_exact_bases_recovered_paper(self):
         starts = [PAGE + 0x31, PAGE + 0x35, PAGE + 0xF00]
@@ -59,20 +59,20 @@ class TestByteResolution:
             page_bases=[[PAGE]] * len(starts),
             pws_per_call=2, strategy="paper")
         _drive(traversal, _fetch_oracle(starts, span=40))
-        assert traversal.bases() == starts
+        assert disambiguate_values(traversal.value_sets()) == starts
 
     def test_block_aligned_start_uses_ret_probe(self):
         starts = [PAGE + 0x40]          # exactly block-aligned
         traversal = PwTraversal(num_steps=1, page_bases=[[PAGE]],
                                 pws_per_call=4)
         _drive(traversal, _fetch_oracle(starts))
-        assert traversal.bases() == starts
+        assert disambiguate_values(traversal.value_sets()) == starts
 
     def test_no_match_leaves_unresolved(self):
         traversal = PwTraversal(num_steps=1, page_bases=[[PAGE]],
                                 pws_per_call=8)
         _drive(traversal, lambda step, pw: False)
-        assert traversal.bases() == [None]
+        assert disambiguate_values(traversal.value_sets()) == [None]
 
     def test_paper_sweep_run_count(self):
         traversal = PwTraversal(num_steps=1, page_bases=[[PAGE]],
@@ -90,7 +90,7 @@ class TestByteResolution:
                                 page_bases=[[PAGE, other]],
                                 pws_per_call=8)
         _drive(traversal, _fetch_oracle(starts))
-        assert traversal.bases() == starts
+        assert disambiguate_values(traversal.value_sets()) == starts
 
     def test_restrict_to_skips_other_steps(self):
         starts = [PAGE + 0x10, PAGE + 0x50]
@@ -98,8 +98,9 @@ class TestByteResolution:
                                 page_bases=[[PAGE]] * 2,
                                 pws_per_call=8, restrict_to={1})
         _drive(traversal, _fetch_oracle(starts))
-        assert traversal.bases()[0] is None
-        assert traversal.bases()[1] == starts[1]
+        chosen = disambiguate_values(traversal.value_sets())
+        assert chosen[0] is None
+        assert chosen[1] == starts[1]
 
 
 class TestSpeculationArtifacts:

@@ -9,6 +9,7 @@ from repro.cpu import MachineState, run_function
 from repro.errors import CompileError
 from repro.lang import (CompileOptions, Compiler, inline_leaf_calls,
                         parse_module)
+from repro.lang.codegen import CFR_REGION
 from repro.memory import VirtualMemory
 
 _u32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -338,7 +339,7 @@ func f(a, b) {
     def test_cfr_trampolines_belong_to_no_function(self):
         compiled = Compiler(CompileOptions(opt_level=2, cfr=True)).compile(
             parse_module(self._SOURCE))
-        region = compiled.options.cfr_region
+        region = CFR_REGION
         trampolines = [pc for pc in compiled.program.instructions
                        if pc >= region]
         assert trampolines

@@ -20,21 +20,12 @@ from repro.victims.library import build_gcd_victim
 # ----------------------------------------------------------------------
 def test_policy_validation():
     with pytest.raises(ValueError):
-        MeasurementPolicy(calibration_rounds=0)
-    with pytest.raises(ValueError):
-        MeasurementPolicy(votes=0)
-    with pytest.raises(ValueError):
-        MeasurementPolicy(max_retries=-1)
-    with pytest.raises(ValueError):
-        MeasurementPolicy(backoff_base=0)
-    with pytest.raises(ValueError):
         MeasurementPolicy(constraint="exactly_two")
 
 
 def test_policy_with_overrides():
-    policy = DEFAULT_POLICY.with_(constraint="exactly_one", votes=5)
+    policy = DEFAULT_POLICY.with_(constraint="exactly_one")
     assert policy.constraint == "exactly_one"
-    assert policy.votes == 5
     assert DEFAULT_POLICY.constraint is None   # frozen original
 
 

@@ -180,7 +180,7 @@ def _run_execute(case):
     except ReproError as exc:
         return ("trap", type(exc), str(exc))
     assert outcome.next_pc == PC + instruction.length
-    assert outcome.taken is None and outcome.kind is Kind.SEQUENTIAL
+    assert outcome.taken is None
     assert not outcome.syscall and not outcome.halt
     return _concrete_result(state)
 

@@ -178,7 +178,6 @@ def _cmd_campaign(args) -> int:
             seed=args.seed, resume=args.resume is not None,
             shards=args.shards, max_workers=args.jobs,
             stall_timeout=args.stall_timeout, chaos=chaos,
-            vectorize=args.vectorize,
             on_event=on_event if args.verbose else None)
     except DiskFaultError as error:
         print(f"storage fault: {error}", file=sys.stderr)
@@ -429,14 +428,6 @@ def main(argv=None) -> int:
     campaign.add_argument("--jobs", "-j", type=int, default=2,
                           help="parallel workers (per shard with "
                                "--shards; default 2)")
-    campaign.add_argument("--vectorize", type=int, default=1,
-                          metavar="N",
-                          help="run N jobs back-to-back per worker "
-                               "process; saves only the per-process "
-                               "fork, pipe and join, so it pays off "
-                               "for many tiny jobs, not for real "
-                               "experiments (default 1 = one process "
-                               "per job; incompatible with --chaos)")
     campaign.add_argument("--timeout", type=float, default=300.0,
                           metavar="S",
                           help="per-job wall-clock budget, seconds")

@@ -58,8 +58,7 @@ from .decoded import (SuperblockLink, adopt_window, build_superblock,
                       build_window, decode_at, fast_path_enabled,
                       get_window, raise_bad_opcode)
 from .fusion import can_fuse
-from .interp import (_DEADLINE_STRIDE, _check_deadline_now,
-                     _effective_deadline)
+from .interp import _DEADLINE_STRIDE, _check_deadline_now
 from .lbr import LBR
 from .semantics import Outcome, execute
 from .state import MachineState
@@ -281,7 +280,6 @@ class Core:
                 trace=trace, unit_starts=unit_starts,
             )
 
-        deadline = _effective_deadline(None)
         memory = state.memory
         window_cache = getattr(memory, "window_cache", None)
         superblock_cache = getattr(memory, "superblock_cache", None)
@@ -295,7 +293,7 @@ class Core:
                     budget=guard, executed=instructions)
             if instructions >= next_deadline_check:
                 next_deadline_check = instructions + _DEADLINE_STRIDE
-                _check_deadline_now(instructions, deadline)
+                _check_deadline_now(instructions)
             pc = state.rip
             ran = None
             if pw is None:

@@ -33,33 +33,30 @@ SyscallHandler = Callable[[MachineState], bool]
 _DEADLINE_STRIDE = 2048
 
 #: ambient wall-clock deadline (``time.monotonic`` timestamp) applied
-#: to every run when the caller passes none — the campaign worker sets
-#: this so a non-terminating victim raises :class:`SimulationTimeout`
-#: in-band instead of hanging until the watchdog SIGKILLs the process.
+#: to every run — the campaign worker sets this so a non-terminating
+#: victim raises :class:`SimulationTimeout` in-band instead of hanging
+#: until the watchdog SIGKILLs the process.
 _AMBIENT_DEADLINE: Optional[float] = None
 
 
 def set_ambient_deadline(deadline: Optional[float]) -> None:
     """Install (or clear, with ``None``) the process-wide wall-clock
-    deadline consulted by :func:`interpret` / :func:`run_function`."""
+    deadline consulted by :func:`interpret`, :func:`run_function` and
+    ``Core.run``."""
     global _AMBIENT_DEADLINE
     _AMBIENT_DEADLINE = deadline
 
 
-def _effective_deadline(deadline: Optional[float]) -> Optional[float]:
-    if deadline is not None:
-        return deadline
-    return _AMBIENT_DEADLINE
-
-
-def _check_deadline_now(count: int, deadline: Optional[float]) -> None:
-    """Unconditional deadline check, for threshold-strided loops.
+def _check_deadline_now(count: int) -> None:
+    """Unconditional ambient-deadline check, for threshold-strided
+    loops.
 
     The run loops track ``next_deadline_check = count + stride``
     instead of testing ``count % stride`` — the decoded-window fast
     path advances ``count`` by whole windows, which would hop over
     exact multiples of the stride.
     """
+    deadline = _AMBIENT_DEADLINE
     if deadline is not None and time.monotonic() > deadline:
         raise SimulationTimeout(
             f"wall-clock deadline expired after {count} instructions",
@@ -118,18 +115,16 @@ def _fold_run_counters(prefix: str, count: int) -> None:
 
 def _run(state: MachineState, max_instructions: int, collect_trace: bool,
          syscall_handler: Optional[SyscallHandler],
-         deadline: Optional[float],
          stop_pc: Optional[int] = None) -> InterpResult:
     """The oracle's one run loop, behind :func:`interpret` and
     :func:`run_function`.
 
     Runs until ``hlt``, an unhandled syscall, reaching ``stop_pc``
     (stop reason RETURNED), or ``max_instructions`` (stop reason
-    LIMIT; the callers decide whether that raises).  With the fast path
+    LIMIT; the callers raise on it).  With the fast path
     on, each window's cached straight-line prefix runs as compiled
     thunks and chains straight into its terminator.
     """
-    deadline = _effective_deadline(deadline)
     memory = state.memory
     window_cache = getattr(memory, "window_cache", None)
     fast = fast_path_enabled() and window_cache is not None
@@ -141,7 +136,7 @@ def _run(state: MachineState, max_instructions: int, collect_trace: bool,
         while count < max_instructions:
             if count >= next_deadline_check:
                 next_deadline_check = count + _DEADLINE_STRIDE
-                _check_deadline_now(count, deadline)
+                _check_deadline_now(count)
             pc = state.rip
             if pc == stop_pc:
                 return InterpResult(InterpStop.RETURNED, count, trace,
@@ -226,18 +221,15 @@ def interpret(state: MachineState, *,
               max_instructions: int = 5_000_000,
               collect_trace: bool = True,
               syscall_handler: Optional[SyscallHandler] = None,
-              raise_on_limit: bool = True,
-              deadline: Optional[float] = None) -> InterpResult:
+              ) -> InterpResult:
     """Run until ``hlt``, an unhandled syscall, or the budget.
 
-    ``deadline`` is an absolute ``time.monotonic`` timestamp; past it
+    Past the ambient deadline installed by :func:`set_ambient_deadline`
     the run raises :class:`SimulationTimeout` (checked every
-    ``_DEADLINE_STRIDE`` instructions).  When omitted, the ambient
-    deadline installed by :func:`set_ambient_deadline` applies.
+    ``_DEADLINE_STRIDE`` instructions).
     """
-    result = _run(state, max_instructions, collect_trace, syscall_handler,
-                  deadline)
-    if result.reason is InterpStop.LIMIT and raise_on_limit:
+    result = _run(state, max_instructions, collect_trace, syscall_handler)
+    if result.reason is InterpStop.LIMIT:
         raise SimulationTimeout(
             f"interpreter exceeded {max_instructions} instructions",
             budget=max_instructions, executed=result.instructions)
@@ -249,13 +241,12 @@ def run_function(state: MachineState, entry: int, *,
                  max_instructions: int = 5_000_000,
                  collect_trace: bool = True,
                  syscall_handler: Optional[SyscallHandler] = None,
-                 deadline: Optional[float] = None,
                  ) -> InterpResult:
     """Call the function at ``entry`` with the standard convention
     (args in rdi/rsi/rdx/rcx/r8/r9) and run until it returns.
 
     The function's return is detected with a sentinel return address,
-    which is the run's stop pc.  ``deadline`` behaves as in
+    which is the run's stop pc.  The ambient deadline applies as in
     :func:`interpret`.
     """
     sentinel = 0xDEAD_0000_0000_0000 & ((1 << 48) - 1)  # canonical-ish
@@ -265,7 +256,7 @@ def run_function(state: MachineState, entry: int, *,
     state.push(sentinel)
     state.rip = entry
     result = _run(state, max_instructions, collect_trace, syscall_handler,
-                  deadline, stop_pc=sentinel)
+                  stop_pc=sentinel)
     if result.reason is InterpStop.LIMIT:
         raise SimulationTimeout(
             f"run_function exceeded {max_instructions} instructions",

@@ -4,9 +4,8 @@ The paper's results are *campaigns* — thousands of repeated probe runs
 per figure — and the resilient measurement policy only protects a
 single measurement.  This package protects the layer above it:
 
-* every job runs in a **subprocess-isolated worker**, one job per
-  process or ``vectorize`` of them back-to-back (a crash or hang loses
-  the attempts that worker had not reported, never the campaign);
+* every job attempt runs in its own **subprocess-isolated worker**
+  (a crash or hang loses that attempt, never the campaign);
 * a **watchdog** SIGKILLs workers that blow their wall-clock budget or
   stop heartbeating, marking the job ``TIMED_OUT`` — the heartbeat is
   the only health check;
@@ -15,10 +14,9 @@ single measurement.  This package protects the layer above it:
   per-job attempt budget — the only budget;
 * with ``shards=N`` every job record names its **fault domain**
   (:func:`partition_jobs`) and a shard's workers share one process
-  group.  :data:`BREAKER_THRESHOLD` consecutive *strikes* (worker
-  processes that died or were killed without reporting, one strike
-  each however many jobs they held) quarantine a shard of a
-  campaign with two or more shards: its unfinished jobs move to the
+  group.  :data:`BREAKER_THRESHOLD` consecutive *strikes* (workers
+  that died or were killed without reporting, one strike each)
+  quarantine a shard of a campaign with two or more shards: its unfinished jobs move to the
   least-loaded healthy shard, each move costing one attempt, and a job
   that cannot move ends ``LOST`` (the campaign ends ``DEGRADED``);
 * all state checkpoints into one :class:`RunManifest` under
@@ -100,6 +98,9 @@ BREAKER_THRESHOLD = 2
 #: shard the shard-level chaos drills strike; None picks a seeded
 #: pseudo-random shard among those with workers in flight
 CHAOS_TARGET: Optional[str] = None
+
+#: seconds between supervisor ticks (launch, settle, chaos)
+POLL_INTERVAL = 0.02
 
 
 #: process-local sequence folded into generated ids so two campaigns
@@ -203,20 +204,10 @@ class CampaignRunner:
                  stall_timeout: float = 10.0,
                  backoff_base: float = 0.25,
                  backoff_cap: float = 4.0,
-                 poll_interval: float = 0.02,
                  chaos: Optional[ChaosMonkey] = None,
-                 vectorize: int = 1,
                  on_event: Optional[Callable[[str, str], None]] = None):
         if max_workers < 1:
             raise CampaignError("max_workers must be >= 1")
-        if vectorize < 1:
-            raise CampaignError("vectorize must be >= 1")
-        if vectorize > 1 and chaos is not None:
-            # Chaos drills model one box dying mid-job; a batch dying
-            # is N boxes.  Keep the failure-injection semantics simple:
-            # chaos campaigns run one job per worker.
-            raise CampaignError(
-                "vectorize > 1 is incompatible with chaos mode")
         #: fault domains ("" alone = unsharded campaign)
         self._shards = sorted({record.shard
                                for record in manifest.records()})
@@ -228,11 +219,9 @@ class CampaignRunner:
         self.manifest = manifest
         #: parallel worker processes per shard
         self.max_workers = max_workers
-        self.vectorize = vectorize
         self.watchdog = Watchdog(stall_timeout=stall_timeout)
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.poll_interval = poll_interval
         self.chaos = chaos
         self._on_event = on_event
         self._backoff_rng = random.Random(
@@ -241,7 +230,7 @@ class CampaignRunner:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:              # pragma: no cover - non-POSIX
             self._ctx = multiprocessing.get_context("spawn")
-        #: in-flight workers, keyed by their first job's id
+        #: in-flight workers, keyed by their job's id
         self._inflight: Dict[str, WorkerHandle] = {}
         #: shard -> consecutive strikes, and the shards quarantined
         self._strikes: Dict[str, int] = {}
@@ -279,35 +268,28 @@ class CampaignRunner:
                 continue
         return pid
 
-    def _launch(self, records: List[JobRecord]) -> None:
-        """Fork one worker for ``records`` (one job, or a
-        ``--vectorize`` group), run back-to-back in that process."""
-        attempts = [record.attempts + 1 for record in records]
+    def _launch(self, record: JobRecord) -> None:
+        """Fork one worker for the next attempt of ``record``."""
+        attempt = record.attempts + 1
         heartbeat = self._ctx.Value("d", 0.0, lock=False)
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=([record.spec.to_dict() for record in records],
-                  attempts, send_conn, heartbeat),
-            name=f"repro-job-{records[0].job_id}",
+            args=(record.spec.to_dict(), attempt, send_conn, heartbeat),
+            name=f"repro-job-{record.job_id}",
             daemon=True,
         )
         process.start()
-        shard = records[0].shard
-        pgid = self._join_group(shard, process.pid)
+        pgid = self._join_group(record.shard, process.pid)
         send_conn.close()
-        for record in records:
-            record.status = JobStatus.RUNNING
+        record.status = JobStatus.RUNNING
         self.manifest.save()
-        handle = WorkerHandle(
-            specs=[record.spec for record in records], attempts=attempts,
-            process=process, conn=recv_conn, heartbeat=heartbeat,
-            shard=shard, pgid=pgid)
-        self._inflight[handle.job_id] = handle
-        telemetry.count("runner.job.launches", len(records))
-        for record, attempt in zip(records, attempts):
-            self._event(record.job_id, f"attempt {attempt} started "
-                                       f"(pid {process.pid})")
+        self._inflight[record.job_id] = WorkerHandle(
+            spec=record.spec, process=process, conn=recv_conn,
+            heartbeat=heartbeat, shard=record.shard, pgid=pgid)
+        telemetry.count("runner.job.launches")
+        self._event(record.job_id, f"attempt {attempt} started "
+                                   f"(pid {process.pid})")
 
     def _retry_or_fail(self, record: JobRecord, status: JobStatus,
                        message: str, *, transient: bool) -> None:
@@ -348,14 +330,9 @@ class CampaignRunner:
                     f"COMPLETED in {duration:.2f}s "
                     f"(digest {record.digest[:12]})")
 
-    def _settle_message(self, handle: WorkerHandle, message) -> None:
-        """Settle the job a worker reported on.  A reported outcome,
+    def _settle_message(self, record: JobRecord, message) -> None:
+        """Settle the job its worker reported on.  A reported outcome,
         success or failure, clears its shard's strikes."""
-        job_id = message[0]
-        if job_id not in handle.pending:
-            return                          # duplicate/unknown: ignore
-        handle.pending.discard(job_id)
-        record = self.manifest.jobs[job_id]
         if message[1] == "ok":
             _, _, output, duration, counters = message
             self._complete(record, output, duration, counters)
@@ -367,50 +344,50 @@ class CampaignRunner:
         status = JobStatus.TIMED_OUT if timed_out else JobStatus.FAILED
         self._retry_or_fail(record, status, text, transient=transient)
 
-    def _drain(self, handle: WorkerHandle) -> Optional[str]:
-        """Settle every message currently in the worker's pipe.
-        Returns None while the pipe is open, else why no message can
-        arrive any more: ``"eof"`` (the worker closed its end) or
-        ``"closed"`` (our end is gone)."""
+    def _receive(self, handle: WorkerHandle) -> Optional[str]:
+        """Settle the worker's message if it is in the pipe.  Returns
+        ``"reported"`` once it is settled, None while the pipe is open
+        and empty, else why no message can arrive any more: ``"eof"``
+        (the worker closed its end) or ``"closed"`` (our end is
+        gone)."""
         try:
-            while handle.pending and handle.conn.poll(0):
-                self._settle_message(handle, handle.conn.recv())
+            if not handle.conn.poll(0):
+                return None
+            message = handle.conn.recv()
         except EOFError:
             return "eof"
         except OSError:
             return "closed"
-        return None
+        self._settle_message(self.manifest.jobs[handle.job_id], message)
+        return "reported"
 
     def _settle(self, handle: WorkerHandle, now: float) -> None:
-        """Drain the worker's messages, then settle whatever it still
-        holds if it died, lost its pipe, or is overdue; a busy, healthy
-        worker is left alone."""
-        lost = self._drain(handle)
-        if handle.pending and lost is None and not handle.alive():
-            # A just-exited worker's last messages may have landed
-            # after the first drain.
-            lost = self._drain(handle) or "eof"
+        """Settle the worker's job if it reported, died, lost its
+        pipe, or is overdue; a busy, healthy worker is left alone."""
+        outcome = self._receive(handle)
+        if outcome is None and not handle.alive():
+            # A just-exited worker's message may have landed after the
+            # first poll.
+            outcome = self._receive(handle) or "eof"
         reason = None
-        if handle.pending and lost is None:
+        if outcome is None:
             reason = self.watchdog.overdue(handle, now)
             if reason is None:
                 return
         was_alive = handle.alive()
-        if lost == "eof" or not handle.pending:
-            # let a closing or fully reported worker exit with its own
-            # code
+        if outcome in ("reported", "eof"):
+            # let a reported or closing worker exit with its own code
             handle.process.join(timeout=5.0)
         handle.kill()
         del self._inflight[handle.job_id]
-        if not handle.pending:
+        if outcome == "reported":
             return
         if reason is not None:
             telemetry.count("runner.watchdog.kills")
             status = JobStatus.TIMED_OUT
-            messages = {job_id: f"watchdog: {reason}"
-                        for job_id in handle.pending}
+            message = f"watchdog: {reason}"
         else:
-            if lost == "closed":
+            if outcome == "closed":
                 detail = ("result pipe closed with the worker still alive"
                           if was_alive else "result pipe closed")
                 text = f"lost its result pipe ({detail})"
@@ -418,26 +395,16 @@ class CampaignRunner:
                 text = (f"died without a result "
                         f"(exit code {handle.process.exitcode})")
             status = JobStatus.CRASHED
-            messages = {job_id: f"worker for {job_id!r} {text}"
-                        for job_id in handle.pending}
-        self._settle_unreported(handle.shard, status, messages)
-
-    def _settle_unreported(self, shard: str, status: JobStatus,
-                           messages: Dict[str, str]) -> None:
-        """A worker died or was killed holding the jobs in
-        ``messages`` unreported.  That is one strike against its shard,
-        however many jobs it held; the strike that trips the breaker
-        hands them to :meth:`_quarantine`, else every one of them
-        retries (all-unfinished-retry)."""
-        job_ids = sorted(messages)
-        for job_id in job_ids:
-            self.manifest.jobs[job_id].error = messages[job_id]
-        if self._strike(shard, messages[job_ids[0]]):
-            self._quarantine(shard)
+            message = f"worker for {handle.job_id!r} {text}"
+        # An unreported worker is one strike against its shard; the
+        # strike that trips the breaker hands the job to the
+        # quarantine, else it retries.
+        record = self.manifest.jobs[handle.job_id]
+        record.error = message
+        if self._strike(handle.shard, message):
+            self._quarantine(handle.shard)
             return
-        for job_id in job_ids:
-            self._retry_or_fail(self.manifest.jobs[job_id], status,
-                                messages[job_id], transient=True)
+        self._retry_or_fail(record, status, message, transient=True)
 
     # ------------------------------------------------------------------
     # shards: strikes and quarantine
@@ -509,17 +476,15 @@ class CampaignRunner:
         del self._inflight[chaos_victim.job_id]
         telemetry.count("runner.chaos.kills")
         self._event(chaos_victim.job_id, "chaos: worker SIGKILLed")
-        for job_id in sorted(chaos_victim.pending):
-            self._retry_or_fail(self.manifest.jobs[job_id],
-                                JobStatus.CRASHED,
-                                "chaos: worker SIGKILLed mid-campaign",
-                                transient=True)
-        for handle in self._inflight.values():
+        self._retry_or_fail(self.manifest.jobs[chaos_victim.job_id],
+                            JobStatus.CRASHED,
+                            "chaos: worker SIGKILLed mid-campaign",
+                            transient=True)
+        for job_id, handle in self._inflight.items():
             handle.kill()
-            for job_id in handle.pending:
-                record = self.manifest.jobs[job_id]
-                record.status = JobStatus.PENDING
-                record.eligible_at = 0.0
+            record = self.manifest.jobs[job_id]
+            record.status = JobStatus.PENDING
+            record.eligible_at = 0.0
         self._inflight.clear()
         self.manifest.interrupted = True
         self.manifest.save()
@@ -528,21 +493,16 @@ class CampaignRunner:
     # main loop
     # ------------------------------------------------------------------
     def _launch_pass(self, now: float) -> None:
-        """Launch runnable jobs in groups of ``vectorize`` (1 = one job
-        per worker), up to ``max_workers`` workers per shard."""
+        """Launch runnable jobs, one worker each, up to
+        ``max_workers`` workers per shard."""
         runnable: Dict[str, List[JobRecord]] = {}
         for record in self.manifest.records():
-            # A job retrying while the worker keyed by its id still runs
-            # the rest of that worker's group waits for it to finish.
-            if record.runnable(now) and record.job_id not in self._inflight:
+            if record.runnable(now):
                 runnable.setdefault(record.shard, []).append(record)
         busy = Counter(handle.shard for handle in self._inflight.values())
         for shard, records in runnable.items():
-            slots = self.max_workers - busy[shard]
-            for start in range(0, min(len(records),
-                                      slots * self.vectorize),
-                               self.vectorize):
-                self._launch(records[start:start + self.vectorize])
+            for record in records[:self.max_workers - busy[shard]]:
+                self._launch(record)
 
     def _settle_pass(self, now: float) -> None:
         """Settle finished, pipe-less, and overdue workers."""
@@ -593,11 +553,11 @@ class CampaignRunner:
                     if not waiting:
                         break
                     wake = min(r.eligible_at for r in waiting)
-                    time.sleep(max(self.poll_interval,
+                    time.sleep(max(POLL_INTERVAL,
                                    min(wake - time.monotonic(),
                                        self.backoff_cap)))
                     continue
-                time.sleep(self.poll_interval)
+                time.sleep(POLL_INTERVAL)
         finally:
             for handle in self._inflight.values():
                 handle.kill()
@@ -617,7 +577,6 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
                  max_workers: int = 2,
                  stall_timeout: float = 10.0,
                  chaos: Optional[ChaosMonkey] = None,
-                 vectorize: int = 1,
                  backoff_base: float = 0.25,
                  backoff_cap: float = 4.0,
                  on_event: Optional[Callable[[str, str], None]] = None
@@ -630,13 +589,9 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
     the campaign re-runs exactly what it recorded, in the shards it
     recorded, skipping COMPLETED jobs.  ``shards >= 1`` partitions the
     jobs into that many fault domains with ``max_workers`` workers
-    each.  ``vectorize > 1`` runs that many jobs back-to-back in each
-    worker process.  It shares no decodes between them, so under fork
-    it saves only the per-process fork, pipe and join: on a 2-CPU VM,
-    40 ``work:10`` selftest jobs take a median 0.38 s at 4 against
-    0.94 s at 1, while one full fast experiment campaign took 49 s at 4
-    and 55 s at 1.
-    Results, artifacts and digests do not depend on it.
+    each.  Every job attempt runs in its own forked worker process;
+    results, artifacts and digests do not depend on ``max_workers`` or
+    ``shards``.
     """
     runs_dir = Path(runs_dir)
     if resume:
@@ -658,5 +613,5 @@ def run_campaign(specs: List[JobSpec], runs_dir, *,
     runner = CampaignRunner(
         manifest, max_workers=max_workers, stall_timeout=stall_timeout,
         backoff_base=backoff_base, backoff_cap=backoff_cap,
-        chaos=chaos, vectorize=vectorize, on_event=on_event)
+        chaos=chaos, on_event=on_event)
     return runner.run()

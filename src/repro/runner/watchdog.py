@@ -2,17 +2,17 @@
 
 Two independent kill conditions, checked every poll tick:
 
-* **budget** — the worker has been running longer than its jobs'
-  summed ``timeout_s`` (catches non-terminating victims whose busy
-  loop never misses a heartbeat: the GIL keeps the beat thread alive
-  even while the interpreter spins);
+* **budget** — the worker has been running longer than its job's
+  ``timeout_s`` (catches non-terminating victims whose busy loop never
+  misses a heartbeat: the GIL keeps the beat thread alive even while
+  the interpreter spins);
 * **stall** — the heartbeat timestamp (the launch time until the
   first beat lands) is older than ``stall_timeout`` (catches a
   frozen/deadlocked/SIGSTOPped worker whose clock no longer advances
   at all — including a whole ``--chaos stall-shard`` process group).
 
-Either way the worker is SIGKILLed and every job it had not reported
-is marked ``TIMED_OUT``.  This heartbeat is the campaign's only health
+Either way the worker is SIGKILLed and its job is marked
+``TIMED_OUT``.  This heartbeat is the campaign's only health
 check: sharded campaigns add no shard-level lease on top of it.
 """
 
@@ -22,47 +22,29 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Optional
 
 from .jobs import JobSpec
 
 
 @dataclass
 class WorkerHandle:
-    """Parent-side view of one in-flight worker process.
-
-    The worker runs its jobs back-to-back (one job, or ``--vectorize``
-    many); ``pending`` shrinks as per-job messages arrive, and whatever
-    is left in it when the process dies, loses its pipe, or blows its
-    budget is what the runner retries.  The wall-clock budget is the
-    *sum* of the jobs' budgets — the jobs run sequentially, so one job
-    gets exactly its own ``timeout_s``.
+    """Parent-side view of one in-flight worker process, which runs
+    one job attempt; its wall-clock budget is the job's ``timeout_s``.
     """
 
-    specs: List[JobSpec]
-    #: attempt number of each spec, in order
-    attempts: List[int]
+    spec: JobSpec
     process: object                       # multiprocessing.Process
     conn: object                          # receiving end of the pipe
     heartbeat: object                     # multiprocessing.Value("d")
     #: fault domain ("" = unsharded) and its process group (0 = none)
     shard: str = ""
     pgid: int = 0
-    pending: Set[str] = field(default_factory=set)
     started: float = field(default_factory=time.monotonic)
-
-    def __post_init__(self) -> None:
-        if not self.pending:
-            self.pending = {spec.job_id for spec in self.specs}
 
     @property
     def job_id(self) -> str:
-        """The first job's id: the handle's key in the runner."""
-        return self.specs[0].job_id
-
-    @property
-    def budget_s(self) -> float:
-        return sum(spec.timeout_s for spec in self.specs)
+        return self.spec.job_id
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -94,9 +76,10 @@ class Watchdog:
         healthy."""
         now = time.monotonic() if now is None else now
         elapsed = now - handle.started
-        if elapsed > handle.budget_s:
-            return (f"exceeded {handle.budget_s:.1f}s wall-clock "
-                    f"budget (ran {elapsed:.1f}s)")
+        budget = handle.spec.timeout_s
+        if elapsed > budget:
+            return (f"exceeded {budget:.1f}s wall-clock budget "
+                    f"(ran {elapsed:.1f}s)")
         last_beat = handle.heartbeat.value or handle.started
         if now - last_beat > self.stall_timeout:
             return (f"heartbeat stalled for {now - last_beat:.1f}s "

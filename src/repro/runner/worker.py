@@ -1,18 +1,17 @@
-"""Subprocess worker: executes job attempts in isolation.
+"""Subprocess worker: executes one job attempt in isolation.
 
-The parent forks one process per group of jobs (one job, or
-``--vectorize N`` of them); the child
+The parent forks one process per job attempt; the child
 
 1. starts a daemon heartbeat thread that stamps a shared
    ``multiprocessing.Value`` with ``time.monotonic()`` so the watchdog
    can tell a slow worker from a dead one;
-2. runs its jobs back-to-back.  Each job gets the ambient interpreter
-   deadline (:func:`repro.cpu.interp.set_ambient_deadline`) slightly
-   inside its own wall-clock budget, so a non-terminating victim
-   raises :class:`SimulationTimeout` in-band before the watchdog has
-   to SIGKILL anything, and its own counters-only
+2. installs the ambient interpreter deadline
+   (:func:`repro.cpu.interp.set_ambient_deadline`) slightly inside the
+   job's wall-clock budget, so a non-terminating victim raises
+   :class:`SimulationTimeout` in-band before the watchdog has to
+   SIGKILL anything, and runs the job in a counters-only
    :func:`repro.telemetry.session`;
-3. ships one message per job as it settles, prefixed with its job id:
+3. ships one message, prefixed with the job id:
    ``(job_id, "ok", output, duration, counters)`` or
    ``(job_id, "error", exception, message, transient, duration)``.
    Exceptions cross the process boundary pickled (see the
@@ -21,9 +20,8 @@ The parent forks one process per group of jobs (one job, or
    (broken pipe after a parent-side kill) the worker exits with
    :data:`SEND_FAILED_EXIT` instead of dying silently as a 0.
 
-Worker death before every job reported (SIGKILL, segfault) is detected
-by the parent and treated as a transient :class:`WorkerCrashed` for
-each unreported job.
+Worker death before the message (SIGKILL, segfault) is detected by the
+parent and treated as a transient :class:`WorkerCrashed`.
 """
 
 from __future__ import annotations
@@ -162,35 +160,29 @@ def _send_error(conn, job_id: str, error: BaseException,
         os._exit(SEND_FAILED_EXIT)
 
 
-def worker_main(spec_dicts: list, attempts: list, conn,
+def worker_main(spec_dict: dict, attempt: int, conn,
                 heartbeat) -> None:
-    """Entry point of the worker subprocess: run each job attempt in
-    turn and report it as it settles, so a mid-group crash loses only
-    the jobs the parent never heard about."""
+    """Entry point of the worker subprocess: run one job attempt and
+    report its outcome."""
     stop = threading.Event()
     thread = threading.Thread(target=_beat, args=(heartbeat, stop),
                               daemon=True)
     thread.start()
     from ..cpu.interp import set_ambient_deadline
+    spec = JobSpec.from_dict(spec_dict)
+    started = time.monotonic()
+    set_ambient_deadline(started + spec.timeout_s * _DEADLINE_FRACTION)
     try:
-        for spec_dict, attempt in zip(spec_dicts, attempts):
-            spec = JobSpec.from_dict(spec_dict)
-            started = time.monotonic()
-            set_ambient_deadline(
-                started + spec.timeout_s * _DEADLINE_FRACTION)
-            try:
-                # Counters only (no trace): the snapshot rides back
-                # with the result and lands in the job's record.
-                with telemetry.session() as sink:
-                    output = execute_job(spec, attempt)
-            except BaseException as error:  # noqa: BLE001 - report, don't die
-                _send_error(conn, spec.job_id, error,
-                            time.monotonic() - started)
-            else:
-                conn.send((spec.job_id, "ok", output,
-                           time.monotonic() - started, sink.snapshot()))
-            finally:
-                set_ambient_deadline(None)
+        # Counters only (no trace): the snapshot rides back with the
+        # result and lands in the job's record.
+        with telemetry.session() as sink:
+            output = execute_job(spec, attempt)
+    except BaseException as error:  # noqa: BLE001 - report, don't die
+        _send_error(conn, spec.job_id, error, time.monotonic() - started)
+    else:
+        conn.send((spec.job_id, "ok", output,
+                   time.monotonic() - started, sink.snapshot()))
     finally:
+        set_ambient_deadline(None)
         stop.set()
         conn.close()

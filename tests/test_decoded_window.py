@@ -324,6 +324,9 @@ def test_data_writes_do_not_bump_generation():
 # ----------------------------------------------------------------------
 def _count_monotonic(monkeypatch):
     import repro.cpu.interp as interp_mod
+    # a far-future ambient deadline, so every strided check reads the
+    # clock
+    monkeypatch.setattr(interp_mod, "_AMBIENT_DEADLINE", 1e18)
     calls = {"n": 0}
     real = interp_mod.time.monotonic
 
@@ -340,7 +343,7 @@ def test_short_run_never_touches_the_clock(monkeypatch):
     constant_program(1).load_into(memory)
     state = fresh_state(memory)
     calls = _count_monotonic(monkeypatch)
-    interpret(state, deadline=1e18)
+    interpret(state)
     assert calls["n"] == 0
 
 
@@ -355,6 +358,6 @@ def test_long_run_checks_the_clock(monkeypatch):
     asm.assemble().load_into(memory)
     state = fresh_state(memory)
     calls = _count_monotonic(monkeypatch)
-    interpret(state, deadline=1e18)
+    interpret(state)
     assert calls["n"] >= 1
 

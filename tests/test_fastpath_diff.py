@@ -18,6 +18,7 @@ from repro.cpu import (Core, MachineState, StopReason, interpret,
                       run_function, set_fast_path)
 from repro.cpu.config import (BTB_BACKENDS, DEFAULT_GENERATION,
                               backend_generation, generation)
+from repro.cpu.interp import _run as interp_run
 from repro.isa import Assembler
 from repro.isa.instructions import Kind
 from repro.lang import CompileOptions
@@ -425,8 +426,8 @@ def test_interp_budget_clip_mid_window():
             memory.map_range(0x0090_0000, 4096, "rw")
             state = MachineState(memory, rip=program.entry)
             state.setup_stack(0x7FFF_0000)
-            result = interpret(state, max_instructions=budget,
-                               raise_on_limit=False)
+            # the run loop itself: ``interpret`` raises at the budget
+            result = interp_run(state, budget, True, None)
             return (result.reason, result.instructions,
                     tuple(result.trace), state.rip,
                     state.regs.snapshot())

@@ -166,17 +166,6 @@ def test_aggregate_digest_excludes_campaign_and_shard_layout(tmp_path):
     assert runs[1].digests() == runs[3].digests() == runs[0].digests()
 
 
-def test_batched_sharded_campaign_matches_unsharded_solo(tmp_path):
-    """``--vectorize`` workers inside shard process groups produce the
-    per-job and campaign digests of the unsharded one-job workers."""
-    solo = run_campaign(_specs(6), tmp_path, campaign_id="solo", seed=7)
-    batched = run_campaign(_specs(6), tmp_path, campaign_id="batched",
-                           seed=7, shards=2, vectorize=2)
-    assert solo.status == batched.status == CAMPAIGN_COMPLETED
-    assert batched.digests() == solo.digests()
-    assert batched.campaign_digest() == solo.campaign_digest()
-
-
 # ----------------------------------------------------------------------
 # chaos: kill-shard — strike, quarantine, move, convergence
 # ----------------------------------------------------------------------
@@ -233,34 +222,34 @@ def test_kill_shard_below_threshold_restarts_in_place(tmp_path,
 
 
 def test_one_dead_worker_is_one_strike(tmp_path):
-    """A worker process that dies holding several unreported jobs is
-    one strike against its shard, not one per job: the crash stays
-    below the breaker and every job retries in place."""
+    """A worker process that dies without reporting is one strike
+    against its shard: the crash stays below the breaker and its job
+    retries in place."""
     specs = [_selftest("a", "crash:1")] + \
         [_selftest(job_id, "work:10") for job_id in "bcdef"]
     events = []
     manifest = run_campaign(
-        specs, tmp_path, campaign_id="batch-strike", shards=2,
-        max_workers=1, vectorize=3, **FAST,
+        specs, tmp_path, campaign_id="crash-strike", shards=2,
+        max_workers=1, **FAST,
         on_event=lambda source, message: events.append((source,
                                                         message)))
     assert manifest.status == CAMPAIGN_COMPLETED
-    strikes = [message for _, message in events
+    layout = partition_jobs(specs, 2, seed=None)
+    crashed = next(shard for shard, shard_specs in layout.items()
+                   if "a" in {spec.job_id for spec in shard_specs})
+    strikes = [(source, message) for source, message in events
                if message.startswith("strike")]
-    assert len(strikes) == 1 and strikes[0].startswith("strike 1/")
+    assert len(strikes) == 1
+    assert strikes[0][0] == crashed
+    assert strikes[0][1].startswith("strike 1/")
     assert not any(message.startswith("QUARANTINED")
                    for _, message in events)
-    layout = partition_jobs(specs, 2, seed=None)
     for shard, shard_specs in layout.items():
         for spec in shard_specs:
             assert manifest.jobs[spec.job_id].shard == shard
-    # the crashed job and the jobs queued behind it in its worker each
-    # retried once; the other worker's jobs ran once
-    crashed = next(shard_specs for shard_specs in layout.values()
-                   if "a" in {spec.job_id for spec in shard_specs})
-    behind = {spec.job_id for spec in crashed}
+    # only the crashed job ran twice
     for record in manifest.records():
-        assert record.attempts == (2 if record.job_id in behind else 1)
+        assert record.attempts == (2 if record.job_id == "a" else 1)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,15 @@ chosen optimization levels, and produces
 
 Corpus size defaults to a laptop-friendly value; the benchmarks read
 ``NV_CORPUS_SIZE`` to scale it up.
+
+The build runs with the cyclic collector paused (DESIGN.md §17): it
+allocates hundreds of thousands of short-lived container objects and
+frees them by reference count, so collections would only walk them.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 from dataclasses import dataclass
@@ -142,7 +147,24 @@ def generate_corpus(size: int = DEFAULT_CORPUS_SIZE, *,
                     drop_rate: float = 0.005,
                     max_instructions: int = 20_000
                     ) -> List[CorpusFunction]:
-    """Generate, compile and trace ``size`` corpus functions."""
+    """Generate, compile and trace ``size`` corpus functions.
+
+    The cyclic collector is paused for the build and left as the
+    caller had it, also when the build raises.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_corpus(size, seed, batch, error_rate, drop_rate,
+                             max_instructions)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _build_corpus(size: int, seed: int, batch: int, error_rate: float,
+                  drop_rate: float, max_instructions: int
+                  ) -> List[CorpusFunction]:
     rng = random.Random(seed)
     out: List[CorpusFunction] = []
     serial = 0

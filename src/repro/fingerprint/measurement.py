@@ -32,20 +32,25 @@ def retire_unit_starts(trace: Sequence[int],
     """Collapse an instruction-level dynamic trace into retire-unit
     leading PCs under the macro-fusion rule."""
     units: List[int] = []
+    append = units.append
+    lookup = instructions.get
+    end = len(trace)
     index = 0
-    while index < len(trace):
+    while index < end:
         pc = trace[index]
-        units.append(pc)
-        instruction = instructions.get(pc)
-        if instruction is not None and index + 1 < len(trace):
-            next_pc = trace[index + 1]
-            follower = instructions.get(next_pc)
+        append(pc)
+        index += 1
+        instruction = lookup(pc)
+        # Only a fusible ALU op can lead a pair, so the follower is
+        # looked at only after its own spec says so.
+        if (instruction is not None and instruction.spec.fusible
+                and index < end):
+            next_pc = trace[index]
+            follower = lookup(next_pc)
             if (follower is not None
                     and next_pc == pc + instruction.length
                     and can_fuse(instruction, follower)):
-                index += 2      # fused pair: one measured unit
-                continue
-        index += 1
+                index += 1      # fused pair: one measured unit
     return units
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import AssemblerError, EncodeError
 from .encoding import encode
-from .instructions import Format, Instruction, spec_for
+from .instructions import Format, Instruction, InstrSpec, spec_for
 from .registers import register_number
 
 
@@ -108,12 +108,13 @@ class _Item:
     """One assembly-stream item: instruction, label or directive."""
 
     kind: str                      # "inst" | "label" | "org" | "align" | "bytes"
-    mnemonic: str = ""
+    #: the instruction's spec, looked up once by ``emit``
+    spec: Optional[InstrSpec] = None
     operands: Tuple[Operand, ...] = ()
     name: str = ""
     value: int = 0
     data: bytes = b""
-    #: filled by pass 1
+    #: filled by pass 1 (an instruction's size by ``emit``)
     address: int = -1
     size: int = 0
 
@@ -197,8 +198,7 @@ class Assembler:
             else:
                 converted.append(operand)
         self._items.append(
-            _Item("inst", mnemonic=spec.mnemonic, operands=tuple(converted))
-        )
+            _Item("inst", spec, tuple(converted), size=spec.length))
         return self
 
     def org(self, address: int) -> "Assembler":
@@ -240,7 +240,10 @@ class Assembler:
         symbols: Dict[str, int] = {}
         cursor = self._base
         for item in self._items:
-            if item.kind == "org":
+            if item.kind == "inst":
+                item.address = cursor
+                cursor += item.size
+            elif item.kind == "org":
                 if item.value < 0:
                     raise AssemblerError("org address must be non-negative")
                 cursor = item.value
@@ -258,10 +261,6 @@ class Assembler:
             elif item.kind == "bytes":
                 item.address = cursor
                 item.size = len(item.data)
-                cursor += item.size
-            elif item.kind == "inst":
-                item.address = cursor
-                item.size = spec_for(item.mnemonic).length
                 cursor += item.size
             else:  # pragma: no cover
                 raise AssemblerError(f"unknown item kind {item.kind}")
@@ -295,39 +294,40 @@ class Assembler:
             segments.append((address, bytearray()))
             return segments[-1][1]
 
+        instructions = program.instructions
+        resolve = self._resolve
         for item in self._items:
-            if item.kind in ("org", "label"):
-                continue
-            blob = current_segment(item.address)
-            if item.kind == "align":
-                nop = encode(Instruction(spec_for("nop")))
-                for offset in range(item.size):
-                    program.instructions[item.address + offset] = Instruction(
-                        spec_for("nop")
-                    )
-                blob += nop * item.size
-            elif item.kind == "bytes":
-                blob += item.data
-            elif item.kind == "inst":
-                spec = spec_for(item.mnemonic)
-                resolved = tuple(
-                    self._resolve(op, symbols, item.address, item.size)
-                    for op in item.operands
-                )
+            kind = item.kind
+            if kind == "inst":
+                spec = item.spec
+                assert spec is not None        # set by emit
+                address = item.address
+                resolved = tuple([
+                    operand if type(operand) is int
+                    else resolve(operand, symbols, address, item.size)
+                    for operand in item.operands])
                 instruction = Instruction(spec, resolved)
                 try:
                     encoded = encode(instruction)
                 except EncodeError as error:
                     raise AssemblerError(
-                        f"at {item.address:#x} ({item.mnemonic}): {error}"
+                        f"at {address:#x} ({spec.mnemonic}): {error}"
                     ) from error
                 if spec.fmt is Format.REG_IMM64:
                     # Keep the decoded form: the bytes hold the
                     # immediate unsigned.
                     instruction = Instruction(
                         spec, (resolved[0], resolved[1] & _MASK64))
-                program.instructions[item.address] = instruction
-                blob += encoded
+                instructions[address] = instruction
+                current_segment(address).extend(encoded)
+            elif kind == "align":
+                nop = spec_for("nop")
+                for offset in range(item.size):
+                    instructions[item.address + offset] = Instruction(nop)
+                current_segment(item.address).extend(
+                    encode(Instruction(nop)) * item.size)
+            elif kind == "bytes":
+                current_segment(item.address).extend(item.data)
 
         program.segments = [(base, bytes(blob)) for base, blob in segments]
         self._check_overlap(program.segments)

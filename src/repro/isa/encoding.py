@@ -44,27 +44,36 @@ def _signed(raw: int, bits: int) -> int:
     return raw
 
 
-def _operand_count(fmt: Format) -> int:
-    if fmt in (Format.NONE, Format.PAD1, Format.PAD2):
-        return 0
-    if fmt in (Format.REL8, Format.REL32, Format.REL32_PAD,
-               Format.REG, Format.REG_PAD):
-        return 1
-    if fmt in (Format.REG_REG_DISP8, Format.REG_REG_DISP32):
-        return 3
-    return 2
+#: Operands each format takes.
+_OPERAND_COUNT = {
+    Format.NONE: 0,
+    Format.PAD1: 0,
+    Format.PAD2: 0,
+    Format.REL8: 1,
+    Format.REL32: 1,
+    Format.REL32_PAD: 1,
+    Format.REG: 1,
+    Format.REG_PAD: 1,
+    Format.REG_REG: 2,
+    Format.REG_REG_PAD2: 2,
+    Format.REG_IMM8: 2,
+    Format.REG_IMM32: 2,
+    Format.REG_IMM64: 2,
+    Format.REG_REG_DISP8: 3,
+    Format.REG_REG_DISP32: 3,
+}
 
 
 def encode(instruction: Instruction) -> bytes:
     """Encode ``instruction`` into bytes."""
     spec = instruction.spec
     ops = instruction.operands
-    if len(ops) != _operand_count(spec.fmt):
+    fmt = spec.fmt
+    if len(ops) != _OPERAND_COUNT[fmt]:
         raise EncodeError(
-            f"{spec.mnemonic} expects {_operand_count(spec.fmt)} "
+            f"{spec.mnemonic} expects {_OPERAND_COUNT[fmt]} "
             f"operand(s), got {len(ops)}"
         )
-    fmt = spec.fmt
     out = bytearray([spec.opcode])
     if fmt is Format.NONE:
         pass

@@ -1,5 +1,10 @@
 """Fingerprinting: slicing, similarity, sequence matcher, corpus."""
 
+import gc
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -215,6 +220,85 @@ class TestMeasurementModel:
         units = [1, 2, 3]
         assert apply_measurement_noise(units) == units
 
+    @staticmethod
+    def _reference_units(trace, instructions):
+        """The fusion rule walked the plain way: a unit is one
+        instruction, or a fusible op and the jcc right behind it."""
+        from repro.isa import Kind
+        units = []
+        index = 0
+        while index < len(trace):
+            pc = trace[index]
+            units.append(pc)
+            here = instructions.get(pc)
+            follower = (instructions.get(trace[index + 1])
+                        if index + 1 < len(trace) else None)
+            if (here is not None and follower is not None
+                    and trace[index + 1] == pc + here.length
+                    and here.spec.fusible
+                    and follower.kind is Kind.COND_JUMP):
+                index += 2
+            else:
+                index += 1
+        return units
+
+    @staticmethod
+    def _random_layout(rng):
+        """A run of fusible ALU ops, jccs and other instructions laid
+        end to end, as an address -> instruction map."""
+        from repro.isa import make
+        choices = (("cmpi8", 0, 5), ("cmp", 1, 2), ("test", 3, 3),
+                   ("addi", 2, 70_000), ("dec", 4),
+                   ("je8", 10), ("jne", -300), ("jl8", 2),
+                   ("nop",), ("mov", 1, 2), ("jmp8", 4), ("ret",))
+        instructions = {}
+        pc = 0x1000
+        for _ in range(rng.randint(4, 40)):
+            instruction = make(*rng.choice(choices))
+            instructions[pc] = instruction
+            pc += instruction.length
+        return instructions
+
+    def test_retire_units_match_reference_walk(self):
+        """Seeded traces mixing adjacent steps, jumps (a follower not
+        at ``pc + length``), pcs outside the instruction map and a
+        trailing fusible op give the reference walk's units."""
+        seen = {"fused": 0, "jump_after_fusible": 0, "unmapped": 0,
+                "trailing_fusible": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            instructions = self._random_layout(rng)
+            pcs = sorted(instructions)
+            pc = rng.choice(pcs)
+            trace = []
+            for _ in range(rng.randint(0, 60)):
+                trace.append(pc)
+                roll = rng.random()
+                if roll < 0.1:
+                    pc = rng.choice(pcs) + rng.choice((1, 2, 0x40_000))
+                elif roll < 0.3 or pc not in instructions:
+                    pc = rng.choice(pcs)
+                else:
+                    pc += instructions[pc].length
+            if rng.random() < 0.3:
+                trace.append(rng.choice(
+                    [pc for pc in pcs if instructions[pc].spec.fusible]
+                    or pcs))
+            expected = self._reference_units(trace, instructions)
+            assert retire_unit_starts(trace, instructions) == expected
+            assert retire_unit_starts(tuple(trace), instructions) \
+                == expected
+            seen["fused"] += len(trace) - len(expected)
+            seen["unmapped"] += sum(pc not in instructions for pc in trace)
+            seen["jump_after_fusible"] += sum(
+                a in instructions and instructions[a].spec.fusible
+                and b in instructions and b != a + instructions[a].length
+                for a, b in zip(trace, trace[1:]))
+            seen["trailing_fusible"] += bool(
+                trace and trace[-1] in instructions
+                and instructions[trace[-1]].spec.fusible)
+        assert all(count > 10 for count in seen.values()), seen
+
 
 class TestSequenceMatcher:
     def test_identical_sequences(self):
@@ -307,7 +391,6 @@ class TestCorpus:
         assert sorted(sims)[len(sims) // 2] > 0.9
 
     def test_cross_similarity_lower(self, corpus):
-        import random
         rng = random.Random(0)
         cross = []
         for _ in range(100):
@@ -319,3 +402,64 @@ class TestCorpus:
         for fn in corpus[:10]:
             assert all(pc >= -3 for pc in fn.measured)
             assert 0 in fn.static_pcs or min(fn.static_pcs) >= 0
+
+    #: sha256 of ``generate_corpus(size=60, seed=5)`` (names, static
+    #: pcs, measured traces, optimisation levels): a speed-up of the
+    #: compiler, the assembler or the fusion walk must leave it as is
+    CORPUS_DIGEST = ("65c131f3d1329cfe3efc88bca97c9823"
+                     "5fe61a6a118d50fe031980db33830de9")
+
+    def test_corpus_digest_is_pinned(self, corpus):
+        blob = json.dumps([[fn.name, list(fn.static_pcs),
+                            list(fn.measured), fn.opt_level]
+                           for fn in corpus], separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() \
+            == self.CORPUS_DIGEST
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as it was after the test."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCorpusCollector:
+    """``generate_corpus`` pauses the cyclic collector for its build and
+    leaves it as the caller had it, whatever the caller had."""
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_state_restored(self, collecting, collector_state,
+                            monkeypatch):
+        import repro.fingerprint.corpus as corpus_module
+        during = []
+        run_function = corpus_module.run_function
+
+        def recording(*args, **kwargs):
+            during.append(gc.isenabled())
+            return run_function(*args, **kwargs)
+
+        monkeypatch.setattr(corpus_module, "run_function", recording)
+        (gc.enable if collecting else gc.disable)()
+        assert len(generate_corpus(size=3, seed=1)) == 3
+        assert gc.isenabled() is collecting
+        assert during == [False] * 3
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_state_restored_when_the_build_raises(
+            self, collecting, collector_state, monkeypatch):
+        from repro.lang import Compiler
+
+        def failing(self, module):
+            assert not gc.isenabled()
+            raise RuntimeError("compiler failed")
+
+        monkeypatch.setattr(Compiler, "compile", failing)
+        (gc.enable if collecting else gc.disable)()
+        with pytest.raises(RuntimeError, match="compiler failed"):
+            generate_corpus(size=3, seed=1)
+        assert gc.isenabled() is collecting

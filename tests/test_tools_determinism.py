@@ -120,3 +120,56 @@ def test_cli_reports_findings(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "time.time" in captured.out
     assert "1 finding(s)" in captured.err
+
+
+def test_catches_collector_switch(tmp_path):
+    findings = _lint_source(tmp_path, """\
+import gc
+from gc import freeze as pin
+
+def build(items):
+    gc.disable()
+    pin()
+    gc.set_threshold(0)
+    gc.collect()
+    return gc.isenabled()
+""")
+    assert len(findings) == 3
+    assert "gc.disable" in findings[0]
+    assert "gc.freeze" in findings[1]
+    assert "gc.set_threshold" in findings[2]
+
+
+def test_collector_check_covers_all_of_the_package(tmp_path, monkeypatch):
+    """Outside the deterministic packages only the collector check
+    runs: a clock read there is fine, a collector switch is not."""
+    nested = tmp_path / "perf"
+    nested.mkdir()
+    (nested / "bad.py").write_text("""\
+import gc
+import time
+
+def timed(work):
+    gc.enable()
+    return time.perf_counter()
+""", encoding="utf-8")
+    monkeypatch.setattr(lint_determinism, "SCOPED_DIRS", ())
+    monkeypatch.setattr(lint_determinism, "SOURCE_ROOT", tmp_path)
+    findings = lint_determinism.lint_paths()
+    assert len(findings) == 1
+    assert "gc.enable" in findings[0]
+
+
+def test_collector_switches_stay_allowlisted():
+    """The corpus build and the telemetry-overhead timing loop are the
+    only functions in the package that switch the collector."""
+    allow = lint_determinism.COLLECTOR_ALLOWLIST
+    assert allow == {
+        ("src/repro/fingerprint/corpus.py", "generate_corpus"),
+        ("src/repro/perf/suite.py", "measure_telemetry_overhead"),
+    }
+    for relpath, function in sorted(allow):
+        source = (REPO_ROOT / relpath).read_text(encoding="utf-8")
+        assert f"def {function}" in source
+        assert "gc.disable()" in source
+    assert lint_determinism.SOURCE_ROOT == REPO_ROOT / "src" / "repro"

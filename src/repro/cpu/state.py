@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..isa.registers import RSP, RegisterFile
+from ..isa.registers import MASK64, RSP, RegisterFile
 from ..memory.memory import VirtualMemory
 
 
@@ -36,13 +36,19 @@ class MachineState:
     def rsp(self, value: int) -> None:
         self.regs.write(RSP, value)
 
+    # ``push`` and ``pop`` run on every call and ret: they use the
+    # register list directly.  The order is architectural: a faulting
+    # push leaves RSP decremented, a faulting pop leaves it unchanged.
     def push(self, value: int) -> None:
-        self.rsp = self.rsp - 8
-        self.memory.write_u64(self.rsp, value)
+        values = self.regs._values
+        rsp = values[RSP] = (values[RSP] - 8) & MASK64
+        self.memory.write_u64(rsp, value)
 
     def pop(self) -> int:
-        value = self.memory.read_u64(self.rsp)
-        self.rsp = self.rsp + 8
+        values = self.regs._values
+        rsp = values[RSP]
+        value = self.memory.read_u64(rsp)
+        values[RSP] = (rsp + 8) & MASK64
         return value
 
     def setup_stack(self, top: int, size: int = 64 * 1024) -> None:

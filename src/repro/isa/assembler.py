@@ -186,7 +186,8 @@ class Assembler:
         self._items.append(_Item("label", name=name))
         return self
 
-    def emit(self, mnemonic: str, *operands: Operand) -> "Assembler":
+    def emit(self, mnemonic: str, *operands: Operand) -> int:
+        """Append one instruction; returns its size in bytes."""
         spec = spec_for(mnemonic)  # fail fast on unknown mnemonics
         converted: List[Operand] = []
         for operand in operands:
@@ -199,7 +200,7 @@ class Assembler:
                 converted.append(operand)
         self._items.append(
             _Item("inst", spec, tuple(converted), size=spec.length))
-        return self
+        return spec.length
 
     def org(self, address: int) -> "Assembler":
         """Start a new segment at ``address``."""

@@ -31,7 +31,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import CompileError
 from ..isa.assembler import AssembledProgram, Assembler, abs_
@@ -185,6 +185,56 @@ class CompiledModule:
                 if arm.function == function]
 
 
+# The AST walkers below are module-level functions that take their
+# accumulator explicitly: a nested function that calls itself is a
+# reference cycle through its closure cell, which every compile would
+# leave for the cyclic collector.
+def _collect_expr_locals(expr: A.Expr, names: List[str],
+                         counts: Counter) -> None:
+    if isinstance(expr, A.Var):
+        counts[expr.name] += 1
+        if expr.name not in names:
+            names.append(expr.name)
+    elif isinstance(expr, A.BinOp) or isinstance(expr, A.Cmp):
+        _collect_expr_locals(expr.left, names, counts)
+        _collect_expr_locals(expr.right, names, counts)
+    elif isinstance(expr, A.Load):
+        _collect_expr_locals(expr.base, names, counts)
+        _collect_expr_locals(expr.index, names, counts)
+    elif isinstance(expr, A.Call):
+        for arg in expr.args:
+            _collect_expr_locals(arg, names, counts)
+
+
+def _collect_stmt_locals(stmt: A.Stmt, names: List[str],
+                         counts: Counter) -> None:
+    """Append the variables ``stmt`` names to ``names`` in first-use
+    order and count every reference in ``counts``."""
+    if isinstance(stmt, A.Assign):
+        counts[stmt.name] += 1
+        if stmt.name not in names:
+            names.append(stmt.name)
+        _collect_expr_locals(stmt.value, names, counts)
+    elif isinstance(stmt, A.Store):
+        _collect_expr_locals(stmt.base, names, counts)
+        _collect_expr_locals(stmt.index, names, counts)
+        _collect_expr_locals(stmt.value, names, counts)
+    elif isinstance(stmt, A.If):
+        _collect_expr_locals(stmt.cond, names, counts)
+        for inner in stmt.then:
+            _collect_stmt_locals(inner, names, counts)
+        for inner in stmt.orelse:
+            _collect_stmt_locals(inner, names, counts)
+    elif isinstance(stmt, A.While):
+        _collect_expr_locals(stmt.cond, names, counts)
+        for inner in stmt.body:
+            _collect_stmt_locals(inner, names, counts)
+    elif isinstance(stmt, A.Return) and stmt.value is not None:
+        _collect_expr_locals(stmt.value, names, counts)
+    elif isinstance(stmt, A.ExprStmt):
+        _collect_expr_locals(stmt.expr, names, counts)
+
+
 class _FunctionEmitter:
     """Generates code for one function into the shared assembler."""
 
@@ -215,8 +265,7 @@ class _FunctionEmitter:
         return f"{self.function.name}${hint}{self._label_counter}"
 
     def emit(self, mnemonic: str, *operands) -> None:
-        self.asm.emit(mnemonic, *operands)
-        self._emitted_bytes += spec_for(mnemonic).length
+        self._emitted_bytes += self.asm.emit(mnemonic, *operands)
 
     def label(self, name: str) -> None:
         self.asm.label(name)
@@ -231,49 +280,8 @@ class _FunctionEmitter:
     def _collect_locals(self) -> List[str]:
         names: List[str] = list(self.function.params)
         counts: Counter = Counter(self.function.params)
-
-        def walk_expr(expr: A.Expr) -> None:
-            if isinstance(expr, A.Var):
-                counts[expr.name] += 1
-                if expr.name not in names:
-                    names.append(expr.name)
-            elif isinstance(expr, A.BinOp) or isinstance(expr, A.Cmp):
-                walk_expr(expr.left)
-                walk_expr(expr.right)
-            elif isinstance(expr, A.Load):
-                walk_expr(expr.base)
-                walk_expr(expr.index)
-            elif isinstance(expr, A.Call):
-                for arg in expr.args:
-                    walk_expr(arg)
-
-        def walk_stmt(stmt: A.Stmt) -> None:
-            if isinstance(stmt, A.Assign):
-                counts[stmt.name] += 1
-                if stmt.name not in names:
-                    names.append(stmt.name)
-                walk_expr(stmt.value)
-            elif isinstance(stmt, A.Store):
-                walk_expr(stmt.base)
-                walk_expr(stmt.index)
-                walk_expr(stmt.value)
-            elif isinstance(stmt, A.If):
-                walk_expr(stmt.cond)
-                for inner in stmt.then:
-                    walk_stmt(inner)
-                for inner in stmt.orelse:
-                    walk_stmt(inner)
-            elif isinstance(stmt, A.While):
-                walk_expr(stmt.cond)
-                for inner in stmt.body:
-                    walk_stmt(inner)
-            elif isinstance(stmt, A.Return) and stmt.value is not None:
-                walk_expr(stmt.value)
-            elif isinstance(stmt, A.ExprStmt):
-                walk_expr(stmt.expr)
-
         for stmt in self.function.body:
-            walk_stmt(stmt)
+            _collect_stmt_locals(stmt, names, counts)
         self._counts = counts
         return names
 
@@ -784,43 +792,53 @@ class Compiler:
 # ----------------------------------------------------------------------
 # O3 leaf inlining
 # ----------------------------------------------------------------------
+def _expr_calls(expr: A.Expr) -> bool:
+    if isinstance(expr, A.Call):
+        return True
+    if isinstance(expr, (A.BinOp, A.Cmp)):
+        return _expr_calls(expr.left) or _expr_calls(expr.right)
+    if isinstance(expr, A.Load):
+        return _expr_calls(expr.base) or _expr_calls(expr.index)
+    return False
+
+
+def _stmt_calls(stmt: A.Stmt) -> bool:
+    if isinstance(stmt, A.Assign):
+        return _expr_calls(stmt.value)
+    if isinstance(stmt, A.Store):
+        return (_expr_calls(stmt.base) or _expr_calls(stmt.index)
+                or _expr_calls(stmt.value))
+    if isinstance(stmt, A.If):
+        return _expr_calls(stmt.cond) or any(
+            _stmt_calls(inner) for inner in stmt.then + stmt.orelse)
+    if isinstance(stmt, A.While):
+        return _expr_calls(stmt.cond) or any(
+            _stmt_calls(inner) for inner in stmt.body)
+    if isinstance(stmt, A.Return) and stmt.value is not None:
+        return _expr_calls(stmt.value)
+    if isinstance(stmt, A.ExprStmt):
+        return _expr_calls(stmt.expr)
+    return False
+
+
 def _is_leaf_function(function: A.Function) -> bool:
-    has_call = False
+    return not any(_stmt_calls(stmt) for stmt in function.body)
 
-    def walk_expr(expr: A.Expr) -> None:
-        nonlocal has_call
-        if isinstance(expr, A.Call):
-            has_call = True
-        elif isinstance(expr, (A.BinOp, A.Cmp)):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, A.Load):
-            walk_expr(expr.base)
-            walk_expr(expr.index)
 
-    def walk_stmt(stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.Assign):
-            walk_expr(stmt.value)
-        elif isinstance(stmt, A.Store):
-            walk_expr(stmt.base)
-            walk_expr(stmt.index)
-            walk_expr(stmt.value)
+def _has_inner_return(stmts: Sequence[A.Stmt], top: bool) -> bool:
+    for position, stmt in enumerate(stmts):
+        if isinstance(stmt, A.Return):
+            if not (top and position == len(stmts) - 1):
+                return True
         elif isinstance(stmt, A.If):
-            walk_expr(stmt.cond)
-            for inner in stmt.then + stmt.orelse:
-                walk_stmt(inner)
+            if _has_inner_return(stmt.then, False):
+                return True
+            if _has_inner_return(stmt.orelse, False):
+                return True
         elif isinstance(stmt, A.While):
-            walk_expr(stmt.cond)
-            for inner in stmt.body:
-                walk_stmt(inner)
-        elif isinstance(stmt, A.Return) and stmt.value is not None:
-            walk_expr(stmt.value)
-        elif isinstance(stmt, A.ExprStmt):
-            walk_expr(stmt.expr)
-
-    for stmt in function.body:
-        walk_stmt(stmt)
-    return not has_call
+            if _has_inner_return(stmt.body, False):
+                return True
+    return False
 
 
 def _inlinable(function: A.Function, limit: int) -> bool:
@@ -828,64 +846,121 @@ def _inlinable(function: A.Function, limit: int) -> bool:
     as the final statement, and small bodies."""
     if len(function.body) > limit or not _is_leaf_function(function):
         return False
+    return not _has_inner_return(function.body, True)
 
-    def has_inner_return(stmts: Sequence[A.Stmt], top: bool) -> bool:
-        for position, stmt in enumerate(stmts):
-            if isinstance(stmt, A.Return):
-                if not (top and position == len(stmts) - 1):
-                    return True
-            elif isinstance(stmt, A.If):
-                if has_inner_return(stmt.then, False):
-                    return True
-                if has_inner_return(stmt.orelse, False):
-                    return True
-            elif isinstance(stmt, A.While):
-                if has_inner_return(stmt.body, False):
-                    return True
-        return False
 
-    return not has_inner_return(function.body, True)
+def _rename_expr(expr: A.Expr, mapping: Dict[str, str]) -> A.Expr:
+    if isinstance(expr, A.Var):
+        return A.Var(mapping.get(expr.name, expr.name))
+    if isinstance(expr, A.BinOp):
+        return A.BinOp(expr.op, _rename_expr(expr.left, mapping),
+                       _rename_expr(expr.right, mapping))
+    if isinstance(expr, A.Cmp):
+        return A.Cmp(expr.op, _rename_expr(expr.left, mapping),
+                     _rename_expr(expr.right, mapping))
+    if isinstance(expr, A.Load):
+        return A.Load(_rename_expr(expr.base, mapping),
+                      _rename_expr(expr.index, mapping))
+    if isinstance(expr, A.Call):
+        return A.Call(expr.name,
+                      tuple(_rename_expr(a, mapping) for a in expr.args))
+    return expr
+
+
+def _rename_stmt(stmt: A.Stmt, mapping: Dict[str, str]) -> A.Stmt:
+    if isinstance(stmt, A.Assign):
+        return A.Assign(mapping.get(stmt.name, stmt.name),
+                        _rename_expr(stmt.value, mapping))
+    if isinstance(stmt, A.Store):
+        return A.Store(_rename_expr(stmt.base, mapping),
+                       _rename_expr(stmt.index, mapping),
+                       _rename_expr(stmt.value, mapping))
+    if isinstance(stmt, A.If):
+        return A.If(_rename_expr(stmt.cond, mapping),
+                    _rename(stmt.then, mapping),
+                    _rename(stmt.orelse, mapping))
+    if isinstance(stmt, A.While):
+        return A.While(_rename_expr(stmt.cond, mapping),
+                       _rename(stmt.body, mapping))
+    if isinstance(stmt, A.Return):
+        return A.Return(None if stmt.value is None
+                        else _rename_expr(stmt.value, mapping))
+    if isinstance(stmt, A.ExprStmt):
+        return A.ExprStmt(_rename_expr(stmt.expr, mapping))
+    return stmt
 
 
 def _rename(stmts, mapping):
-    def map_expr(expr: A.Expr) -> A.Expr:
-        if isinstance(expr, A.Var):
-            return A.Var(mapping.get(expr.name, expr.name))
-        if isinstance(expr, A.BinOp):
-            return A.BinOp(expr.op, map_expr(expr.left),
-                           map_expr(expr.right))
-        if isinstance(expr, A.Cmp):
-            return A.Cmp(expr.op, map_expr(expr.left),
-                         map_expr(expr.right))
-        if isinstance(expr, A.Load):
-            return A.Load(map_expr(expr.base), map_expr(expr.index))
-        if isinstance(expr, A.Call):
-            return A.Call(expr.name,
-                          tuple(map_expr(a) for a in expr.args))
-        return expr
+    return tuple(_rename_stmt(s, mapping) for s in stmts)
 
-    def map_stmt(stmt: A.Stmt) -> A.Stmt:
+
+def _assigned_names(stmts: Sequence[A.Stmt], names: Set[str]) -> None:
+    """Add every variable ``stmts`` assign to ``names``."""
+    for stmt in stmts:
         if isinstance(stmt, A.Assign):
-            return A.Assign(mapping.get(stmt.name, stmt.name),
-                            map_expr(stmt.value))
-        if isinstance(stmt, A.Store):
-            return A.Store(map_expr(stmt.base), map_expr(stmt.index),
-                           map_expr(stmt.value))
-        if isinstance(stmt, A.If):
-            return A.If(map_expr(stmt.cond),
-                        tuple(map_stmt(s) for s in stmt.then),
-                        tuple(map_stmt(s) for s in stmt.orelse))
-        if isinstance(stmt, A.While):
-            return A.While(map_expr(stmt.cond),
-                           tuple(map_stmt(s) for s in stmt.body))
-        if isinstance(stmt, A.Return):
-            return A.Return(None if stmt.value is None
-                            else map_expr(stmt.value))
-        if isinstance(stmt, A.ExprStmt):
-            return A.ExprStmt(map_expr(stmt.expr))
-        return stmt
+            names.add(stmt.name)
+        elif isinstance(stmt, A.If):
+            _assigned_names(stmt.then, names)
+            _assigned_names(stmt.orelse, names)
+        elif isinstance(stmt, A.While):
+            _assigned_names(stmt.body, names)
 
-    return tuple(map_stmt(s) for s in stmts)
+
+def _expand_calls(stmt: A.Stmt, inlinable: Dict[str, A.Function],
+                  counter: List[int]) -> List[A.Stmt]:
+    """``stmt`` with its inlinable call sites expanded; ``counter[0]``
+    numbers the expansions (their fresh-name prefixes)."""
+    target_call: Optional[A.Call] = None
+    assign_to: Optional[str] = None
+    if (isinstance(stmt, A.Assign)
+            and isinstance(stmt.value, A.Call)
+            and stmt.value.name in inlinable):
+        target_call = stmt.value
+        assign_to = stmt.name
+    elif (isinstance(stmt, A.ExprStmt)
+          and isinstance(stmt.expr, A.Call)
+          and stmt.expr.name in inlinable):
+        target_call = stmt.expr
+    if target_call is None:
+        if isinstance(stmt, A.If):
+            return [A.If(
+                stmt.cond,
+                _expand_block(stmt.then, inlinable, counter),
+                _expand_block(stmt.orelse, inlinable, counter))]
+        if isinstance(stmt, A.While):
+            return [A.While(
+                stmt.cond, _expand_block(stmt.body, inlinable, counter))]
+        return [stmt]
+    callee = inlinable[target_call.name]
+    counter[0] += 1
+    prefix = f"__inl{counter[0]}_"
+    mapping = {param: prefix + param for param in callee.params}
+    body = list(callee.body)
+    tail_value: Optional[A.Expr] = None
+    if body and isinstance(body[-1], A.Return):
+        tail = body.pop()
+        tail_value = tail.value
+    out: List[A.Stmt] = [
+        A.Assign(prefix + param, arg)
+        for param, arg in zip(callee.params, target_call.args)
+    ]
+    # locals of the callee also need freshening
+    local_names: Set[str] = set()
+    _assigned_names(body, local_names)
+    for name in local_names:
+        mapping.setdefault(name, prefix + name)
+    out.extend(_rename(body, mapping))
+    if assign_to is not None:
+        value = (A.Const(0) if tail_value is None
+                 else _rename_expr(tail_value, mapping))
+        out.append(A.Assign(assign_to, value))
+    return out
+
+
+def _expand_block(stmts: Sequence[A.Stmt], inlinable: Dict[str, A.Function],
+                  counter: List[int]) -> Tuple[A.Stmt, ...]:
+    return tuple(x for stmt in stmts
+                 for x in _expand_calls(stmt, inlinable, counter))
 
 
 def inline_leaf_calls(module: A.Module, limit: int) -> A.Module:
@@ -896,71 +971,7 @@ def inline_leaf_calls(module: A.Module, limit: int) -> A.Module:
         if _inlinable(function, limit)
     }
     counter = [0]
-
-    def expand(stmt: A.Stmt) -> List[A.Stmt]:
-        target_call: Optional[A.Call] = None
-        assign_to: Optional[str] = None
-        if (isinstance(stmt, A.Assign)
-                and isinstance(stmt.value, A.Call)
-                and stmt.value.name in inlinable):
-            target_call = stmt.value
-            assign_to = stmt.name
-        elif (isinstance(stmt, A.ExprStmt)
-              and isinstance(stmt.expr, A.Call)
-              and stmt.expr.name in inlinable):
-            target_call = stmt.expr
-        if target_call is None:
-            if isinstance(stmt, A.If):
-                return [A.If(
-                    stmt.cond,
-                    tuple(x for s in stmt.then for x in expand(s)),
-                    tuple(x for s in stmt.orelse for x in expand(s)))]
-            if isinstance(stmt, A.While):
-                return [A.While(
-                    stmt.cond,
-                    tuple(x for s in stmt.body for x in expand(s)))]
-            return [stmt]
-        callee = inlinable[target_call.name]
-        counter[0] += 1
-        prefix = f"__inl{counter[0]}_"
-        mapping = {param: prefix + param for param in callee.params}
-        body = list(callee.body)
-        tail_value: Optional[A.Expr] = None
-        if body and isinstance(body[-1], A.Return):
-            tail = body.pop()
-            tail_value = tail.value
-        out: List[A.Stmt] = [
-            A.Assign(prefix + param, arg)
-            for param, arg in zip(callee.params, target_call.args)
-        ]
-        # locals of the callee also need freshening
-        local_names = set()
-
-        def collect(stmts) -> None:
-            for inner in stmts:
-                if isinstance(inner, A.Assign):
-                    local_names.add(inner.name)
-                elif isinstance(inner, A.If):
-                    collect(inner.then)
-                    collect(inner.orelse)
-                elif isinstance(inner, A.While):
-                    collect(inner.body)
-
-        collect(body)
-        for name in local_names:
-            mapping.setdefault(name, prefix + name)
-        out.extend(_rename(tuple(body), mapping))
-        if assign_to is not None:
-            value = (A.Const(0) if tail_value is None
-                     else _rename((A.Return(tail_value),),
-                                  mapping)[0].value)
-            out.append(A.Assign(assign_to, value))
-        return out
-
-    functions = []
-    for function in module.functions:
-        new_body = tuple(
-            x for stmt in function.body for x in expand(stmt))
-        functions.append(A.Function(function.name, function.params,
-                                    new_body))
-    return A.Module(tuple(functions))
+    return A.Module(tuple(
+        A.Function(function.name, function.params,
+                   _expand_block(function.body, inlinable, counter))
+        for function in module.functions))

@@ -277,34 +277,50 @@ class VirtualMemory:
     def check_fetch(self, address: int, size: int) -> None:
         """The checks an instruction fetch of ``size`` bytes makes
         (access filter, then execute permission), without the read."""
-        self._check(address, size, "execute", True)
+        vpn = address >> PAGE_SHIFT
+        if (address + size - 1) >> PAGE_SHIFT != vpn:
+            self._check(address, size, "execute", True)
+            return
+        if self.access_filter is not None:
+            self.access_filter(address, size, "execute", self.context)
+        entry = self.page_table._entries.get(vpn)
+        if entry is None or not entry.executable:
+            entry = self.page_table.check(vpn << PAGE_SHIFT,
+                                           "execute")  # raises
+        entry.accessed = True
 
     # ------------------------------------------------------------------
     # typed access
     # ------------------------------------------------------------------
     def read_u64(self, address: int, *, check: bool = True) -> int:
-        # Single-page fast path: the bulk of simulated data traffic is
-        # aligned 8-byte limb loads/stores, for which the generic
-        # byte-copy loop is pure overhead.  Observable behaviour is
-        # identical: the same page-aligned permission check (faults
-        # carry the same address), zeros for unmaterialized pages.
+        # Single-page fast path (DESIGN §18): the bulk of simulated data
+        # traffic is aligned 8-byte limb loads/stores and stack slots,
+        # for which the generic byte-copy loop is pure overhead.  It
+        # makes ``_check``'s checks in ``_check``'s order: the access
+        # filter, then one page-entry lookup and flag test, leaving the
+        # raise to ``PageTable.check`` (faults carry the same
+        # page-aligned address).  Unmaterialized pages read as zeros.
         offset = address & PAGE_MASK
-        if offset <= PAGE_SIZE - 8 and self.access_filter is None:
-            vpn = address >> PAGE_SHIFT
-            if check:
-                self.page_table.check(vpn << PAGE_SHIFT, "read")
-            page = self.pages.get(vpn)
-            if page is None:
-                return 0
-            return _U64.unpack_from(page, offset)[0]
-        return struct.unpack(
-            "<Q", self.read_bytes(address, 8, check=check)
-        )[0]
+        if offset > PAGE_SIZE - 8:
+            return _U64.unpack(self.read_bytes(address, 8, check=check))[0]
+        if self.access_filter is not None:
+            self.access_filter(address, 8, "read", self.context)
+        vpn = address >> PAGE_SHIFT
+        if check:
+            entry = self.page_table._entries.get(vpn)
+            if entry is None or not entry.readable:
+                entry = self.page_table.check(vpn << PAGE_SHIFT,
+                                               "read")  # raises
+            entry.accessed = True
+        page = self.pages.get(vpn)
+        if page is None:
+            return 0
+        return _U64.unpack_from(page, offset)[0]
 
     def write_u64(self, address: int, value: int, *,
                   check: bool = True) -> None:
         offset = address & PAGE_MASK
-        if offset <= PAGE_SIZE - 8 and self.access_filter is None:
+        if offset <= PAGE_SIZE - 8:
             vpn = address >> PAGE_SHIFT
             code_pages = self.icache.code_pages
             # Same possible-code-write test as ``write_bytes`` (the
@@ -314,17 +330,22 @@ class VirtualMemory:
             if (vpn not in code_pages
                     and (address - _DECODE_REACH) >> PAGE_SHIFT
                     not in code_pages):
+                if self.access_filter is not None:
+                    self.access_filter(address, 8, "write", self.context)
                 if check:
-                    self.page_table.check(vpn << PAGE_SHIFT, "write")
+                    entry = self.page_table._entries.get(vpn)
+                    if entry is None or not entry.writable:
+                        entry = self.page_table.check(vpn << PAGE_SHIFT,
+                                                       "write")  # raises
+                    entry.accessed = True
+                    entry.dirty = True
                 page = self.pages.get(vpn)
                 if page is None:
                     page = bytearray(PAGE_SIZE)
                     self.pages[vpn] = page
                 _U64.pack_into(page, offset, value & _U64_MASK)
                 return
-        self.write_bytes(
-            address, struct.pack("<Q", value & _U64_MASK), check=check
-        )
+        self.write_bytes(address, _U64.pack(value & _U64_MASK), check=check)
 
     def fetch(self, address: int, size: int) -> bytes:
         """Instruction fetch: execute-permission-checked read."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from ..errors import PageFault
-from .address import PAGE_SIZE, page_number
+from .address import PAGE_SHIFT, PAGE_SIZE, page_number
 
 
 @dataclass
@@ -87,8 +87,13 @@ class PageTable:
         entry.readable, entry.writable, entry.executable = _parse_perms(perms)
 
     def check(self, address: int, access: str) -> PageEntry:
-        """Permission-check one byte; sets accessed/dirty on success."""
-        entry = self._entries.get(page_number(address))
+        """Permission-check one byte; sets accessed/dirty on success.
+
+        The only place a data access or fetch builds its
+        :class:`PageFault`: the memory's inline fast paths call it only
+        to raise (DESIGN §18).
+        """
+        entry = self._entries.get(address >> PAGE_SHIFT)
         if entry is None:
             raise PageFault(address, access, "unmapped page")
         if access == "read" and not entry.readable:

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from repro.cpu import MachineState
 from repro.cpu.semantics import execute
-from repro.errors import DivideError
+from repro.errors import DivideError, PageFault
 from repro.isa import MASK64, make, to_signed
+from repro.memory import page_base
 
 _u64 = st.integers(min_value=0, max_value=MASK64)
 
@@ -204,6 +205,33 @@ class TestDataMovement:
         run_one(state, "pop", 0)
         assert state.regs[0] == 0xAB
         assert state.rsp == rsp0
+
+    def test_faulting_push_leaves_rsp_decremented(self):
+        # RSP moves before the store, as on x86: the fault is taken
+        # with RSP already lowered (and wrapped to 64 bits).
+        state = fresh_state()
+        rsp0 = state.rsp
+        state.memory.protect(rsp0 - 8, 8, "r")
+        with pytest.raises(PageFault) as fault:
+            run_one(state, "push", 1)
+        assert state.rsp == rsp0 - 8
+        assert (fault.value.address, fault.value.access) == \
+            (page_base(rsp0 - 8), "write")
+        state.rsp = 0
+        with pytest.raises(PageFault):
+            run_one(state, "push", 1)
+        assert state.rsp == MASK64 - 7
+
+    def test_faulting_pop_leaves_rsp_unchanged(self):
+        state = fresh_state()
+        run_one(state, "push", 1)
+        rsp = state.rsp
+        state.memory.protect(rsp, 8, "-w-")
+        with pytest.raises(PageFault) as fault:
+            run_one(state, "pop", 0)
+        assert state.rsp == rsp
+        assert (fault.value.address, fault.value.access) == \
+            (page_base(rsp), "read")
 
 
 class TestControl:

@@ -1,6 +1,9 @@
 """Compiler: correctness at every optimization level + defense passes."""
 
+import gc
 import math
+import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from repro.cpu import MachineState, run_function
 from repro.errors import CompileError
 from repro.lang import (CompileOptions, Compiler, inline_leaf_calls,
                         parse_module)
+from repro.lang import ast as A
 from repro.lang.codegen import CFR_REGION
 from repro.memory import VirtualMemory
 
@@ -347,3 +351,41 @@ func f(a, b) {
         filed = [pc for name in compiled.functions
                  for pc in compiled.static_pcs(name)]
         assert not set(trampolines) & set(filed)
+
+
+class TestNoReferenceCycles:
+    """Compiling leaves nothing for the cyclic collector: with the
+    collector paused (as ``generate_corpus`` runs it), any reference
+    cycle the compiler builds outlives the compile."""
+
+    @staticmethod
+    def _from_lang(obj) -> bool:
+        if isinstance(obj, types.FunctionType):
+            return obj.__module__.startswith("repro.lang")
+        return type(obj).__module__.startswith("repro.lang")
+
+    def test_compiling_a_corpus_batch_leaves_no_garbage(self):
+        from repro.fingerprint.corpus import _FunctionSynthesizer
+        rng = random.Random(2023)
+        batch = parse_module(TestInlining._SOURCE).functions + tuple(
+            _FunctionSynthesizer(rng, f"corpus_{serial}").synthesize()
+            for serial in range(40))
+        module = A.Module(batch)
+        options = [CompileOptions(opt_level=level) for level in (0, 2, 3)]
+        options += [CompileOptions(opt_level=0, balance_branches=True),
+                    CompileOptions(opt_level=2, align_jumps=16, cfr=True)]
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for option in options:
+                Compiler(option).compile(module)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if self._from_lang(obj)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if collecting:
+                gc.enable()
+        assert leaked == [], sorted({repr(obj)[:80] for obj in leaked})

@@ -1,7 +1,7 @@
 """Virtual memory: addressing, paging, sparse storage, EPC hook."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PageFault, ProtectionFault
 from repro.memory import (BLOCK_SIZE, PAGE_SIZE, PageTable,
@@ -175,3 +175,116 @@ class TestVirtualMemory:
         memory.map_range(address, 8, "rw")
         memory.write_u64(address, value)
         assert memory.read_u64(address) == value
+
+
+# ----------------------------------------------------------------------
+# typed-access fast paths against the generic byte path
+# ----------------------------------------------------------------------
+_BASE_VPN = 0x10
+_PERMS = st.sampled_from([None, "r", "rw", "rx", "---"])
+_OFFSET = st.one_of(st.integers(0, PAGE_SIZE - 1),
+                    st.integers(PAGE_SIZE - 7, PAGE_SIZE - 1),
+                    st.integers(0, 16))
+
+
+@st.composite
+def _layouts(draw):
+    """Three neighbouring pages (unmapped or mapped with some perms,
+    materialized or not), an optional cached decode near them, and an
+    access filter: none, one that allows, or one that raises."""
+    pages = []
+    for _ in range(3):
+        pages.append((draw(_PERMS),
+                      draw(st.one_of(st.none(), st.binary(min_size=8,
+                                                          max_size=8)))))
+    low = (_BASE_VPN - 1) * PAGE_SIZE
+    code_at = draw(st.one_of(
+        st.none(), st.integers(low, low + 3 * PAGE_SIZE - 1)))
+    return (pages, code_at, draw(st.integers(1, 10)),
+            draw(st.sampled_from(["none", "allow", "raise"])))
+
+
+def _build(layout):
+    pages, code_at, code_length, filter_kind = layout
+    memory = VirtualMemory()
+    for vpn, (perms, fill) in enumerate(pages, start=_BASE_VPN - 1):
+        if perms is not None:
+            memory.page_table.map_page(vpn, perms)
+        if fill is not None:
+            memory.pages[vpn] = bytearray(fill * (PAGE_SIZE // 8))
+    if code_at is not None:
+        memory.icache[code_at] = ("decoded", code_length)
+    calls = []
+
+    def access_filter(address, size, access, context):
+        calls.append((address, size, access, context))
+        if filter_kind == "raise":
+            raise ProtectionFault("refused", address=address,
+                                  access=access)
+
+    if filter_kind != "none":
+        memory.access_filter = access_filter
+    return memory, calls
+
+
+def _outcome(action):
+    try:
+        return ("returned", action())
+    except (PageFault, ProtectionFault) as error:
+        return (type(error), error.address, error.access)
+
+
+def _observables(memory, calls):
+    entries = {}
+    for vpn in range(_BASE_VPN - 1, _BASE_VPN + 2):
+        entry = memory.page_table.entry(vpn)
+        if entry is not None:
+            entries[vpn] = (entry.perms(), entry.accessed, entry.dirty)
+    return (entries,
+            {vpn: bytes(page) for vpn, page in memory.pages.items()},
+            memory.code_generation, sorted(memory.icache), calls)
+
+
+class TestTypedAccessFastPaths:
+    """``read_u64``, ``write_u64`` and ``check_fetch`` behave exactly as
+    the generic ``read_bytes``/``write_bytes``/``_check`` path they
+    bypass: same value, same fault (type, address, access), same
+    filter calls, and the same A/D bits, bytes and code generation."""
+
+    def _same(self, layout, fast, reference):
+        memory, calls = _build(layout)
+        expected_memory, expected_calls = _build(layout)
+        assert _outcome(lambda: fast(memory)) == \
+            _outcome(lambda: reference(expected_memory))
+        assert _observables(memory, calls) == \
+            _observables(expected_memory, expected_calls)
+
+    @settings(max_examples=300)
+    @given(_layouts(), _OFFSET, st.booleans())
+    def test_read_u64(self, layout, offset, check):
+        address = _BASE_VPN * PAGE_SIZE + offset
+        self._same(
+            layout,
+            lambda memory: memory.read_u64(address, check=check),
+            lambda memory: int.from_bytes(
+                memory.read_bytes(address, 8, check=check), "little"))
+
+    @settings(max_examples=300)
+    @given(_layouts(), _OFFSET, st.booleans(),
+           st.integers(-(1 << 64), (1 << 65)))
+    def test_write_u64(self, layout, offset, check, value):
+        address = _BASE_VPN * PAGE_SIZE + offset
+        data = (value & ((1 << 64) - 1)).to_bytes(8, "little")
+        self._same(
+            layout,
+            lambda memory: memory.write_u64(address, value, check=check),
+            lambda memory: memory.write_bytes(address, data, check=check))
+
+    @settings(max_examples=300)
+    @given(_layouts(), _OFFSET, st.integers(1, 10))
+    def test_check_fetch(self, layout, offset, size):
+        address = _BASE_VPN * PAGE_SIZE + offset
+        self._same(
+            layout,
+            lambda memory: memory.check_fetch(address, size),
+            lambda memory: memory._check(address, size, "execute", True))

@@ -80,6 +80,16 @@ class TestEpcIsolation:
         host.memory.write_bytes(0x5000, b"ok")
         assert host.memory.read_bytes(0x5000, 2) == b"ok"
 
+    def test_epc_filter_runs_before_the_page_check(self):
+        # An unmapped EPC page still refuses an outside u64 access as
+        # an EPC access, not as a page fault.
+        _, enclave, host = _loaded()
+        host.memory.page_table.unmap_page(enclave.data_base // PAGE_SIZE)
+        with pytest.raises(EnclaveAccessError):
+            host.memory.read_u64(enclave.data_base)
+        with pytest.raises(EnclaveAccessError):
+            host.memory.write_u64(enclave.data_base, 1)
+
     def test_provision_and_read_back(self):
         _, enclave, host = _loaded()
         enclave.provision(enclave.data_base, b"\x11\x22")

@@ -21,11 +21,6 @@ Commands
     ``stall-shard`` SIGKILL / SIGSTOP a whole shard.  Prints the
     campaign digest.  Exits 0 COMPLETED, 1 FAILED, 3 INTERRUPTED
     (resumable), 4 DEGRADED (some job LOST with its shard).
-``bench [...]``
-    Run the perf-regression suite (:mod:`repro.perf.suite`): times the
-    simulator hot loops with the decoded-window fast path off and on,
-    writes ``BENCH_perf.json``, and can gate against a baseline.  Every
-    argument goes unparsed to the suite's own parser.
 ``stats <experiment> [--fast] [--seed N] [--out PATH] [--timings]``
     Run one experiment inside a tracing telemetry session
     (:mod:`repro.telemetry`) and print the deterministic counter
@@ -483,11 +478,6 @@ def main(argv=None) -> int:
     campaign.add_argument("--verbose", "-v", action="store_true",
                           help="print per-job lifecycle events")
 
-    sub.add_parser(
-        "bench", add_help=False,
-        help="run the perf suite (fast path off vs on) and write "
-             "BENCH_perf.json; `repro bench --help` lists its options")
-
     stats = sub.add_parser(
         "stats",
         help="run one experiment under telemetry and print the "
@@ -566,12 +556,7 @@ def main(argv=None) -> int:
                          help="skip the constant-time auto-rewrite "
                               "validation pass")
 
-    args, extra = parser.parse_known_args(argv)
-    if args.command == "bench":
-        from .perf.suite import main as bench_main
-        return bench_main(extra)
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

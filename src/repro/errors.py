@@ -93,10 +93,6 @@ class CpuError(ReproError):
     """Base class for CPU-model errors."""
 
 
-class HaltError(CpuError):
-    """The core executed ``hlt`` outside of a context that allows it."""
-
-
 class ExecutionLimitExceeded(CpuError):
     """A run exceeded its instruction or cycle budget (runaway guard)."""
 

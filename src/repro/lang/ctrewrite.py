@@ -121,40 +121,46 @@ def _impure_functions(module: A.Module) -> Set[str]:
     return impure
 
 
+def _expr_secret(expr: A.Expr, secret: Set[str]) -> bool:
+    if isinstance(expr, (A.Load, A.Call)):
+        return True
+    if isinstance(expr, A.Var):
+        return expr.name in secret
+    if isinstance(expr, (A.BinOp, A.Cmp)):
+        return (_expr_secret(expr.left, secret)
+                or _expr_secret(expr.right, secret))
+    return False
+
+
+def _mark_secret(stmts: Sequence[A.Stmt], ctx_secret: bool,
+                 secret: Set[str]) -> bool:
+    """One pass of :func:`_secret_vars` over ``stmts``: add every
+    variable assigned a secret value or under secret control; True if
+    any was new."""
+    changed = False
+    for stmt in stmts:
+        if isinstance(stmt, A.Assign):
+            if ((ctx_secret or _expr_secret(stmt.value, secret))
+                    and stmt.name not in secret):
+                secret.add(stmt.name)
+                changed = True
+        elif isinstance(stmt, A.If):
+            inner = ctx_secret or _expr_secret(stmt.cond, secret)
+            changed |= _mark_secret(stmt.then, inner, secret)
+            changed |= _mark_secret(stmt.orelse, inner, secret)
+        elif isinstance(stmt, A.While):
+            inner = ctx_secret or _expr_secret(stmt.cond, secret)
+            changed |= _mark_secret(stmt.body, inner, secret)
+    return changed
+
+
 def _secret_vars(fn: A.Function) -> Set[str]:
     """Variables whose value can depend on memory contents or on
     secret control — everything except pure parameter/constant
     arithmetic.  Loops conditioned only on public variables keep
     their (public) trip counts in the rewrite."""
     secret: Set[str] = set()
-
-    def expr_secret(expr: A.Expr) -> bool:
-        if isinstance(expr, (A.Load, A.Call)):
-            return True
-        if isinstance(expr, A.Var):
-            return expr.name in secret
-        if isinstance(expr, (A.BinOp, A.Cmp)):
-            return expr_secret(expr.left) or expr_secret(expr.right)
-        return False
-
-    def walk(stmts: Sequence[A.Stmt], ctx_secret: bool) -> bool:
-        changed = False
-        for stmt in stmts:
-            if isinstance(stmt, A.Assign):
-                if ((ctx_secret or expr_secret(stmt.value))
-                        and stmt.name not in secret):
-                    secret.add(stmt.name)
-                    changed = True
-            elif isinstance(stmt, A.If):
-                inner = ctx_secret or expr_secret(stmt.cond)
-                changed |= walk(stmt.then, inner)
-                changed |= walk(stmt.orelse, inner)
-            elif isinstance(stmt, A.While):
-                inner = ctx_secret or expr_secret(stmt.cond)
-                changed |= walk(stmt.body, inner)
-        return changed
-
-    while walk(fn.body, False):
+    while _mark_secret(fn.body, False, secret):
         pass
     return secret
 
@@ -200,16 +206,6 @@ class _FnRewriter:
         if isinstance(ctx, A.Const) and ctx.value == 1:
             return cond
         return A.BinOp("&", ctx, cond)
-
-    def _expr_secret(self, expr: A.Expr) -> bool:
-        if isinstance(expr, (A.Load, A.Call)):
-            return True
-        if isinstance(expr, A.Var):
-            return expr.name in self.secret
-        if isinstance(expr, (A.BinOp, A.Cmp)):
-            return self._expr_secret(expr.left) or self._expr_secret(
-                expr.right)
-        return False
 
     def rewrite_expr(self, expr: A.Expr, ctx: A.Expr) -> A.Expr:
         """Rewrite calls (impure callees take the guard); everything
@@ -283,7 +279,7 @@ class _FnRewriter:
                     out.extend(self.transform(
                         stmt.orelse, self._chain(ctx, A.Var(ncond))))
             elif isinstance(stmt, A.While):
-                if not self._expr_secret(stmt.cond):
+                if not _expr_secret(stmt.cond, self.secret):
                     out.append(A.While(
                         self.rewrite_expr(stmt.cond, ctx),
                         tuple(self.transform(stmt.body, ctx))))

@@ -33,17 +33,3 @@ def test_requires_command():
     with pytest.raises(SystemExit):
         main([])
 
-
-def test_bench_hands_every_flag_to_the_suite(monkeypatch, tmp_path):
-    """`repro bench` forwards its arguments unparsed: flags only the
-    suite declares (here --telemetry-threshold) reach its gate."""
-    from repro.perf import suite
-
-    report = {"benchmarks": {}, "telemetry": {"overhead": 0.05}}
-    monkeypatch.setattr(suite, "run_suite", lambda **kwargs: report)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text('{"benchmarks": {}}')
-    argv = ["bench", "--quick", "--out", str(tmp_path / "out.json"),
-            "--compare", str(baseline)]
-    assert main(argv + ["--telemetry-threshold", "0.1"]) == 0
-    assert main(argv + ["--telemetry-threshold", "0.03"]) == 1

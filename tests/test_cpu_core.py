@@ -70,6 +70,8 @@ class TestBasicExecution:
         reference = interpret(state2)
         assert result.trace == reference.trace
         assert state.regs["rax"] == state2.regs["rax"]
+        # movi, ten passes of the 3-instruction loop, hlt
+        assert result.instructions == reference.instructions == 32
 
     def test_runaway_guard(self):
         program = build(lambda asm: (asm.label("spin"),

@@ -12,6 +12,7 @@ from repro.cpu import MachineState, run_function
 from repro.errors import CompileError
 from repro.lang import (CompileOptions, Compiler, inline_leaf_calls,
                         parse_module)
+from repro.lang.ctrewrite import rewrite_module
 from repro.lang import ast as A
 from repro.lang.codegen import CFR_REGION
 from repro.memory import VirtualMemory
@@ -354,9 +355,10 @@ func f(a, b) {
 
 
 class TestNoReferenceCycles:
-    """Compiling leaves nothing for the cyclic collector: with the
+    """Compiling, and the constant-time rewrite ``repro certify``
+    validates, leave nothing for the cyclic collector: with the
     collector paused (as ``generate_corpus`` runs it), any reference
-    cycle the compiler builds outlives the compile."""
+    cycle they build outlives the call."""
 
     @staticmethod
     def _from_lang(obj) -> bool:
@@ -380,6 +382,7 @@ class TestNoReferenceCycles:
         try:
             for option in options:
                 Compiler(option).compile(module)
+            rewrite_module(module)
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
             leaked = [obj for obj in gc.garbage if self._from_lang(obj)]

@@ -1,17 +1,28 @@
 """The telemetry subsystem: sink semantics, canonical serialisation,
 the determinism contract (same seed -> byte-identical trace), the
 reconciliation of trace events with the differential analysis, the
-perf-suite overhead gate, and the ``repro stats`` / ``repro trace``
-CLI subcommands."""
+perf suite's overhead and per-side gates (``benchmarks/perf/suite.py``,
+loaded by path), and the ``repro stats`` / ``repro trace`` CLI
+subcommands."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 from repro import telemetry
 from repro.analysis.differential import false_hit_blocks, observe_run
 from repro.experiments.common import RunRequest, run_experiment
-from repro.perf.suite import (check_telemetry_overhead,
-                              measure_telemetry_overhead)
 from repro.victims.library import build_bn_cmp_victim
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perf_suite",
+    Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
+    / "suite.py")
+suite = importlib.util.module_from_spec(_SPEC)
+assert _SPEC.loader is not None
+sys.modules[_SPEC.name] = suite      # dataclasses resolve it by name
+_SPEC.loader.exec_module(suite)
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +186,7 @@ def test_observe_run_is_isolated_from_outer_sessions():
 # perf-suite overhead gate
 # ----------------------------------------------------------------------
 def test_measure_telemetry_overhead_payload_shape():
-    info = measure_telemetry_overhead(quick=True)
+    info = suite.measure_telemetry_overhead(quick=True)
     assert info["work"] > 0
     assert info["disabled_seconds"] > 0
     assert info["enabled_seconds"] > 0
@@ -184,6 +195,7 @@ def test_measure_telemetry_overhead_payload_shape():
 
 
 def test_check_telemetry_overhead_gate():
+    check_telemetry_overhead = suite.check_telemetry_overhead
     ok = {"telemetry": {"overhead": 0.01}}
     over = {"telemetry": {"overhead": 0.10}}
     assert check_telemetry_overhead(ok) == []
@@ -191,6 +203,44 @@ def test_check_telemetry_overhead_gate():
     assert "exceeds" in check_telemetry_overhead(over)[0]
     assert check_telemetry_overhead({})       # section missing -> fail
     assert check_telemetry_overhead(over, threshold=0.5) == []
+
+
+# ----------------------------------------------------------------------
+# perf-suite per-side gate
+# ----------------------------------------------------------------------
+def _report(slow_rate, fast_rate):
+    return {"schema": suite.SCHEMA_VERSION,
+            "benchmarks": {"interp_straightline": {
+                "unit": "instructions", "slow_rate": slow_rate,
+                "fast_rate": fast_rate}}}
+
+
+def test_perf_gate_fails_a_slower_fast_side():
+    failures = suite.compare_to_baseline(_report(300e3, 690e3),
+                                         _report(300e3, 1e6))
+    assert len(failures) == 1
+    assert "interp_straightline: fast side" in failures[0]
+
+
+def test_perf_gate_fails_a_slower_slow_side():
+    failures = suite.compare_to_baseline(_report(210e3, 1e6),
+                                         _report(300e3, 1e6))
+    assert len(failures) == 1
+    assert "interp_straightline: slow side" in failures[0]
+
+
+def test_perf_gate_passes_a_faster_slow_side():
+    """A faster reference loop lowers the speedup ratio (3.33x to
+    2.56x here) but slows nothing down, so the gate passes it."""
+    assert suite.compare_to_baseline(_report(400e3, 1.025e6),
+                                     _report(300e3, 1e6)) == []
+
+
+def test_perf_gate_needs_a_probe_scaled_baseline():
+    old = _report(300e3, 1e6)
+    old["schema"] = 2
+    failures = suite.compare_to_baseline(_report(300e3, 1e6), old)
+    assert failures and "schema 2" in failures[0]
 
 
 # ----------------------------------------------------------------------

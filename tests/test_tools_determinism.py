@@ -161,12 +161,11 @@ def timed(work):
 
 
 def test_collector_switches_stay_allowlisted():
-    """The corpus build and the telemetry-overhead timing loop are the
-    only functions in the package that switch the collector."""
+    """The corpus build is the only function in the package that
+    switches the collector."""
     allow = lint_determinism.COLLECTOR_ALLOWLIST
     assert allow == {
         ("src/repro/fingerprint/corpus.py", "generate_corpus"),
-        ("src/repro/perf/suite.py", "measure_telemetry_overhead"),
     }
     for relpath, function in sorted(allow):
         source = (REPO_ROOT / relpath).read_text(encoding="utf-8")

@@ -37,8 +37,7 @@ Allow-listed exceptions (function-level, reviewed by hand):
   ``time.monotonic`` purely to abort runaway simulations and never
   feeds the result into simulated state;
 * the collector pause around the fingerprint corpus build
-  (``repro.fingerprint.corpus.generate_corpus``) and the collector-off
-  timing loop of ``repro.perf.suite.measure_telemetry_overhead``.
+  (``repro.fingerprint.corpus.generate_corpus``).
 
 Run from the repository root::
 
@@ -77,7 +76,6 @@ DEADLINE_GUARD_ALLOWLIST = {
 #: cyclic collector
 COLLECTOR_ALLOWLIST = {
     ("src/repro/fingerprint/corpus.py", "generate_corpus"),
-    ("src/repro/perf/suite.py", "measure_telemetry_overhead"),
 }
 
 _BANNED_TIME_NAMES = {"time", "monotonic", "perf_counter",

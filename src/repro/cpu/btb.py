@@ -64,11 +64,6 @@ class BTBEntry:
     domain: int = 0            # security domain (partitioning mode only)
     lru: int = 0               # last-touch stamp
 
-    def matches(self, tag: int, domain: int, partitioned: bool) -> bool:
-        if not self.valid or self.tag != tag:
-            return False
-        return (not partitioned) or self.domain == domain
-
 
 @dataclass
 class BTBStats:
@@ -105,8 +100,10 @@ class BTB:
         self.backend: BTBBackend = make_backend(self.config)
         sets = self.config.btb_sets
         self._set_bits = btb_set_bits(sets)
-        #: hit-semantics flag cached for the lookup hot path
+        #: hit-semantics and partitioning flags cached for the lookup
+        #: hot path
         self._range_hits = self.backend.range_hits
+        self._partitioned = self.config.btb_partitioning
         self._sets: List[List[BTBEntry]] = [
             [BTBEntry() for _ in range(self.config.btb_ways)]
             for _ in range(sets)
@@ -166,7 +163,7 @@ class BTB:
         domain, but allocating bumps on its own)."""
         if domain != self._current_domain:
             self._current_domain = domain
-            if self.config.btb_partitioning:
+            if self._partitioned:
                 self.generation += 1
 
     # ------------------------------------------------------------------
@@ -214,25 +211,29 @@ class BTB:
         diverge between the fast and reference paths.  The executor
         instead bulk-counts one lookup+hit per chained edge when a
         superblock actually runs (see ``Core.run``).
+
+        An entry is visible when it is valid, has the pc's tag and —
+        under partitioning only — the current domain; the test is
+        written out per way rather than called (DESIGN §19).
         """
-        tag, set_index, offset = self.fields(fetch_pc)
-        partitioned = self.config.btb_partitioning
+        tag, set_index, offset = self.backend.split(fetch_pc)
+        partitioned = self._partitioned
         domain = self._current_domain
         if not self._range_hits:
             # Tag-exact designs: at most one entry can match (allocate
             # updates same-anchor entries in place).
             for entry in self._sets[set_index]:
-                if (entry.matches(tag, domain, partitioned)
-                        and entry.offset == offset):
+                if (entry.valid and entry.tag == tag
+                        and entry.offset == offset
+                        and (not partitioned or entry.domain == domain)):
                     return entry
             return None
         best: Optional[BTBEntry] = None
         for entry in self._sets[set_index]:
-            if not entry.matches(tag, domain, partitioned):
-                continue
-            if entry.offset < offset:
-                continue
-            if best is None or entry.offset < best.offset:
+            if (entry.valid and entry.tag == tag
+                    and entry.offset >= offset
+                    and (not partitioned or entry.domain == domain)
+                    and (best is None or entry.offset < best.offset)):
                 best = entry
         return best
 
@@ -259,12 +260,14 @@ class BTB:
         front end computes it via :meth:`anchor_pc`)."""
         tag, set_index, offset = self.fields(anchor_pc)
         ways = self._sets[set_index]
-        partitioned = self.config.btb_partitioning
+        partitioned = self._partitioned
+        domain = self._current_domain
         victim: Optional[BTBEntry] = None
         in_place = False
         for entry in ways:
-            if (entry.matches(tag, self.current_domain, partitioned)
-                    and entry.offset == offset):
+            if (entry.valid and entry.tag == tag
+                    and entry.offset == offset
+                    and (not partitioned or entry.domain == domain)):
                 victim = entry          # same branch: update in place
                 in_place = True
                 break
@@ -396,10 +399,12 @@ class BTB:
     def entry_for(self, branch_pc: int) -> Optional[BTBEntry]:
         """Exact-match probe (same tag/set/offset), for tests."""
         tag, set_index, offset = self.fields(branch_pc)
+        partitioned = self._partitioned
+        domain = self._current_domain
         for entry in self._sets[set_index]:
-            if (entry.matches(tag, self.current_domain,
-                              self.config.btb_partitioning)
-                    and entry.offset == offset):
+            if (entry.valid and entry.tag == tag
+                    and entry.offset == offset
+                    and (not partitioned or entry.domain == domain)):
                 return entry
         return None
 

@@ -284,6 +284,8 @@ class Core:
         window_cache = getattr(memory, "window_cache", None)
         superblock_cache = getattr(memory, "superblock_cache", None)
         fast = fast_path_enabled() and window_cache is not None
+        # ``epoch`` is ``memory.code_generation`` (one counter)
+        page_table = memory.page_table
         fusion_enabled = self.config.fusion_enabled
         next_deadline_check = _DEADLINE_STRIDE
         while True:
@@ -315,7 +317,7 @@ class Core:
                         and memory.access_filter is None):
                     sb = superblock_cache.get(pc)
                     if sb is not None and (
-                            sb.code_generation != memory.code_generation
+                            sb.code_generation != page_table.epoch
                             or not sb.btb_valid(self.btb)):
                         if sb.links:
                             sb_invalidations += 1
@@ -385,7 +387,7 @@ class Core:
                 if fast and memory.access_filter is None:
                     window = window_cache.get(pc)
                     if (window is None
-                            or window.generation != memory.code_generation):
+                            or window.generation != page_table.epoch):
                         window = (adopt_window(memory, pc)
                                   or build_window(memory, pc))
                     if window.count and (pw.pred_end is None
@@ -545,7 +547,8 @@ class Core:
         stats = self.btb.stats
         lbr = self.lbr
         touch = self.btb.touch
-        page_check = memory.page_table.check
+        page_table = memory.page_table      # its epoch: the code generation
+        page_check = page_table.check
         cycles_now = self.cycles
         insts = 0
         units = 0
@@ -563,7 +566,7 @@ class Core:
                         k = budget
                     if k <= 0:
                         return None
-            elif memory.code_generation != code_gen:
+            elif page_table.epoch != code_gen:
                 # A previous link's terminator wrote code pages
                 # (e.g. a call pushing onto a code-holding page):
                 # later cached links may be stale, so hand back to
@@ -610,7 +613,7 @@ class Core:
                         thunks[i](state)
                         cycles_now += issue_cost + extras[i]
                         i += 1
-                        if memory.code_generation != code_gen:
+                        if page_table.epoch != code_gen:
                             break       # self-modifying code
                 else:
                     while i < k:
@@ -633,7 +636,7 @@ class Core:
                 self.total_retired += units
                 state.rip = pcs[i]
                 return insts, units, fault, error, None, True
-            if memory.code_generation != code_gen:
+            if page_table.epoch != code_gen:
                 # A store in this prefix hit code pages; the cached
                 # terminator may be stale.  Resume with the prediction
                 # window still open.
@@ -876,6 +879,8 @@ class Core:
             # preempts the refetch, so there is nothing in flight.
             return
         cur = state.rip
+        icache = state.memory.icache
+        check_fetch = state.memory.check_fetch
         windows_used = 1
         guard = 0
         while guard < 64 * budget:
@@ -890,6 +895,20 @@ class Core:
             if cur >= pw.limit:
                 pw = None
                 continue
+            cached = icache.get(cur)
+            if cached is not None and cached[0] is None:
+                # A cached junk byte (the zero padding after a probe
+                # snippet's ``hlt``): the first-byte fetch check the
+                # miss path made, then the junk rule below, without
+                # building and catching an ``InvalidInstruction``.
+                try:
+                    check_fetch(cur, 1)
+                except _FETCH_REFUSALS:
+                    return
+                if pw.pred_end == cur:
+                    self._false_hit(pw, cur, charge=False)
+                cur += 1
+                continue
             try:
                 instruction, length = self._decode(state, cur)
             except _FETCH_REFUSALS:
@@ -899,7 +918,7 @@ class Core:
                 # ISAs decode almost anything); a prediction claiming
                 # a branch ends inside junk is a false hit like any
                 # other non-control-transfer byte.
-                if pw.pred_end is not None and pw.pred_end == cur:
+                if pw.pred_end == cur:
                     self._false_hit(pw, cur, charge=False)
                 cur += 1
                 continue

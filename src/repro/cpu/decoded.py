@@ -23,13 +23,14 @@ runs), issue-cost extras, and the fall-through layout.  Both execution engines u
 Cache key and invalidation
 --------------------------
 Windows are keyed by entry PC and stamped with the memory's
-``code_generation`` counter.  The counter bumps when
+``code_generation`` counter (its page table's ``epoch``).  The counter
+bumps when
 
 * a write changes bytes on or next to a page that holds cached
   decodes (``VirtualMemory.write_bytes`` — self-modifying code; a
   write of identical bytes changes nothing), or
 * a page is mapped fresh, re-mapped with other permissions, or
-  unmapped (``PageTable.epoch`` — page swaps).
+  unmapped (``PageTable.map_page``/``unmap_page`` — page swaps).
 
 ``set_perms`` deliberately does *not* bump it: decoded bytes are
 content, not permissions, and the controlled-channel attacker flips

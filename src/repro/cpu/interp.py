@@ -128,6 +128,8 @@ def _run(state: MachineState, max_instructions: int, collect_trace: bool,
     memory = state.memory
     window_cache = getattr(memory, "window_cache", None)
     fast = fast_path_enabled() and window_cache is not None
+    # ``epoch`` is ``memory.code_generation`` (one counter)
+    page_table = memory.page_table if fast else None
     trace: List[int] = []
     branch_events: List[Tuple[int, bool]] = []
     count = 0
@@ -145,7 +147,7 @@ def _run(state: MachineState, max_instructions: int, collect_trace: bool,
             if fast:
                 window = window_cache.get(pc)
                 if (window is None
-                        or window.generation != memory.code_generation):
+                        or window.generation != page_table.epoch):
                     window = (adopt_window(memory, pc)
                               or build_window(memory, pc))
                 k = window.count
@@ -161,7 +163,7 @@ def _run(state: MachineState, max_instructions: int, collect_trace: bool,
                             while i < k:
                                 thunks[i](state)
                                 i += 1
-                                if memory.code_generation != generation:
+                                if page_table.epoch != generation:
                                     break   # self-modifying: re-decode
                         else:
                             while i < k:
@@ -190,7 +192,7 @@ def _run(state: MachineState, max_instructions: int, collect_trace: bool,
                 term = window.terminator
                 if (term is not None and i == window.count
                         and count < max_instructions
-                        and memory.code_generation == window.generation):
+                        and page_table.epoch == window.generation):
                     pc = window.resume_pc
                     instruction = term
                 elif k:

@@ -23,8 +23,7 @@ registers, flags, memory and traps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from ..errors import CpuError, DivideError
 from ..isa.instructions import Instruction, evaluate_cond
@@ -32,10 +31,11 @@ from ..isa.registers import MASK64, SIGN64, to_signed
 from .state import MachineState
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Result of architecturally executing one instruction (the
-    instruction's ``kind`` says which of its fields are meaningful)."""
+    instruction's ``kind`` says which of its fields are meaningful).
+
+    A tuple, not a dataclass: one is built per executed instruction."""
 
     #: the architectural successor (the resolved target when taken)
     next_pc: int
@@ -98,41 +98,41 @@ def _logic(flags, result: int) -> int:
 @_register("jmp", "jmp8")
 def _h_jmp(state, inst, pc):
     target = (pc + inst.length + inst.operands[0]) & MASK64
-    return Outcome(next_pc=target, taken=True)
+    return Outcome(target, True)
 
 
 def _h_jcc(state, inst, pc):
     taken = evaluate_cond(inst.spec.cond, state.regs.flags)
     if taken:
         target = (pc + inst.length + inst.operands[0]) & MASK64
-        return Outcome(next_pc=target, taken=True)
-    return Outcome(next_pc=pc + inst.length, taken=False)
+        return Outcome(target, True)
+    return Outcome(pc + inst.length, False)
 
 
 @_register("call")
 def _h_call(state, inst, pc):
     target = (pc + inst.length + inst.operands[0]) & MASK64
     state.push(pc + inst.length)
-    return Outcome(next_pc=target, taken=True)
+    return Outcome(target, True)
 
 
 @_register("callr")
 def _h_callr(state, inst, pc):
     target = state.regs.read(inst.operands[0])
     state.push(pc + inst.length)
-    return Outcome(next_pc=target, taken=True)
+    return Outcome(target, True)
 
 
 @_register("jmpr")
 def _h_jmpr(state, inst, pc):
     target = state.regs.read(inst.operands[0])
-    return Outcome(next_pc=target, taken=True)
+    return Outcome(target, True)
 
 
 @_register("ret")
 def _h_ret(state, inst, pc):
     target = state.pop()
-    return Outcome(next_pc=target, taken=True)
+    return Outcome(target, True)
 
 
 @_register("syscall")

@@ -22,7 +22,7 @@ x86's ``0x70+cc`` short-Jcc block.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import EncodeError
@@ -158,7 +158,12 @@ INDIRECT_KINDS = frozenset({Kind.INDIRECT_JUMP, Kind.INDIRECT_CALL, Kind.RET})
 
 @dataclass(frozen=True)
 class InstrSpec:
-    """Static description of one opcode."""
+    """Static description of one opcode.
+
+    ``length`` and ``is_control`` are derived once, at construction:
+    every simulated instruction reads them, so they are plain fields
+    rather than an enum-keyed lookup per read (DESIGN §19).  They take
+    no part in equality or hashing."""
 
     mnemonic: str
     opcode: int
@@ -167,15 +172,15 @@ class InstrSpec:
     cond: Optional[Cond] = None
     #: True for ALU ops that can macro-fuse with a following jcc.
     fusible: bool = False
+    #: total encoded length in bytes
+    length: int = field(init=False, compare=False, repr=False)
+    #: does this opcode transfer control (can it end a prediction window)?
+    is_control: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def length(self) -> int:
-        """Total encoded length in bytes."""
-        return 1 + _FORMAT_OPERAND_BYTES[self.fmt]
-
-    @property
-    def is_control(self) -> bool:
-        return self.kind in CONTROL_KINDS
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "length",
+                           1 + _FORMAT_OPERAND_BYTES[self.fmt])
+        object.__setattr__(self, "is_control", self.kind in CONTROL_KINDS)
 
 
 def _build_table() -> Tuple[Dict[int, InstrSpec], Dict[str, InstrSpec]]:
@@ -294,33 +299,38 @@ def spec_for(mnemonic: str) -> InstrSpec:
         raise EncodeError(f"unknown mnemonic {mnemonic!r}") from None
 
 
-@dataclass(frozen=True)
 class Instruction:
     """One decoded (or to-be-encoded) instruction.
 
     ``operands`` are already numeric: register numbers, immediates, or
     PC-relative displacements.  Label resolution happens in the
     assembler, before an :class:`Instruction` is constructed.
+
+    ``mnemonic``, ``length``, ``kind`` and ``is_control`` are copied
+    from the spec at construction, so the per-instruction paths read
+    them as plain attributes.  Equality and hashing go by
+    ``(spec, operands)``.
     """
 
-    spec: InstrSpec
-    operands: Tuple[int, ...] = ()
+    __slots__ = ("spec", "operands", "mnemonic", "length", "kind",
+                 "is_control")
 
-    @property
-    def mnemonic(self) -> str:
-        return self.spec.mnemonic
+    def __init__(self, spec: InstrSpec, operands: Tuple[int, ...] = ()):
+        self.spec = spec
+        self.operands = operands
+        self.mnemonic = spec.mnemonic
+        self.length = spec.length
+        self.kind = spec.kind
+        self.is_control = spec.is_control
 
-    @property
-    def length(self) -> int:
-        return self.spec.length
+    def __eq__(self, other):
+        if other.__class__ is not Instruction:
+            return NotImplemented
+        return ((self.spec, self.operands)
+                == (other.spec, other.operands))
 
-    @property
-    def kind(self) -> Kind:
-        return self.spec.kind
-
-    @property
-    def is_control(self) -> bool:
-        return self.spec.is_control
+    def __hash__(self) -> int:
+        return hash((self.spec, self.operands))
 
     def __repr__(self) -> str:
         return f"Instruction({self.mnemonic}, {self.operands})"

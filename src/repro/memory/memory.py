@@ -69,9 +69,11 @@ class DecodeCache(dict):
 class VirtualMemory:
     """A 64-bit sparse byte-addressable address space."""
 
-    def __init__(self, page_table: Optional[PageTable] = None):
+    def __init__(self) -> None:
         self.pages: Dict[int, bytearray] = {}
-        self.page_table = page_table if page_table is not None else PageTable()
+        #: this address space's own page table; its ``epoch`` is the
+        #: code generation (see :attr:`code_generation`).
+        self.page_table = PageTable()
         #: decoded-instruction cache: address -> (Instruction, length).
         #: Maintained by the CPU front end; writes invalidate it.
         self.icache: DecodeCache = DecodeCache()
@@ -86,9 +88,6 @@ class VirtualMemory:
         #: attached code images (``SegmentImage``, see
         #: :meth:`attach_image`), indexed by every page they cover.
         self.images: Dict[int, List[object]] = {}
-        #: bumped whenever a write changes bytes on a page holding
-        #: cached decodes (one half of :attr:`code_generation`).
-        self._write_epoch = 0
         self.access_filter: Optional[AccessFilter] = None
         #: Current execution context (e.g. an Enclave object) used by
         #: the access filter; ``None`` means normal/untrusted mode.
@@ -106,8 +105,12 @@ class VirtualMemory:
         are enforced at execution time (``set_perms`` is the
         controlled-channel attacker's per-single-step tool; bumping
         here would thrash the cache).
+
+        It is one counter, ``page_table.epoch``, which such writes bump
+        too, so the per-step checks of the run loops can read it from
+        a page table they hoisted.
         """
-        return self._write_epoch + self.page_table.epoch
+        return self.page_table.epoch
 
     # ------------------------------------------------------------------
     # mapping helpers
@@ -220,7 +223,7 @@ class VirtualMemory:
         if not any(vpn in icache.decode_pages
                    for vpn in range(first_page, last_page + 1)):
             return
-        self._write_epoch += 1
+        self.page_table.epoch += 1
         for stale in range(first_changed - _DECODE_REACH, last_changed + 1):
             icache.pop(stale, None)
 

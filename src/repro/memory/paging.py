@@ -46,10 +46,12 @@ class PageTable:
 
     def __init__(self) -> None:
         self._entries: Dict[int, PageEntry] = {}
-        #: bumped when a page is mapped fresh, re-mapped with other
-        #: permissions, or unmapped: that can change what bytes live at
-        #: an address, so cached decodes keyed on the code generation
-        #: (:mod:`repro.cpu.decoded`) must re-verify.  Re-mapping a
+        #: the owning memory's code generation: bumped when a page is
+        #: mapped fresh, re-mapped with other permissions, or unmapped
+        #: (that can change what bytes live at an address), and by the
+        #: memory when a write changes bytes on a page holding cached
+        #: decodes.  Cached decodes keyed on it
+        #: (:mod:`repro.cpu.decoded`) then re-verify.  Re-mapping a
         #: mapped page with the same permissions leaves it alone (the
         #: backing bytes are untouched), and so does ``set_perms`` —
         #: permissions are enforced at execution time, and the

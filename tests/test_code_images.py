@@ -28,7 +28,7 @@ from repro.errors import InvalidInstruction, PageFault, ProtectionFault
 from repro.experiments.common import RunRequest, run_experiment
 from repro.fingerprint.corpus import generate_corpus
 from repro.isa import AssembledProgram, Assembler, abs_, decode, relocate
-from repro.isa.instructions import SPECS_BY_OPCODE
+from repro.isa.instructions import SPECS_BY_OPCODE, Kind
 from repro.lang import CompileOptions
 from repro.memory import VirtualMemory
 from repro.memory.address import PAGE_SIZE
@@ -561,6 +561,90 @@ def test_drain_and_lookahead_hit_verdicts_like_misses():
             again = steps(warm)
         assert again == cold == steps(load(program))
         assert "cpu.decode.misses" not in sink.snapshot()
+
+
+def _junk_drain_run(memory, entries, access_filter=None, **run_kwargs):
+    """Plant BTB entries at ``entries`` (pc -> target), run once and
+    return what the drain leaves behind: per-run cycles, the BTB dump,
+    the deallocation count and the ``cpu.core.false_hit`` events."""
+    memory.access_filter = access_filter
+    with telemetry.session(trace=True) as sink:
+        core = Core()
+        for anchor, target in entries.items():
+            core.btb.allocate(anchor, target, Kind.DIRECT_JUMP)
+        state = fresh_state(memory)
+        result = core.run(state, **run_kwargs)
+    memory.access_filter = None
+    btb = sorted((e.tag, e.set_index, e.offset, e.target, e.kind.value,
+                  e.domain) for e in core.btb.valid_entries())
+    events = [event for event in sink.events
+              if event["ev"] == "cpu.core.false_hit"]
+    return (result.reason, result.cycles, state.rip, btb,
+            core.btb.stats.deallocations, events)
+
+
+def _warm_and_cold(program, run, junk_pc):
+    """``run`` on a memory whose junk verdicts are cached (warmed by an
+    unfiltered run of a fresh core) and on a fresh memory."""
+    warm = load(program)
+    _junk_drain_run(warm, {}, max_retired=1)
+    assert warm.icache.get(junk_pc) == BAD_OPCODE
+    cold = load(program)
+    assert junk_pc not in cold.icache
+    return run(warm), run(cold)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
+def test_drain_over_cached_junk_matches_a_cold_drain(fast):
+    """The drain's cached-junk step (a first-byte fetch check, the
+    false-hit rule, one byte on) leaves what the miss path leaves: a
+    prediction ending on a junk byte dies there, and a filter refusing
+    a junk byte after the ``hlt`` stops the drain before later
+    predictions."""
+    set_fast_path(fast)
+    asm = Assembler(base=BASE)
+    asm.emit("nop")
+    asm.emit("nop")
+    asm.bytes(bytes([JUNK]) * 10)
+    stepped = asm.assemble()
+
+    # A single step: the drain walks from BASE + 1 into the junk and
+    # meets the prediction ending at BASE + 4.
+    def step(memory):
+        return _junk_drain_run(memory, {BASE + 4: BASE + 0x100},
+                               max_retired=1)
+
+    warm, cold = _warm_and_cold(stepped, step, BASE + 4)
+    assert warm == cold
+    reason, _, _, btb, deallocations, events = warm
+    assert reason is StopReason.RETIRE_LIMIT and not btb
+    assert deallocations == 1
+    assert [(e["pc"], e["charged"]) for e in events] == [(BASE + 4, False)]
+
+    asm = Assembler(base=BASE)
+    asm.emit("nop")
+    asm.emit("hlt")
+    asm.bytes(bytes([JUNK]) * 10)
+    halting = asm.assemble()
+
+    def refuse(address, size, access, context):
+        if access == "execute" and address <= BASE + 4 < address + size:
+            raise ProtectionFault(f"filtered {access} at {address:#x}")
+
+    # After the hlt the drain false-hits the entry ending at BASE + 3,
+    # then the refused fetch at BASE + 4 stops it short of BASE + 5.
+    def halt(memory):
+        return _junk_drain_run(memory, {BASE + 3: BASE + 0x100,
+                                        BASE + 5: BASE + 0x200},
+                               access_filter=refuse)
+
+    warm, cold = _warm_and_cold(halting, halt, BASE + 4)
+    assert warm == cold
+    reason, _, _, btb, deallocations, events = warm
+    assert reason is StopReason.HALT
+    assert [entry[2] for entry in btb] == [5]
+    assert deallocations == 1
+    assert [(e["pc"], e["charged"]) for e in events] == [(BASE + 3, False)]
 
 
 # ----------------------------------------------------------------------

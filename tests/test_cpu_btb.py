@@ -1,9 +1,12 @@
 """BTB organisation: field extraction, range lookups, takeaways."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cpu import BTB, generation
+from repro.cpu.config import BTB_BACKENDS, backend_generation
 from repro.errors import CpuError
 from repro.isa import Kind
 
@@ -144,3 +147,82 @@ class TestPartitioning:
         btb.allocate(0x400010, 0x1, Kind.DIRECT_JUMP)
         btb.current_domain = 2
         assert btb.lookup(0x400000) is not None
+
+
+# ----------------------------------------------------------------------
+# the lookup against a reference scan
+# ----------------------------------------------------------------------
+def reference_peek(btb, pc):
+    """What a lookup from ``pc`` must return, scanned from the valid
+    entries: same set and tag, and the current domain under
+    partitioning; then the smallest offset at or after ``pc``'s (the
+    first such way on a tie) on range-hit designs, the same offset on
+    tag-exact ones."""
+    tag, set_index, offset = btb.fields(pc)
+    partitioned = btb.config.btb_partitioning
+    visible = [entry for entry in btb.valid_entries()
+               if entry.set_index == set_index and entry.tag == tag
+               and (not partitioned or entry.domain == btb.current_domain)]
+    if not btb.backend.range_hits:
+        return next((e for e in visible if e.offset == offset), None)
+    after = [entry for entry in visible if entry.offset >= offset]
+    return min(after, key=lambda entry: entry.offset, default=None)
+
+
+def reference_entry_for(btb, pc):
+    tag, set_index, offset = btb.fields(pc)
+    partitioned = btb.config.btb_partitioning
+    return next((entry for entry in btb.valid_entries()
+                 if (entry.set_index, entry.tag, entry.offset)
+                 == (set_index, tag, offset)
+                 and (not partitioned
+                      or entry.domain == btb.current_domain)), None)
+
+
+_KINDS = (Kind.DIRECT_JUMP, Kind.COND_JUMP, Kind.CALL, Kind.RET,
+          Kind.INDIRECT_CALL)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("partitioned", [False, True],
+                         ids=["shared", "partitioned"])
+@pytest.mark.parametrize("backend", tuple(BTB_BACKENDS))
+def test_peek_agrees_with_a_reference_scan(backend, partitioned, seed):
+    """Seeded allocations, deallocations, target updates, indirect
+    flushes and domain switches over a few fetch blocks and their tag
+    aliases, so that sets fill, tags collide and domains twin; after
+    each, ``peek``, ``lookup`` and ``entry_for`` return the very entry
+    the reference scan picks."""
+    btb = BTB(backend_generation(backend, base=generation("skylake"),
+                                 btb_partitioning=partitioned))
+    rng = random.Random(seed)
+    alias = 1 << btb.config.tag_keep_bits
+    blocks = [0x40_0000 + 0x20 * rng.randrange(64) for _ in range(3)]
+
+    def random_pc():
+        return (rng.choice(blocks) + alias * rng.randrange(3)
+                + rng.randrange(32))
+
+    for _ in range(400):
+        action = rng.random()
+        if action < 0.45:
+            btb.allocate(random_pc(), random_pc(), rng.choice(_KINDS))
+        elif action < 0.65:
+            entries = btb.valid_entries()
+            if entries:
+                btb.deallocate(rng.choice(entries))
+        elif action < 0.8:
+            entries = btb.valid_entries()
+            if entries:
+                btb.update_target(rng.choice(entries), random_pc(),
+                                  rng.choice(_KINDS))
+        elif action < 0.83:
+            btb.flush_indirect()
+        else:
+            btb.current_domain = rng.randrange(3)
+        for _ in range(4):
+            pc = random_pc()
+            expected = reference_peek(btb, pc)
+            assert btb.peek(pc) is expected
+            assert btb.lookup(pc) is expected
+            assert btb.entry_for(pc) is reference_entry_for(btb, pc)

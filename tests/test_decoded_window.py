@@ -165,6 +165,8 @@ def test_one_byte_change_pops_only_overlapping_decodes():
     blob[16] ^= 0xFF
     memory.write_bytes(BASE, bytes(blob), check=False)
     assert memory.code_generation == generation + 1
+    # one counter: the run loops read it from the page table
+    assert memory.page_table.epoch == memory.code_generation
     assert BASE + 7 not in memory.icache
     assert BASE in memory.icache
     assert BASE + 17 in memory.icache

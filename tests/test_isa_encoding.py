@@ -1,12 +1,16 @@
 """Encoder/decoder: round trips, lengths, validation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import DecodeError, EncodeError
 from repro.isa import (ALL_MNEMONICS, SPECS_BY_NAME, SPECS_BY_OPCODE,
                        decode, encode, make, spec_for)
-from repro.isa.instructions import Format, Instruction
+from repro.cpu.semantics import Outcome
+from repro.isa.instructions import (_FORMAT_OPERAND_BYTES, CONTROL_KINDS,
+                                    Format, InstrSpec, Instruction)
 
 _regs = st.integers(min_value=0, max_value=15)
 _imm8 = st.integers(min_value=-128, max_value=127)
@@ -148,6 +152,60 @@ class TestTables:
         assert set(_COMPILERS) == {
             name for name, spec in SPECS_BY_NAME.items()
             if spec.kind is Kind.SEQUENTIAL}
+
+
+class TestPlainFacts:
+    """The per-instruction facts are fields computed once, and they
+    equal what the old derived properties computed."""
+
+    def test_spec_facts_follow_format_and_kind(self):
+        for spec in SPECS_BY_NAME.values():
+            assert spec.length == 1 + _FORMAT_OPERAND_BYTES[spec.fmt]
+            assert spec.is_control == (spec.kind in CONTROL_KINDS)
+            assert type(spec.length) is int
+            assert type(spec.is_control) is bool
+
+    def test_spec_facts_stay_out_of_equality(self):
+        names = [field.name for field in dataclasses.fields(InstrSpec)
+                 if field.compare]
+        assert names == ["mnemonic", "opcode", "fmt", "kind", "cond",
+                         "fusible"]
+        spec = spec_for("jmp8")
+        twin = InstrSpec(spec.mnemonic, spec.opcode, spec.fmt, spec.kind,
+                         spec.cond, spec.fusible)
+        assert twin == spec and hash(twin) == hash(spec)
+
+    @given(instructions())
+    def test_instruction_facts_are_its_specs(self, instruction):
+        spec = instruction.spec
+        assert instruction.mnemonic == spec.mnemonic
+        assert instruction.length == spec.length
+        assert instruction.kind is spec.kind
+        assert instruction.is_control is spec.is_control
+        decoded, _ = decode(encode(instruction))
+        assert (decoded.mnemonic, decoded.length, decoded.kind,
+                decoded.is_control) == (spec.mnemonic, spec.length,
+                                        spec.kind, spec.is_control)
+
+    @given(instructions())
+    def test_instruction_identity_is_spec_and_operands(self, instruction):
+        same = Instruction(instruction.spec, tuple(instruction.operands))
+        assert same == instruction and hash(same) == hash(instruction)
+        assert hash(instruction) == hash((instruction.spec,
+                                          instruction.operands))
+        assert instruction != (instruction.spec, instruction.operands)
+        other = Instruction(instruction.spec,
+                            instruction.operands + (0,))
+        assert other != instruction
+        assert Instruction(spec_for("nop")) != Instruction(spec_for("cmc"))
+
+    def test_outcome_fields_and_defaults(self):
+        assert Outcome._fields == ("next_pc", "taken", "syscall", "halt")
+        assert Outcome(7) == Outcome(next_pc=7, taken=None, syscall=False,
+                                     halt=False)
+        outcome = Outcome(7, True)
+        assert (outcome.next_pc, outcome.taken, outcome.syscall,
+                outcome.halt) == (7, True, False, False)
 
 
 class TestPlainRegByteValidation:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class LbrRecord:
-    """One retired taken control transfer."""
+class LbrRecord(NamedTuple):
+    """One retired taken control transfer.
+
+    A tuple, not a dataclass: one is built per retired taken branch."""
 
     from_pc: int
     to_pc: int
@@ -81,11 +81,7 @@ class LBR:
                 return
             elapsed += jitter
         self._records.append(LbrRecord(
-            from_pc=from_pc,
-            to_pc=to_pc,
-            elapsed_cycles=max(0, round(elapsed)),
-            mispredicted=mispredicted,
-        ))
+            from_pc, to_pc, max(0, round(elapsed)), mispredicted))
         self._last_retire_cycles = cycles_now
 
     # ------------------------------------------------------------------

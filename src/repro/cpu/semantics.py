@@ -6,13 +6,14 @@ Timing, prediction and BTB effects are deliberately absent here.
 Straight-line (``Kind.SEQUENTIAL``) instructions have exactly one
 concrete semantics: the thunk compilers below.
 :func:`compile_straightline` specialises an instruction into a bare
-``state -> None`` callable; the decoded-window fast path, superblocks
-and the speculative look-ahead (:mod:`repro.cpu.decoded`) cache those
-thunks, and :func:`execute` (the reference loop of
-:mod:`repro.cpu.core` and the :mod:`repro.cpu.interp` oracle) runs a
-freshly compiled one.  Control transfers, ``syscall`` and ``hlt`` have
-handlers instead, because they produce an :class:`Outcome` the caller
-acts on.
+``state -> None`` callable and keeps it on the instruction
+(``Instruction.thunk``), so each instruction object is compiled once.
+The decoded-window fast path, superblocks and the speculative
+look-ahead (:mod:`repro.cpu.decoded`) run those thunks, and so does
+:func:`execute` (the reference loop of :mod:`repro.cpu.core` and the
+:mod:`repro.cpu.interp` oracle).  Control transfers, ``syscall`` and
+``hlt`` have handlers instead, because they produce an
+:class:`Outcome` the caller acts on.
 
 The symbolic executor (:mod:`repro.analysis.symbolic.executor`) is the
 only other copy, at bit level; ``tests/test_semantics_agreement.py``
@@ -163,7 +164,9 @@ _register_conditionals()
 # code and immediates at compile time, so a cached thunk runs without
 # the mnemonic lookup, operand unpacking and :class:`Outcome`
 # allocation of a dispatch.  Only ``_c_div`` reads ``pc`` (for its
-# error text).
+# error text), so a ``div`` thunk is never kept on its instruction: one
+# instruction object may sit at many addresses (the assembler interns
+# equal instructions).
 
 ThunkCompiler = Callable[[Instruction, int], Callable[[MachineState], None]]
 
@@ -569,13 +572,22 @@ def compile_straightline(instruction: Instruction,
                          pc: int) -> Callable[[MachineState], None]:
     """Compile one *sequential* instruction into a specialised thunk.
 
-    Control transfers, ``syscall`` and ``hlt`` have no compiler: they
+    The thunk is kept on ``instruction`` and returned as is on later
+    calls, except for ``div``, whose thunk names its ``pc``.  Control
+    transfers, ``syscall`` and ``hlt`` have no compiler: they
     terminate windows and always go through :func:`execute`.
     """
-    compiler = _COMPILERS.get(instruction.mnemonic)
+    thunk = instruction.thunk
+    if thunk is not None:
+        return thunk
+    mnemonic = instruction.mnemonic
+    compiler = _COMPILERS.get(mnemonic)
     if compiler is None:
-        raise CpuError(f"no semantics for {instruction.mnemonic}")
-    return compiler(instruction, pc)
+        raise CpuError(f"no semantics for {mnemonic}")
+    thunk = compiler(instruction, pc)
+    if mnemonic != "div":
+        instruction.thunk = thunk
+    return thunk
 
 
 def execute(state: MachineState, instruction: Instruction,
@@ -586,17 +598,17 @@ def execute(state: MachineState, instruction: Instruction,
     :class:`Outcome` describing control flow and traps.  ``state.rip``
     is *not* updated — the caller owns the program counter.
     """
-    spec = instruction.spec
-    # exactly the Kind.SEQUENTIAL specs have compilers (pinned by
-    # tests/test_isa_encoding.py), so this lookup is the kind test
-    compiler = _COMPILERS.get(spec.mnemonic)
-    if compiler is not None:
-        compiler(instruction, pc)(state)
-        return Outcome(pc + spec.length)
-    handler = _HANDLERS.get(spec.mnemonic)
-    if handler is None:
-        raise CpuError(f"no semantics for {spec.mnemonic}")
-    return handler(state, instruction, pc)
+    thunk = instruction.thunk
+    if thunk is None:
+        # exactly the Kind.SEQUENTIAL specs have compilers and every
+        # other spec a handler (pinned by tests/test_isa_encoding.py),
+        # so this lookup is the kind test
+        handler = _HANDLERS.get(instruction.mnemonic)
+        if handler is not None:
+            return handler(state, instruction, pc)
+        thunk = compile_straightline(instruction, pc)
+    thunk(state)
+    return Outcome(pc + instruction.length)
 
 
 def covered_mnemonics() -> frozenset:

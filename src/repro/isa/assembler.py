@@ -297,6 +297,27 @@ class Assembler:
 
         instructions = program.instructions
         resolve = self._resolve
+        # (mnemonic, resolved operands) -> (Instruction, its bytes): each
+        # distinct instruction is built and encoded once per call, and
+        # every address holding it shares the one object (DESIGN §20).
+        interned: Dict[Tuple[str, Tuple[int, ...]],
+                       Tuple[Instruction, bytes]] = {}
+
+        def intern(spec: InstrSpec, operands: Tuple[int, ...],
+                   address: int) -> Tuple[Instruction, bytes]:
+            key = (spec.mnemonic, operands)
+            entry = interned.get(key)
+            if entry is None:
+                instruction = Instruction(spec, operands)
+                try:
+                    entry = (instruction, encode(instruction))
+                except EncodeError as error:
+                    raise AssemblerError(
+                        f"at {address:#x} ({spec.mnemonic}): {error}"
+                    ) from error
+                interned[key] = entry
+            return entry
+
         for item in self._items:
             kind = item.kind
             if kind == "inst":
@@ -307,26 +328,18 @@ class Assembler:
                     operand if type(operand) is int
                     else resolve(operand, symbols, address, item.size)
                     for operand in item.operands])
-                instruction = Instruction(spec, resolved)
-                try:
-                    encoded = encode(instruction)
-                except EncodeError as error:
-                    raise AssemblerError(
-                        f"at {address:#x} ({spec.mnemonic}): {error}"
-                    ) from error
-                if spec.fmt is Format.REG_IMM64:
+                if spec.fmt is Format.REG_IMM64 and len(resolved) == 2:
                     # Keep the decoded form: the bytes hold the
                     # immediate unsigned.
-                    instruction = Instruction(
-                        spec, (resolved[0], resolved[1] & _MASK64))
+                    resolved = (resolved[0], resolved[1] & _MASK64)
+                instruction, encoded = intern(spec, resolved, address)
                 instructions[address] = instruction
                 current_segment(address).extend(encoded)
             elif kind == "align":
-                nop = spec_for("nop")
+                nop, encoded = intern(spec_for("nop"), (), item.address)
                 for offset in range(item.size):
-                    instructions[item.address + offset] = Instruction(nop)
-                current_segment(item.address).extend(
-                    encode(Instruction(nop)) * item.size)
+                    instructions[item.address + offset] = nop
+                current_segment(item.address).extend(encoded * item.size)
             elif kind == "bytes":
                 current_segment(item.address).extend(item.data)
 

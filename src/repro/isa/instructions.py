@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import EncodeError
 
@@ -308,12 +308,15 @@ class Instruction:
 
     ``mnemonic``, ``length``, ``kind`` and ``is_control`` are copied
     from the spec at construction, so the per-instruction paths read
-    them as plain attributes.  Equality and hashing go by
-    ``(spec, operands)``.
+    them as plain attributes.  ``thunk`` caches the instruction's
+    compiled straight-line semantics
+    (:func:`repro.cpu.semantics.compile_straightline`): ``None`` until
+    first compiled.  Equality, hashing and ``repr`` go by
+    ``(spec, operands)`` alone.
     """
 
     __slots__ = ("spec", "operands", "mnemonic", "length", "kind",
-                 "is_control")
+                 "is_control", "thunk")
 
     def __init__(self, spec: InstrSpec, operands: Tuple[int, ...] = ()):
         self.spec = spec
@@ -322,6 +325,7 @@ class Instruction:
         self.length = spec.length
         self.kind = spec.kind
         self.is_control = spec.is_control
+        self.thunk: Optional[Callable] = None
 
     def __eq__(self, other):
         if other.__class__ is not Instruction:

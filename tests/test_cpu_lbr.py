@@ -80,3 +80,20 @@ def test_noise_never_negative():
         lbr.record(0x10, 0x20, cycles_now=index * 1.0,
                    mispredicted=False)
     assert all(r.elapsed_cycles >= 0 for r in lbr.records())
+
+
+def test_seeded_noisy_readings_across_a_ring_wrap():
+    """The noise draw, the clamp to zero and the ring eviction keep
+    their order: these readings were taken before ``LbrRecord`` became
+    a tuple."""
+    lbr = LBR(depth=6, timing_noise=15.0, seed=7)
+    for index in range(14):
+        lbr.record(0x100 + index, 0x200 + index, cycles_now=index * 12.5,
+                   mispredicted=index % 3 == 0)
+    records = lbr.records()
+    assert [r.from_pc for r in records] == list(range(0x108, 0x10E))
+    assert [(r.elapsed_cycles, r.mispredicted) for r in records] == [
+        (28, False), (16, True), (18, False), (15, False), (0, True),
+        (25, False)]
+    assert repr(records[0]) == ("LbrRecord(from_pc=264, to_pc=520, "
+                                "elapsed_cycles=28, mispredicted=False)")

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cpu import MachineState
-from repro.cpu.semantics import execute
+from repro.cpu.semantics import Outcome, compile_straightline, execute
 from repro.errors import DivideError, PageFault
-from repro.isa import MASK64, make, to_signed
+from repro.isa import MASK64, SPECS_BY_NAME, make, to_signed
+from repro.isa.instructions import Format, Kind
+from repro.isa.registers import RSP, SIGN64
 from repro.memory import page_base
 
 _u64 = st.integers(min_value=0, max_value=MASK64)
@@ -319,3 +321,80 @@ class TestConditionals:
         state.regs.flags.zf = True
         run_one(state, "cmove", 0, 1)
         assert state.regs[0] == 2
+
+
+# ----------------------------------------------------------------------
+# compiled thunks are kept on the instruction
+# ----------------------------------------------------------------------
+_SAMPLE_OPERANDS = {
+    Format.NONE: (), Format.PAD1: (), Format.PAD2: (),
+    Format.REG: (3,), Format.REG_PAD: (3,),
+    Format.REG_REG: (3, 5), Format.REG_REG_PAD2: (3, 5),
+    Format.REG_IMM8: (3, -7), Format.REG_IMM32: (3, 1000),
+    Format.REG_IMM64: (3, SIGN64 + 5),
+    Format.REG_REG_DISP8: (3, 5, 8), Format.REG_REG_DISP32: (3, 5, 16),
+}
+_SEQUENTIAL = sorted(name for name, spec in SPECS_BY_NAME.items()
+                     if spec.kind is Kind.SEQUENTIAL)
+
+
+def _sample(mnemonic):
+    return make(mnemonic, *_SAMPLE_OPERANDS[SPECS_BY_NAME[mnemonic].fmt])
+
+
+def _loaded_state():
+    state = fresh_state()
+    for number in range(16):
+        if number != RSP:
+            state.regs[number] = 0x10100 + 8 * number
+    state.regs[2] = 0                  # rdx: keep div in range
+    state.regs[RSP] -= 32              # room for pop
+    state.regs.flags.cf = True
+    return state
+
+
+def _observe(state):
+    return (list(state.regs._values), state.regs.flags.as_tuple(),
+            state.memory.read_bytes(0x10000, 0x2000),
+            state.memory.read_bytes(0x7FFF0000 - 64, 64))
+
+
+def test_compile_straightline_keeps_one_thunk():
+    instruction = make("add", 3, 5)
+    assert instruction.thunk is None
+    thunk = compile_straightline(instruction, 0x400000)
+    assert instruction.thunk is thunk
+    assert compile_straightline(instruction, 0x500000) is thunk
+
+
+@pytest.mark.parametrize("mnemonic", _SEQUENTIAL)
+def test_shared_instruction_at_two_pcs_matches_fresh_ones(mnemonic):
+    shared = _sample(mnemonic)
+    for pc in (0x400000, 0x7F0010):
+        cached, fresh = _loaded_state(), _loaded_state()
+        outcome = execute(cached, shared, pc)
+        assert outcome == execute(fresh, _sample(mnemonic), pc)
+        assert outcome == Outcome(pc + shared.length)
+        assert _observe(cached) == _observe(fresh)
+
+
+@pytest.mark.parametrize("rdx,divisor,message", [
+    (0, 0, "divide by zero"), (2, 1, "divide overflow")])
+def test_shared_div_names_each_pc(rdx, divisor, message):
+    div = make("div", 5)
+    for pc in (0x400000, 0x400010, 0x400000):
+        state = fresh_state()
+        state.regs[2], state.regs[5] = rdx, divisor
+        with pytest.raises(DivideError, match=f"^{message} at {pc:#x}$"):
+            execute(state, div, pc)
+        with pytest.raises(DivideError, match=f"at {pc:#x}$"):
+            compile_straightline(div, pc)(state)
+    assert div.thunk is None
+
+
+def test_cached_thunk_is_not_part_of_the_value():
+    compiled, plain = make("xori8", 3, -7), make("xori8", 3, -7)
+    execute(_loaded_state(), compiled, 0x400000)
+    assert compiled.thunk is not None and plain.thunk is None
+    assert compiled == plain and hash(compiled) == hash(plain)
+    assert repr(compiled) == repr(plain)

@@ -1,10 +1,17 @@
-"""Two-pass assembler: labels, directives, segments, relocation."""
+"""Two-pass assembler: labels, directives, segments, relocation,
+interning."""
+
+import random
 
 import pytest
 
+from repro.core import PwBuilder, PwRange
 from repro.errors import AssemblerError
-from repro.isa import (Assembler, abs_, decode, disassemble, listing,
-                       rel, relocate)
+from repro.fingerprint.corpus import _FunctionSynthesizer
+from repro.isa import (MASK64, Assembler, abs_, decode, disassemble, encode,
+                       listing, rel, relocate)
+from repro.lang import CompileOptions, Compiler
+from repro.lang import ast as A
 from repro.memory import VirtualMemory
 
 
@@ -152,3 +159,105 @@ def test_listing_renders():
 def test_empty_program_has_no_entry():
     with pytest.raises(AssemblerError):
         Assembler().assemble().entry
+
+
+# ----------------------------------------------------------------------
+# interning: each distinct instruction is built and encoded once per
+# assemble() call, and every address holding it shares the object
+# ----------------------------------------------------------------------
+def _corpus_batch(opt_level):
+    rng = random.Random(2023 + opt_level)
+    functions = tuple(_FunctionSynthesizer(rng, f"f{index}").synthesize()
+                      for index in range(12))
+    return Compiler(CompileOptions(opt_level=opt_level)) \
+        .compile(A.Module(functions)).program
+
+
+def _probe_snippet():
+    ranges = [PwRange(0x401000, 0x401020), PwRange(0x401040, 0x401050),
+              PwRange(0x401056, 0x401060), PwRange(0x401080, 0x4010A0)]
+    return PwBuilder(33).build(ranges).program
+
+
+def _aligned_pad():
+    asm = Assembler(base=0x1001)
+    asm.emit("movi", "rax", 7)
+    asm.align(32)
+    asm.emit("movi", "rax", 7)
+    asm.emit("nop")
+    asm.align(16)
+    asm.emit("ret")
+    return asm.assemble()
+
+
+def _negative_movabs():
+    asm = Assembler(base=0x2000)
+    asm.emit("movabs", "rax", -1)
+    asm.emit("movabs", "rcx", -(1 << 63))
+    asm.emit("movabs", "rax", MASK64)      # the same bytes as -1
+    asm.emit("movabs", "rcx", -(1 << 63))
+    asm.emit("ret")
+    return asm.assemble()
+
+
+PROGRAMS = {
+    "corpus-O0": lambda: _corpus_batch(0),
+    "corpus-O2": lambda: _corpus_batch(2),
+    "corpus-O3": lambda: _corpus_batch(3),
+    "probe-snippet": _probe_snippet,
+    "align-pad": _aligned_pad,
+    "movabs-negative": _negative_movabs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_interned_program_matches_its_bytes(name):
+    program = PROGRAMS[name]()
+    assert program.instructions
+    for base, blob in program.segments:
+        address, pieces = base, []
+        while address < base + len(blob):
+            instruction = program.instructions[address]
+            assert decode(blob, address - base) == \
+                (instruction, instruction.length)
+            pieces.append(encode(instruction))
+            address += instruction.length
+        assert b"".join(pieces) == blob
+    assert sum(len(blob) for _, blob in program.segments) == sum(
+        inst.length for inst in program.instructions.values())
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_equal_instructions_are_one_object(name):
+    instructions = list(PROGRAMS[name]().instructions.values())
+    first = {}
+    for instruction in instructions:
+        assert first.setdefault(instruction, instruction) is instruction
+    assert len(first) < len(instructions)
+
+
+def test_movabs_keeps_the_decoded_unsigned_immediate():
+    program = _negative_movabs()
+    assert program.instructions[0x2000].operands == (0, MASK64)
+    assert program.instructions[0x200A].operands == (1, 1 << 63)
+    assert program.instructions[0x2014] is program.instructions[0x2000]
+
+
+@pytest.mark.parametrize("emit_bad", [
+    lambda asm: asm.emit("addi8", "rax", 300),
+    lambda asm: asm.emit("movabs", 16, -1),
+    lambda asm: asm.emit("movabs", "rax", -1, 2),
+    lambda asm: asm.emit("jmp8", "far"),
+], ids=["imm8", "movabs-register", "movabs-operand-count", "rel8-label"])
+def test_unencodable_operand_names_its_first_address(emit_bad):
+    asm = Assembler(base=0x1000)
+    asm.emit("addi8", "rax", 3)
+    asm.emit("nop")
+    emit_bad(asm)                      # at 0x1005
+    asm.emit("nop")
+    emit_bad(asm)
+    asm.nops(300)
+    asm.label("far")
+    asm.emit("ret")
+    with pytest.raises(AssemblerError, match=r"^at 0x1005 "):
+        asm.assemble()

@@ -22,6 +22,7 @@ from .sequence import (
 from .similarity import (
     FingerprintIndex,
     MatchResult,
+    PcSet,
     rank_victims,
     set_similarity,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "FunctionTrace",
     "JUMP_THRESHOLD",
     "MatchResult",
+    "PcSet",
     "apply_measurement_noise",
     "downsample",
     "function_traces_of_length",

@@ -34,6 +34,7 @@ from ..lang import CompileOptions, Compiler
 from ..lang import ast as A
 from ..memory.memory import VirtualMemory
 from .measurement import measured_trace
+from .similarity import PcSet
 
 #: default corpus size (paper: 175,168)
 DEFAULT_CORPUS_SIZE = int(os.environ.get("NV_CORPUS_SIZE", "2000"))
@@ -49,9 +50,9 @@ class CorpusFunction:
 
     name: str
     #: static instruction addresses relative to the function entry
-    static_pcs: Tuple[int, ...]
+    static_pcs: PcSet
     #: measured dynamic trace, relative to the entry
-    measured: Tuple[int, ...]
+    measured: PcSet
     opt_level: int
 
 
@@ -196,11 +197,11 @@ def _build_corpus(size: int, seed: int, batch: int, error_rate: float,
                 seed=rng.randrange(1 << 30))
             out.append(CorpusFunction(
                 name=function.name,
-                static_pcs=tuple(
+                static_pcs=PcSet(
                     pc - info.entry
                     for pc in compiled.static_pcs(function.name)
                     if pc >= info.entry),
-                measured=tuple(pc - info.entry for pc in measured),
+                measured=PcSet(pc - info.entry for pc in measured),
                 opt_level=opt_level,
             ))
     return out

@@ -71,7 +71,15 @@ def sequence_similarity(victim: Sequence[int],
 
 
 def downsample(sequence: Sequence[int], limit: int) -> List[int]:
-    """Cap alignment cost on long traces by uniform subsampling."""
+    """Cap alignment cost on long traces by uniform subsampling.
+
+    Keeps at most ``limit`` items (none for 0); a negative ``limit``
+    raises ``ValueError``.
+    """
+    if limit < 0:
+        raise ValueError(f"downsample limit must be >= 0, got {limit}")
+    if limit == 0:
+        return []
     if len(sequence) <= limit:
         return list(sequence)
     step = len(sequence) / limit

@@ -123,8 +123,17 @@ class BTB:
         #: (:mod:`repro.cpu.decoded`) are stamped with this counter: an
         #: unchanged generation validates every lookup a chain was built
         #: from with one integer compare, and a moved one sends the
-        #: chain to re-peek just those lookups.
+        #: chain to :attr:`set_generation`, so that only the lookups
+        #: whose set moved are re-peeked.
         self.generation = 0
+        #: Per-set stamps, one int per set, bumped by exactly the
+        #: mutations that bump :attr:`generation`, in the set they
+        #: touch: ``allocate``, ``update_target`` and ``_invalidate`` in
+        #: their entry's set, ``_flush_where`` in each set it dropped an
+        #: entry from, and a domain switch under partitioning in every
+        #: set.  A lookup reads one set, so its answer cannot change
+        #: while that set's stamp stands.
+        self.set_generation: List[int] = [0] * sets
         self.stats = BTBStats()
         #: Telemetry sink captured at construction (None → disabled;
         #: the hot paths then pay one ``is None`` check per rare
@@ -165,6 +174,8 @@ class BTB:
             self._current_domain = domain
             if self._partitioned:
                 self.generation += 1
+                self.set_generation = [
+                    stamp + 1 for stamp in self.set_generation]
 
     # ------------------------------------------------------------------
     # field extraction
@@ -296,6 +307,7 @@ class BTB:
         victim.kind = kind
         victim.domain = self._current_domain
         self.generation += 1
+        self.set_generation[set_index] += 1
         self.backend.stamp_insert(self, victim)
         return victim
 
@@ -306,6 +318,7 @@ class BTB:
         if kind is not None:
             entry.kind = kind
         self.generation += 1
+        self.set_generation[entry.set_index] += 1
         self.stats.target_updates += 1
         if self._tel is not None:
             self._tel.emit("cpu.btb.update", {
@@ -325,6 +338,7 @@ class BTB:
         entry.valid = False
         self.backend.clear_entry(entry)
         self.generation += 1
+        self.set_generation[entry.set_index] += 1
 
     def deallocate(self, entry: BTBEntry) -> None:
         """Invalidate an entry after a false hit (Takeaway 1)."""
@@ -373,15 +387,21 @@ class BTB:
 
     def _flush_where(self, predicate) -> None:
         """Invalidate every valid entry satisfying ``predicate``,
-        bumping the generation once if any entry was dropped."""
+        bumping the generation once if any entry was dropped, and the
+        stamp of each set that lost one."""
         clear_entry = self.backend.clear_entry
+        set_generation = self.set_generation
         changed = False
-        for ways in self._sets:
+        for set_index, ways in enumerate(self._sets):
+            dropped = False
             for entry in ways:
                 if entry.valid and predicate(entry):
                     entry.valid = False
                     clear_entry(entry)
-                    changed = True
+                    dropped = True
+            if dropped:
+                set_generation[set_index] += 1
+                changed = True
         if changed:
             self.generation += 1
 

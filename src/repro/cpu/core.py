@@ -305,26 +305,35 @@ class Core:
                 # prediction windows.  Validity is two integer compares
                 # (code generation + BTB generation) plus a BTB identity
                 # check, and a moved BTB generation re-peeks the chain's
-                # recorded lookups; a chain without links is a cached
-                # "unchainable pc" verdict under the same rule.  Only a
-                # pass that fits the instruction and retire budgets
-                # whole is dispatched; otherwise the bundle opens here
+                # recorded lookups in the sets that moved; a chain
+                # without links is a cached "unchainable pc" verdict
+                # under the same rule.  The cache holds the most
+                # recently used variant for the pc; when it is stale,
+                # the older variants are tried before a build, and a
+                # code change drops them all.  Only a pass that fits
+                # the instruction and retire budgets whole is
+                # dispatched; otherwise the bundle opens here
                 # and the mid-bundle entry below runs (and clips) its
                 # first window.  Loop superblocks re-enter through this
                 # check each batch of passes, which keeps the guard and
                 # deadline strides of the outer loop authoritative.
                 if (fast and superblock_cache is not None
                         and memory.access_filter is None):
-                    sb = superblock_cache.get(pc)
-                    if sb is not None and (
-                            sb.code_generation != page_table.epoch
-                            or not sb.btb_valid(self.btb)):
-                        if sb.links:
+                    head = sb = superblock_cache.get(pc)
+                    if (head is not None
+                            and head.code_generation != page_table.epoch):
+                        if head.links:
                             sb_invalidations += 1
-                        sb = None               # stale: rebuild below
+                        head = sb = None        # every variant is stale
+                    elif head is not None and not head.btb_valid(self.btb):
+                        sb = head.promote(self.btb)
+                        if sb is not None:
+                            superblock_cache[pc] = sb
+                        elif head.links:
+                            sb_invalidations += 1
                     if sb is None:
                         sb = build_superblock(memory, self.btb, pc,
-                                              fusion_enabled)
+                                              fusion_enabled, head)
                         superblock_cache[pc] = sb
                         if sb.links:
                             sb_builds += 1

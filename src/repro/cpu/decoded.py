@@ -329,6 +329,15 @@ def get_window(memory, pc: int) -> Optional[DecodedWindow]:
 #: traversal four).
 SUPERBLOCK_MAX_LINKS = 8
 
+#: maximum chains kept per entry pc, the most recently used first.
+#: The chains an entry pc gets differ only in the BTB lookups they were
+#: built from, and an attacker priming and probing a victim's sets
+#: between slices flips those lookups back and forth.  One seed-0 NV-U
+#: leak pass (``benchmarks/e2e`` ``nvu_leak``) makes 16,907 builds with
+#: one chain per pc, 7,000 with two, 5,812 with three, 5,475 with four
+#: and 5,191 with six or eight.
+SUPERBLOCK_VARIANTS = 4
+
 
 class SuperblockLink:
     """One window of a superblock plus its chained exit edge.
@@ -415,35 +424,44 @@ class Superblock:
     Keyed by entry PC in ``memory.superblock_cache`` and stamped with
     ``memory.code_generation``, the owning BTB, and the BTB lookups the
     chain was built from: ``lookups`` holds one ``(pc, entry, offset,
-    target)`` record per :meth:`BTB.peek` the builder made.  The chain
-    is a pure function of the code bytes and those lookup results, so
-    it stays valid for as long as every recorded pc still peeks the
-    same entry object with the same offset and target.  The owning
-    BTB's ``generation`` makes the steady state one compare; when it
-    moved, the records are re-peeked, and on success the stamp is
-    refreshed.  BTB churn that leaves the chain's own predictions alone
-    — another set's allocations, a deallocate-and-reallocate of the same
-    entry, domain switches that hide none of its entries — therefore
-    does not force a rebuild.
+    target, set_index)`` record per :meth:`BTB.peek` the builder made,
+    and ``stamps`` the matching :attr:`BTB.set_generation` stamp of
+    that set.  The chain is a pure function of the code bytes and those
+    lookup results, so it stays valid for as long as every recorded pc
+    still peeks the same entry object with the same offset and target.
+    The owning BTB's ``generation`` makes the steady state one compare;
+    when it moved, only the records whose set stamp moved are re-peeked,
+    and on success the stamps are refreshed.  BTB churn that leaves the
+    chain's own predictions alone — another set's allocations, a
+    deallocate-and-reallocate of the same entry, domain switches that
+    hide none of its entries — therefore does not force a rebuild.
 
     A chain with no ``links`` is a *negative marker*: the entry PC is
     unchainable, and stays cached under the same validity rule so the
     builder is retried only once one of its lookups (or the code)
     changes.  ``loop`` marks chains whose last edge targets the entry
     PC: the dispatcher re-enters them once per iteration.
+
+    ``older`` links to the next most recently used variant for the same
+    entry PC and code generation (at most :data:`SUPERBLOCK_VARIANTS`
+    chains in all): a chain whose lookups changed stays there, and is
+    reused once they change back (:meth:`promote`).
     """
 
     __slots__ = ("entry_pc", "code_generation", "btb", "btb_generation",
-                 "lookups", "links", "loop", "loop_taken",
-                 "insts_per_pass", "units_per_pass")
+                 "lookups", "stamps", "links", "loop", "loop_taken",
+                 "insts_per_pass", "units_per_pass", "older")
 
     def __init__(self, entry_pc: int, code_generation: int, btb,
-                 lookups: list, links: List[SuperblockLink], loop: bool):
+                 lookups: list, links: List[SuperblockLink], loop: bool,
+                 older: Optional["Superblock"] = None):
         self.entry_pc = entry_pc
         self.code_generation = code_generation
         self.btb = btb
         self.btb_generation = btb.generation
         self.lookups = lookups
+        set_generation = btb.set_generation
+        self.stamps = [set_generation[record[4]] for record in lookups]
         self.links = links
         self.loop = loop
         #: loop closed by a predicted-taken edge: each pass ends with
@@ -453,29 +471,63 @@ class Superblock:
         self.loop_taken = loop and links[-1].entry is not None
         self.insts_per_pass = sum(link.insts for link in links)
         self.units_per_pass = sum(link.units for link in links)
+        # Keep at most SUPERBLOCK_VARIANTS chains: this one and the
+        # first SUPERBLOCK_VARIANTS - 1 of ``older``.
+        self.older = older
+        node = older
+        for _ in range(SUPERBLOCK_VARIANTS - 2):
+            if node is None:
+                break
+            node = node.older
+        if node is not None:
+            node.older = None
 
     def btb_valid(self, btb) -> bool:
         """Would every lookup this chain was built from answer the same
         way now?"""
         if btb is not self.btb:
             return False
-        if btb.generation == self.btb_generation:
+        generation = btb.generation
+        if generation == self.btb_generation:
             return True
-        peek = btb.peek
-        for pc, entry, offset, target in self.lookups:
-            now = peek(pc)
-            if now is not entry or (now is not None and (
-                    now.offset != offset or now.target != target)):
-                return False
-        self.btb_generation = btb.generation
+        set_generation = btb.set_generation
+        stamps = self.stamps
+        for i, (pc, entry, offset, target, set_index) in enumerate(
+                self.lookups):
+            stamp = set_generation[set_index]
+            if stamp != stamps[i]:
+                now = btb.peek(pc)
+                if now is not entry or (now is not None and (
+                        now.offset != offset or now.target != target)):
+                    return False
+                # This record holds at the set's current stamp, whatever
+                # the others say.
+                stamps[i] = stamp
+        self.btb_generation = generation
         return True
+
+    def promote(self, btb) -> Optional["Superblock"]:
+        """The first older variant valid on ``btb``, moved to the front
+        of the list with this chain as its ``older``; ``None`` if no
+        variant is valid."""
+        previous = self
+        variant = self.older
+        while variant is not None:
+            if variant.btb_valid(btb):
+                previous.older = variant.older
+                variant.older = self
+                return variant
+            previous = variant
+            variant = variant.older
+        return None
 
     def __repr__(self) -> str:                     # pragma: no cover
         return (f"Superblock({self.entry_pc:#x}, links={len(self.links)}, "
                 f"loop={self.loop})")
 
 
-def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
+def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool,
+                     older: Optional[Superblock] = None) -> Superblock:
     """Chain windows from ``entry_pc`` across predicted edges.
 
     A window extends the chain iff it ends in a control transfer and
@@ -502,6 +554,9 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
     lookups changes.  Pure code-shape verdicts (syscall/hlt terminator,
     decode error) record no lookup, so only a code-generation change
     revisits them.
+
+    ``older`` is the variant list the new chain goes in front of (the
+    oldest variant past :data:`SUPERBLOCK_VARIANTS` drops out).
     """
     links: List[SuperblockLink] = []
     lookups: list = []
@@ -510,13 +565,16 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
     loop = False
     opens = True
     last_byte_index = btb.backend.last_byte_index
+    split = btb.backend.split
 
     def peek(fetch_pc: int):
         entry = btb.peek(fetch_pc)
+        set_index = split(fetch_pc)[1]
         if entry is None:
-            lookups.append((fetch_pc, None, 0, 0))
+            lookups.append((fetch_pc, None, 0, 0, set_index))
         else:
-            lookups.append((fetch_pc, entry, entry.offset, entry.target))
+            lookups.append((fetch_pc, entry, entry.offset, entry.target,
+                            set_index))
         return entry
 
     while len(links) < SUPERBLOCK_MAX_LINKS:
@@ -621,4 +679,4 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool):
         seen.add(pc)
         opens = next_opens
     return Superblock(entry_pc, memory.code_generation, btb, lookups,
-                      links, loop)
+                      links, loop, older)

@@ -80,10 +80,11 @@ class VirtualMemory:
         #: decoded-window cache: entry PC -> DecodedWindow (see
         #: :mod:`repro.cpu.decoded`); invalidated by generation compare.
         self.window_cache: Dict[int, object] = {}
-        #: superblock cache: entry PC -> Superblock or a negative
-        #: marker (see ``Core.run``); entries self-validate against
-        #: ``code_generation`` and the owning BTB's generation, so no
-        #: eager invalidation happens here.
+        #: superblock cache: entry PC -> the most recently used
+        #: Superblock or negative marker, whose ``older`` slot links
+        #: the pc's other variants (see ``Core.run``); chains
+        #: self-validate against ``code_generation`` and the owning
+        #: BTB's set stamps, so no eager invalidation happens here.
         self.superblock_cache: Dict[int, object] = {}
         #: attached code images (``SegmentImage``, see
         #: :meth:`attach_image`), indexed by every page they cover.

@@ -14,7 +14,10 @@ Covers the invalidation edges DESIGN.md §14 promises:
   same way (other sets, an identical re-allocation, unpartitioned
   context switches) does not;
 * retire-budget clips that would land mid-chain fall back to the
-  window path and stay bit-identical to the slow path at every stride.
+  window path and stay bit-identical to the slow path at every stride;
+* a lookup that changes and changes back finds its old chain among
+  the entry pc's cached variants (at most four), and a code write
+  drops them all.
 
 Everything here runs the full fast-vs-slow observable comparison: the
 superblock executor commits cycles, traces, BTB and LBR effects, so
@@ -25,6 +28,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.cpu.core as core_module
 from repro import telemetry
 from repro.cpu import Core, MachineState, StopReason, set_fast_path
 from repro.cpu.config import DEFAULT_GENERATION
@@ -554,3 +558,107 @@ def test_budget_clip_equivalence(stride):
 @pytest.mark.parametrize("stride", [3, 7, 13])
 def test_budget_clip_equivalence_nested(stride):
     assert_fast_matches_slow(nested_loops(4, 9), max_retired=stride)
+
+
+# ----------------------------------------------------------------------
+# edge 5: variants — a lookup that changes back finds its chain cached
+# ----------------------------------------------------------------------
+def _variants(memory, pc):
+    """The chains cached for ``pc``, most recently used first."""
+    chains = []
+    chain = memory.superblock_cache.get(pc)
+    while chain is not None:
+        chains.append(chain)
+        chain = chain.older
+    return chains
+
+
+def _variant_scenario(fast):
+    """``counted_loop`` warmed up, then re-entered at its loop head
+    after attacker-side BTB toggles of the loop's one lookup: a
+    deallocation (twice), retargets to five other pcs, and finally a
+    code write.  Each toggle is undone by the victim's own mispredict
+    on its first pass, so the next dispatch sees the warm lookup
+    again.  Returns every run's observables, the code bytes, and the
+    variant list at the loop head after each run."""
+    previous = set_fast_path(fast)
+    try:
+        memory = VirtualMemory()
+        counted_loop(40).load_into(memory, perms="rwx")
+        loop_pc = BASE + 32
+        core = Core(DEFAULT_GENERATION)
+        observed, lists = [], []
+
+        def run(rip, rcx=None):
+            state = MachineState(memory, rip=rip)
+            state.setup_stack(0x7FFF_0000)
+            if rcx is not None:
+                state.regs["rcx"] = rcx
+            result = core.run(state, collect_trace=True)
+            assert result.reason is StopReason.HALT
+            observed.append(_observables(core, state, [result]))
+            lists.append(_variants(memory, loop_pc))
+
+        def loop_entry():
+            (entry,) = [e for e in core.btb.valid_entries()
+                        if e.target == loop_pc]
+            return entry
+
+        run(BASE)                                   # warm: lookup A
+        for _ in range(2):                          # A -> B -> A
+            core.btb.deallocate(loop_entry())
+            run(loop_pc, rcx=5)
+        for target in (BASE, loop_pc + 3, loop_pc + 5, loop_pc + 8,
+                       loop_pc + 10):
+            core.btb.update_target(loop_entry(), target)
+            run(loop_pc, rcx=5)
+        memory.write_bytes(loop_pc + 31, b"\x01")   # past the hlt
+        run(loop_pc, rcx=5)
+        code = memory.read_bytes(BASE, 128)
+        return observed, code, lists
+    finally:
+        set_fast_path(previous)
+
+
+def test_variants_reuse_chains_across_lookup_toggles(monkeypatch):
+    loop_pc = BASE + 32
+    builds = []
+    real_build = core_module.build_superblock
+
+    def counting_build(memory, btb, pc, *args):
+        chain = real_build(memory, btb, pc, *args)
+        if pc == loop_pc:
+            builds.append(chain)
+        return chain
+
+    monkeypatch.setattr(core_module, "build_superblock", counting_build)
+    slow, slow_code, _ = _variant_scenario(False)
+    assert not builds
+    fast, fast_code, lists = _variant_scenario(True)
+    assert fast == slow
+    assert fast_code == slow_code
+
+    warm, *toggled = lists
+    chain_a = warm[0]
+    assert chain_a.loop_taken and chain_a.links[-1].entry is not None
+    # first toggle: one build (the lookup-B chain); the dispatch after
+    # the victim's mispredict re-allocated the entry reuses chain A
+    first, second = toggled[0], toggled[1]
+    chain_b = first[1]
+    assert first == [chain_a, chain_b]
+    assert chain_b is not chain_a and chain_b.links[-1].entry is None
+    # second toggle: both chains are cached, nothing is built
+    assert second == [chain_a, chain_b]
+    assert builds[:2] == [chain_a, chain_b] and len(builds) == 2 + 5 + 1
+    # five retargets: one new variant each, never more than four kept,
+    # and chain A back in front after every run
+    for index, chains in enumerate(toggled[2:7]):
+        assert chains[0] is chain_a
+        assert chains[1] is builds[2 + index]
+        assert len(chains) == min(3 + index, 4)
+    assert all(len(chains) <= 4 for chains in lists)
+    # a code write drops every variant
+    rebuilt = toggled[-1]
+    assert len(rebuilt) == 1 and rebuilt[0] is builds[-1]
+    assert not any(chain in rebuilt for chains in lists[:-1]
+                   for chain in chains)

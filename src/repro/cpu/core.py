@@ -47,6 +47,7 @@ from ..errors import (
     InvalidInstruction,
     PageFault,
     ProtectionFault,
+    ReproError,
     SimulationTimeout,
 )
 from ..isa.instructions import Instruction, Kind
@@ -56,7 +57,7 @@ from .config import CpuGeneration, DEFAULT_GENERATION
 from .costs import EXTRA_ISSUE_COST
 from .decoded import (SuperblockLink, adopt_window, build_superblock,
                       build_window, decode_at, fast_path_enabled,
-                      get_window, raise_bad_opcode)
+                      raise_bad_opcode)
 from .fusion import can_fuse
 from .interp import _DEADLINE_STRIDE, _check_deadline_now
 from .lbr import LBR
@@ -109,9 +110,7 @@ class _SpecMemory:
 
     Reads see speculative stores; writes never reach real memory.
     Exposes the subset of the :class:`VirtualMemory` interface the
-    semantics layer and its compiled thunks touch.  It has no window
-    cache: the look-ahead takes decoded windows from the underlying
-    memory and runs their thunks against this overlay.
+    semantics layer and its compiled thunks touch.
     """
 
     def __init__(self, memory):
@@ -135,10 +134,6 @@ class _SpecMemory:
 
     def read_bytes(self, address: int, size: int, **kwargs) -> bytes:
         return self._memory.read_bytes(address, size, **kwargs)
-
-    def write_bytes(self, address: int, data: bytes, **kwargs) -> None:
-        # Byte-granular speculative stores are rare; model as dropped.
-        return None
 
 
 class Core:
@@ -970,33 +965,17 @@ class Core:
         """Let the front end run ``spec_lookahead`` more instructions,
         updating the BTB but never committing architectural state.
 
-        With the fast path on, a window's straight-line prefix runs
-        through its cached thunks when the live prediction cannot
-        interact with it — a BTB miss, or a predicted end byte at/after
-        ``resume_pc``, the test of ``run``'s mid-bundle entry.  The
-        prefix is clipped to the depth left and stops before an
-        ``lfence``.  It keeps the fetch checks of the loop below: one
-        execute check per window (a 32-byte block never crosses a
-        page) and the access filter on every pc.  Window opens, false
-        hits, predictions inside a prefix and every terminator run on
-        that per-instruction loop, the reference.
+        Each instruction is fetched, predicted and executed one at a
+        time on a :class:`_SpecMemory` overlay.  A refused fetch, junk,
+        ``lfence``, ``hlt``, ``syscall``, a trap, a mispredict or a
+        squash ends speculation; only a correctly predicted taken
+        branch lets it run on past a control transfer.
         """
         left = self.config.spec_lookahead
         if left <= 0:
             return
-        memory = state.memory
-        spec_state = MachineState(memory=_SpecMemory(memory),
+        spec_state = MachineState(memory=_SpecMemory(state.memory),
                                   rip=state.rip, regs=state.regs.copy())
-        # Windows come from the real memory: the overlay has no cache.
-        fast = (fast_path_enabled()
-                and getattr(memory, "window_cache", None) is not None)
-        access_filter = memory.access_filter
-        context = memory.context
-        page_check = memory.page_table.check
-        # Where the last prefix stopped inside its block (an lfence, a
-        # terminator or an undecodable byte): no window there runs
-        # anything, so the step below takes that pc directly.
-        stop_pc: Optional[int] = None
         pw: Optional[_PredictionWindow] = None
         while left > 0:
             pc = spec_state.rip
@@ -1006,44 +985,6 @@ class Core:
                 self._false_hit(pw, pc, charge=False)
             if pc >= pw.limit:
                 pw = self._open_window(pc)
-            if fast and pc != stop_pc:
-                try:
-                    window = get_window(memory, pc)
-                except _FETCH_REFUSALS:
-                    # A filter refused a byte the build read ahead; the
-                    # step below fetches only what it executes.
-                    window = None
-                if window is not None and window.count and (
-                        pw.pred_end is None
-                        or pw.pred_end >= window.resume_pc):
-                    pcs = window.pcs
-                    instructions = window.instructions
-                    thunks = window.thunks
-                    k = window.count if window.count < left else left
-                    i = 0
-                    while i < k:
-                        at = pcs[i]
-                        if instructions[i].spec.mnemonic == "lfence":
-                            break       # the step below drains on it
-                        try:
-                            if access_filter is not None:
-                                access_filter(at, 1, "execute", context)
-                            if not i:
-                                page_check(at, "execute")
-                        except _FETCH_REFUSALS:
-                            return      # speculative fetch stalls
-                        try:
-                            thunks[i](spec_state)
-                        except Exception:
-                            return      # spec-path trap: drain
-                        i += 1
-                    if i:
-                        left -= i
-                        spec_state.rip = (pcs[i] if i < window.count
-                                          else window.resume_pc)
-                        if spec_state.rip < window.limit:
-                            stop_pc = spec_state.rip
-                        continue
             left -= 1
             try:
                 instruction, length = self._decode(spec_state, pc)
@@ -1055,8 +996,8 @@ class Core:
                 pw, pc, length, instruction, charge=False)
             try:
                 outcome = execute(spec_state, instruction, pc)
-            except Exception:
-                return  # any spec-path trap just drains the pipeline
+            except ReproError:
+                return  # a spec-path trap just drains the pipeline
             if outcome.halt or outcome.syscall:
                 return
             if instruction.is_control and outcome.taken:

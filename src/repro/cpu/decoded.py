@@ -303,17 +303,10 @@ def adopt_window(memory, pc: int) -> Optional[DecodedWindow]:
     return window
 
 
-def get_window(memory, pc: int) -> Optional[DecodedWindow]:
+def get_window(memory, pc: int) -> DecodedWindow:
     """Current-generation window for ``pc``, adopting or building it
-    on demand.
-
-    Returns ``None`` when ``memory`` has no window cache (exotic
-    memory wrappers like the speculative store-buffer overlay).
-    """
-    cache = getattr(memory, "window_cache", None)
-    if cache is None:
-        return None
-    window = cache.get(pc)
+    on demand.  ``memory`` must have a window cache."""
+    window = memory.window_cache.get(pc)
     if window is not None and window.generation == memory.code_generation:
         return window
     return adopt_window(memory, pc) or build_window(memory, pc)
@@ -579,7 +572,7 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool,
 
     while len(links) < SUPERBLOCK_MAX_LINKS:
         window = get_window(memory, pc)
-        if window is None or window.decode_error:
+        if window.decode_error:
             break
         term = window.terminator
         if term is not None and not term.spec.is_control:
@@ -603,8 +596,7 @@ def build_superblock(memory, btb, entry_pc: int, fusion_enabled: bool,
                 break
             if fusion_enabled and window.fuse_holdback:
                 nw = get_window(memory, window.resume_pc)
-                if (nw is not None and not nw.count
-                        and nw.terminator is not None
+                if (not nw.count and nw.terminator is not None
                         and nw.terminator.spec.kind is Kind.COND_JUMP
                         and can_fuse(window.instructions[-1],
                                      nw.terminator)):

@@ -8,9 +8,9 @@ concrete semantics: the thunk compilers below.
 :func:`compile_straightline` specialises an instruction into a bare
 ``state -> None`` callable and keeps it on the instruction
 (``Instruction.thunk``), so each instruction object is compiled once.
-The decoded-window fast path, superblocks and the speculative
-look-ahead (:mod:`repro.cpu.decoded`) run those thunks, and so does
-:func:`execute` (the reference loop of :mod:`repro.cpu.core` and the
+The decoded-window fast path and superblocks (:mod:`repro.cpu.decoded`)
+run those thunks, and so does :func:`execute` (the reference loop and
+the speculative look-ahead of :mod:`repro.cpu.core`, and the
 :mod:`repro.cpu.interp` oracle).  Control transfers, ``syscall`` and
 ``hlt`` have handlers instead, because they produce an
 :class:`Outcome` the caller acts on.

@@ -230,8 +230,8 @@ class TestTraversalGadget:
 # ----------------------------------------------------------------------
 # single-stepped enclave: the NV-S setting.  The EPC access filter, the
 # page tracker's NX code pages and the data monitor's A/D bits are all
-# live, so the cached executor stands aside and every step's
-# speculative look-ahead runs its windowed prefixes under those checks.
+# live, so the cached executor stands aside and every step runs on the
+# reference loop, its speculative look-ahead included.
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
 def enclave_gcd_victim():
@@ -293,9 +293,9 @@ def test_single_stepped_enclave_identical(backend, spec_lookahead):
     for index, (slow, fast) in enumerate(zip(slow_steps, fast_steps)):
         assert slow == fast, index
     assert slow_final == fast_final
-    # Only the look-ahead uses windows under an access filter.
+    # No single-step path builds windows under an access filter.
     assert not slow_windows
-    assert fast_windows == (spec_lookahead > 0)
+    assert not fast_windows
 
 
 # ----------------------------------------------------------------------
